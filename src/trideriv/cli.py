@@ -33,6 +33,7 @@ from .derivations import (
 )
 from .matrices import format_matrix, parse_matrix, random_matrix
 from .oracle import (
+    EXHAUSTIVE_LIMIT,
     CapacityError,
     brute_force_classify,
     exhaustive_leibniz_witness,
@@ -42,7 +43,6 @@ from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring
 from .shifts import ShiftDerivation
 
 FAMILY_ENUMERATION_LIMIT = 20
-EXHAUSTIVE_LIMIT = 3
 
 
 def _witness_fields(semiring: Semiring, witness: Witness) -> str:
@@ -82,15 +82,17 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _family_masks(n: int) -> list[MaskDerivation]:
+    if n > FAMILY_ENUMERATION_LIMIT:
+        raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
+    return enumerate_family_derivations(n)
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.cls == "families":
-        if args.n > FAMILY_ENUMERATION_LIMIT:
-            raise CapacityError(
-                f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}"
-            )
-        masks = enumerate_family_derivations(args.n)
+        masks = _family_masks(args.n)
     else:
         masks = enumerate_interval_derivations(args.n)
     for mask in masks:
@@ -147,7 +149,7 @@ def _first_failure_exhaustive(fn, n):
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
     failures = 0
-    for mask in enumerate_family_derivations(args.n):
+    for mask in _family_masks(args.n):
         if args.exhaustive:
             failure = _first_failure_exhaustive(mask, args.n)
         else:
@@ -237,6 +239,8 @@ _VERIFY_KINDS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     semiring = get_semiring(args.semiring)
     if args.exhaustive and (semiring.name != "boolean" or args.n > EXHAUSTIVE_LIMIT):
         raise CapacityError(
@@ -284,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semiring", default="maxplus")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    mode.add_argument("--random", action="store_true", help="seeded trials (default)")
+    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force classify all zero patterns")

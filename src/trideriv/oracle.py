@@ -10,35 +10,49 @@ pairs.
 Internally matrices are indexed by their entry bitmask (bit t of the
 index is the t-th row-major entry), so masking is ``index & keep`` and
 matrix addition is bitwise-or of indices; the product table is computed
-once with the real matrix multiplication.  The encoding lemmas are
+once per dimension and process with the real matrix multiplication.  One
+engine, :func:`_first_failure`, scans that table for both the witness
+search and the classification, and each of its verdicts is confirmed by
+a second route: a found pair by :func:`leibniz_check` on real matrices,
+a "no failure" by the local characterization.  The encoding lemmas are
 re-checked exhaustively in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .derivations import ZeroPattern, format_pattern, leibniz_check
-from .matrices import UTMatrix, iter_positions, triangle_size
+from .derivations import (
+    MaskDerivation,
+    Witness,
+    ZeroPattern,
+    format_pattern,
+    leibniz_check,
+)
+from .matrices import MatrixMismatchError, UTMatrix, iter_positions, triangle_size
 from .semirings import BOOLEAN
 
-ENUMERATION_LIMIT = 4
-CLASSIFY_LIMIT = 3
+EXHAUSTIVE_LIMIT = 3
 
 
 class CapacityError(ValueError):
     """Requested dimension exceeds the exhaustive-search budget."""
 
 
-def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
-    """Every boolean upper-triangular matrix exactly once, in bitmask order."""
+def _check_dimension(n: int) -> None:
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if n > ENUMERATION_LIMIT:
+    if n > EXHAUSTIVE_LIMIT:
         raise CapacityError(
-            f"n={n} too large to enumerate (limit {ENUMERATION_LIMIT})"
+            f"n={n} too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
         )
+
+
+def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
+    """Every boolean upper-triangular matrix exactly once, in bitmask order."""
+    _check_dimension(n)
     size = triangle_size(n)
     for bits in range(1 << size):
         yield UTMatrix(n, BOOLEAN, tuple(bits >> t & 1 for t in range(size)))
@@ -49,17 +63,61 @@ def matrix_bits(matrix: UTMatrix) -> int:
     return sum(1 << t for t, v in enumerate(matrix.entries) if v)
 
 
-def exhaustive_leibniz_witness(
-    f: Callable[[UTMatrix], UTMatrix], n: int
-) -> tuple[UTMatrix, UTMatrix, object] | None:
-    """First (A, B, witness) violating the Leibniz rule over all boolean pairs."""
-    mats = list(enumerate_matrices(n))
-    for a in mats:
-        for b in mats:
-            witness = leibniz_check(f, a, b)
-            if witness is not None:
-                return (a, b, witness)
+@functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT)
+def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[tuple[int, ...], ...]]:
+    """All boolean matrices at dimension n and their product table by index."""
+    mats = tuple(enumerate_matrices(n))
+    return mats, tuple(tuple(matrix_bits(a * b) for b in mats) for a in mats)
+
+
+def _keep_bits(pattern: ZeroPattern) -> int:
+    """Bitmask of the positions the pattern's map keeps."""
+    pos = pattern.positions
+    return sum(1 << t for t, p in enumerate(iter_positions(pattern.n)) if p not in pos)
+
+
+def _first_failure(product: tuple[tuple[int, ...], ...], keep: int) -> tuple[int, int] | None:
+    """First (a, b) in bitmask order where masking by ``keep`` breaks Leibniz."""
+    for a, row in enumerate(product):
+        kept_row = product[a & keep]
+        for b, ab in enumerate(row):
+            if kept_row[b] | row[b & keep] != ab & keep:
+                return a, b
     return None
+
+
+def exhaustive_leibniz_witness(
+    f: MaskDerivation | ZeroPattern, n: int
+) -> tuple[UTMatrix, UTMatrix, Witness] | None:
+    """First (A, B, witness) violating the Leibniz rule over all boolean pairs.
+
+    Only mask maps are accepted.  A failing pair found in the product
+    table is re-checked with :func:`leibniz_check`, and "no failure" with
+    :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
+    """
+    if not isinstance(f, (MaskDerivation, ZeroPattern)):
+        raise TypeError(f"exhaustive search needs a mask map, got {type(f).__name__}")
+    _check_dimension(n)
+    pattern = f.pattern if isinstance(f, MaskDerivation) else f
+    if pattern.n != n:
+        raise MatrixMismatchError(f"dimension mismatch: {pattern.n} vs {n}")
+    mats, product = _table(n)
+    found = _first_failure(product, _keep_bits(pattern))
+    if found is None:
+        if not pattern.is_derivation():
+            raise RuntimeError(
+                f"no boolean witness, but pattern {format_pattern(pattern)!r} "
+                "fails the local characterization"
+            )
+        return None
+    a, b = mats[found[0]], mats[found[1]]
+    witness = leibniz_check(f, a, b)
+    if witness is None:
+        raise RuntimeError(
+            f"product table flags pair {found} for pattern "
+            f"{format_pattern(pattern)!r}, but the matrices satisfy Leibniz"
+        )
+    return a, b, witness
 
 
 @dataclass(frozen=True)
@@ -97,26 +155,15 @@ def brute_force_classify(n: int) -> OracleReport:
     characterization, and disagreements (there should be none) are
     returned rather than raised.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if n > CLASSIFY_LIMIT:
-        raise CapacityError(f"n={n} too large to classify (limit {CLASSIFY_LIMIT})")
-    size = triangle_size(n)
+    _check_dimension(n)
     positions = list(iter_positions(n))
-    mats = list(enumerate_matrices(n))
-    count = 1 << size
-    product = [[matrix_bits(a * b) for b in mats] for a in mats]
+    _, product = _table(n)
+    count = len(product)
 
     derivations = []
     mismatches = []
-    indices = range(count)
     for pattern_bits in range(count):
-        keep = ~pattern_bits & (count - 1)
-        holds = all(
-            product[a & keep][b] | product[a][b & keep] == product[a][b] & keep
-            for a in indices
-            for b in indices
-        )
+        holds = _first_failure(product, ~pattern_bits & (count - 1)) is None
         pattern = ZeroPattern(
             n,
             frozenset(p for t, p in enumerate(positions) if pattern_bits >> t & 1),

@@ -228,6 +228,28 @@ def test_verify_hereditary_requires_maxplus(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("kind", ["leibniz", "theorem2", "decompose", "hereditary"])
+def test_verify_rejects_trials_below_one(capsys, kind, trials):
+    code, out, err = run(capsys, "verify", kind, "--n", "2", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--trials" in err
+
+
+def test_verify_leibniz_family_cap(capsys):
+    code, out, err = run(capsys, "verify", "leibniz", "--n", "21", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert "capped" in err
+
+
+def test_verify_has_no_random_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "leibniz", "--n", "2", "--random"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_kind():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "sorcery", "--n", "2"])

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trideriv import oracle
 from trideriv import (
     BOOLEAN,
     FUZZY,
@@ -12,13 +13,17 @@ from trideriv import (
     MINPLUS,
     CapacityError,
     MaskDerivation,
+    MatrixMismatchError,
+    ShiftDerivation,
     ZeroPattern,
     brute_force_classify,
     d_m,
     delta_k,
+    enumerate_family_derivations,
     enumerate_matrices,
     exhaustive_leibniz_witness,
     format_report,
+    iter_positions,
     leibniz_check,
     linearity_check,
     matrix_bits,
@@ -170,6 +175,64 @@ def test_exhaustive_witness_search():
     assert leibniz_check(bad, a, b) == witness
     good = MaskDerivation(3, {2})
     assert exhaustive_leibniz_witness(good, 3) is None
+
+
+def _direct_witness(f, n):
+    """Reference route: leibniz_check on every matrix pair, in bitmask order."""
+    mats = list(enumerate_matrices(n))
+    for a in mats:
+        for b in mats:
+            witness = leibniz_check(f, a, b)
+            if witness is not None:
+                return (a, b, witness)
+    return None
+
+
+def _engine_cases():
+    for n in (1, 2):
+        positions = list(iter_positions(n))
+        for bits in range(1 << len(positions)):
+            zeroed = frozenset(p for t, p in enumerate(positions) if bits >> t & 1)
+            yield pytest.param(ZeroPattern(n, zeroed), n, id=f"pattern-n{n}-{bits}")
+    for k in range(1, 4):
+        for m in range(1, 4):
+            yield pytest.param(delta_k(3, k).compose(d_m(3, m)), 3, id=f"theorem2-k{k}-m{m}")
+    for mask in enumerate_family_derivations(3):
+        yield pytest.param(mask, 3, id=f"family-{sorted(mask.zero_set)}")
+
+
+@pytest.mark.parametrize("f,n", _engine_cases())
+def test_table_engine_matches_direct_sweep(f, n):
+    assert exhaustive_leibniz_witness(f, n) == _direct_witness(f, n)
+
+
+def test_exhaustive_witness_rejects_non_mask_maps():
+    with pytest.raises(TypeError):
+        exhaustive_leibniz_witness(lambda m: m, 2)
+    with pytest.raises(TypeError):
+        exhaustive_leibniz_witness(ShiftDerivation(0).hereditary(), 2)
+
+
+def test_exhaustive_witness_capacity():
+    with pytest.raises(CapacityError):
+        exhaustive_leibniz_witness(MaskDerivation(4, frozenset()), 4)
+
+
+def test_exhaustive_witness_dimension_mismatch():
+    with pytest.raises(MatrixMismatchError):
+        exhaustive_leibniz_witness(MaskDerivation(2, {1}), 3)
+
+
+def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
+    """Both second routes are live: a disagreement with either one raises."""
+    bad = delta_k(3, 1).compose(d_m(3, 1))
+    monkeypatch.setattr(oracle, "leibniz_check", lambda f, a, b: None)
+    with pytest.raises(RuntimeError):
+        exhaustive_leibniz_witness(bad, 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: False)
+    with pytest.raises(RuntimeError):
+        exhaustive_leibniz_witness(MaskDerivation(3, {2}), 3)
 
 
 def test_format_report_lines():
