@@ -23,6 +23,7 @@ from .derivations import (
     delta_k,
     enumerate_family_derivations,
     enumerate_interval_derivations,
+    first_difference,
     format_pattern,
     format_zero_set,
     leibniz_check,
@@ -43,6 +44,7 @@ from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring
 from .shifts import ShiftDerivation
 
 FAMILY_ENUMERATION_LIMIT = 20
+INTERVAL_ENUMERATION_LIMIT = 200
 
 
 def _witness_fields(semiring: Semiring, witness: Witness) -> str:
@@ -93,6 +95,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError("--n must be >= 1")
     if args.cls == "families":
         masks = _family_masks(args.n)
+    elif args.n > INTERVAL_ENUMERATION_LIMIT:
+        raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
     else:
         masks = enumerate_interval_derivations(args.n)
     for mask in masks:
@@ -125,35 +129,48 @@ def _random_pair(n: int, semiring: Semiring, rng: random.Random):
     return random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
 
 
-def _first_failure_random(fn, n, semiring, trials, seed):
-    """(trial, check-name, witness) for the first failing trial, else None."""
+def _first_failures(maps, n, semiring, trials, seed):
+    """Each map's first failing (trial, check-name, witness), else None.
+
+    Trial t draws (A, B) from ``random.Random(seed + t)`` once for all
+    maps, so AB and A + B are computed once per trial; each map still
+    unfailed is checked for Leibniz, then linearity.  Stops early once
+    every map has failed.
+    """
+    failures = [None] * len(maps)
+    unfailed = list(range(len(maps)))
     for trial in range(trials):
-        rng = random.Random(seed + trial)
-        a, b = _random_pair(n, semiring, rng)
-        witness = leibniz_check(fn, a, b)
-        if witness is not None:
-            return trial, "leibniz", witness
-        witness = linearity_check(fn, a, b)
-        if witness is not None:
-            return trial, "linearity", witness
-    return None
+        if not unfailed:
+            break
+        a, b = _random_pair(n, semiring, random.Random(seed + trial))
+        ab, a_plus_b = a * b, a + b
+        still = []
+        for index in unfailed:
+            fn = maps[index]
+            fa, fb = fn(a), fn(b)
+            check, witness = "leibniz", first_difference(fn(ab), fa * b + a * fb)
+            if witness is None:
+                check, witness = "linearity", first_difference(fn(a_plus_b), fa + fb)
+            if witness is None:
+                still.append(index)
+            else:
+                failures[index] = trial, check, witness
+        unfailed = still
+    return failures
 
 
-def _first_failure_exhaustive(fn, n):
-    found = exhaustive_leibniz_witness(fn, n)
-    if found is None:
-        return None
-    _, _, witness = found
-    return None, "leibniz", witness
+def _failures(maps, args: argparse.Namespace, semiring: Semiring):
+    """:func:`_first_failures`, or with ``--exhaustive`` the boolean sweep (trial None)."""
+    if not args.exhaustive:
+        return _first_failures(maps, args.n, semiring, args.trials, args.seed)
+    found = [exhaustive_leibniz_witness(fn, args.n) for fn in maps]
+    return [None if f is None else (None, "leibniz", f[2]) for f in found]
 
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
+    masks = _family_masks(args.n)
     failures = 0
-    for mask in _family_masks(args.n):
-        if args.exhaustive:
-            failure = _first_failure_exhaustive(mask, args.n)
-        else:
-            failure = _first_failure_random(mask, args.n, semiring, args.trials, args.seed)
+    for mask, failure in zip(masks, _failures(masks, args, semiring)):
         zs = format_zero_set(mask.zero_set)
         if failure is None:
             print(f"PASS leibniz n={args.n} semiring={semiring.name} zero_set={zs}")
@@ -169,25 +186,20 @@ def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
 
 
 def _verify_theorem2(args: argparse.Namespace, semiring: Semiring) -> int:
+    n = args.n
+    pairs = [(k, m) for k in range(1, n + 1) for m in range(1, n + 1)]
+    patterns = [delta_k(n, k).compose(d_m(n, m)) for k, m in pairs]
     failures = 0
-    for k in range(1, args.n + 1):
-        for m in range(1, args.n + 1):
-            expected = theorem2_predicate(args.n, k, m)
-            pattern = delta_k(args.n, k).compose(d_m(args.n, m))
-            if args.exhaustive:
-                empirical = exhaustive_leibniz_witness(pattern, args.n) is None
-            else:
-                empirical = (
-                    _first_failure_random(pattern, args.n, semiring, args.trials, args.seed)
-                    is None
-                )
-            verdict = "PASS" if empirical == expected else "FAIL"
-            print(
-                f"{verdict} theorem2 n={args.n} k={k} m={m} "
-                f"expected={'derivation' if expected else 'witness'} "
-                f"empirical={'derivation' if empirical else 'witness'}"
-            )
-            failures += empirical != expected
+    for (k, m), failure in zip(pairs, _failures(patterns, args, semiring)):
+        expected = theorem2_predicate(n, k, m)
+        empirical = failure is None
+        verdict = "PASS" if empirical == expected else "FAIL"
+        print(
+            f"{verdict} theorem2 n={n} k={k} m={m} "
+            f"expected={'derivation' if expected else 'witness'} "
+            f"empirical={'derivation' if empirical else 'witness'}"
+        )
+        failures += empirical != expected
     return 1 if failures else 0
 
 
@@ -242,6 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     semiring = get_semiring(args.semiring)
+    if args.exhaustive and args.kind not in ("leibniz", "theorem2"):
+        raise ValueError("exhaustive mode applies only to leibniz and theorem2")
     if args.exhaustive and (semiring.name != "boolean" or args.n > EXHAUSTIVE_LIMIT):
         raise CapacityError(
             f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"

@@ -13,12 +13,38 @@ diagonal form, and being a derivation becomes a predicate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Any, Callable, Iterable, Union
 
 from .matrices import MatrixMismatchError, UTMatrix, iter_positions
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
+
+
+def _is_index(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@lru_cache(maxsize=256)
+def _mask_offsets(n: int, zero_set: frozenset) -> tuple[int, ...]:
+    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``."""
+    return tuple(
+        t
+        for t, (r, c) in enumerate(iter_positions(n))
+        if all(i in zero_set for i in range(r, c + 1))
+    )
+
+
+def _apply_zeroed(n: int, offsets: tuple[int, ...], matrix: UTMatrix) -> UTMatrix:
+    """Send the entries at row-major ``offsets`` to zero: the one apply path of
+    :class:`MaskDerivation` and :class:`ZeroPattern`."""
+    if matrix.n != n:
+        raise MatrixMismatchError(f"dimension mismatch: {matrix.n} vs {n}")
+    cells = list(matrix.entries)
+    zero = matrix.semiring.zero
+    for t in offsets:
+        cells[t] = zero
+    return UTMatrix._trusted(n, matrix.semiring, tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -38,7 +64,7 @@ class MaskDerivation:
             raise ValueError("dimension must be >= 1")
         zs = frozenset(self.zero_set)
         object.__setattr__(self, "zero_set", zs)
-        if not all(isinstance(i, int) and 1 <= i <= self.n for i in zs):
+        if not all(_is_index(i) and 1 <= i <= self.n for i in zs):
             raise ValueError(f"zero set {sorted(zs)} outside 1..{self.n}")
 
     @cached_property
@@ -56,34 +82,16 @@ class MaskDerivation:
         return tuple(runs)
 
     @cached_property
-    def _run_id(self) -> tuple:
-        ids: list[Any] = [None] * (self.n + 1)
-        for t, (a, b) in enumerate(self.blocks):
-            for i in range(a, b + 1):
-                ids[i] = t
-        return tuple(ids)
-
-    def zeroes(self, i: int, j: int) -> bool:
-        """True iff the map sends position (i, j) to the semiring zero."""
-        rid = self._run_id
-        return rid[i] is not None and rid[i] == rid[j]
+    def _zeroed(self) -> tuple[int, ...]:
+        return _mask_offsets(self.n, self.zero_set)
 
     @cached_property
     def pattern(self) -> "ZeroPattern":
-        return ZeroPattern(
-            self.n, frozenset(p for p in iter_positions(self.n) if self.zeroes(*p))
-        )
+        positions = tuple(iter_positions(self.n))
+        return ZeroPattern(self.n, frozenset(positions[t] for t in self._zeroed))
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        if matrix.n != self.n:
-            raise MatrixMismatchError(f"dimension mismatch: {matrix.n} vs {self.n}")
-        zero = matrix.semiring.zero
-        rid = self._run_id
-        cells = tuple(
-            zero if rid[i] is not None and rid[i] == rid[j] else v
-            for (i, j), v in zip(iter_positions(self.n), matrix.entries)
-        )
-        return UTMatrix(self.n, matrix.semiring, cells)
+        return _apply_zeroed(self.n, self._zeroed, matrix)
 
     def __add__(self, other: "MaskDerivation") -> "MaskDerivation":
         """Pointwise sum of the two maps (an entry survives if either side keeps it)."""
@@ -117,9 +125,11 @@ class ZeroPattern:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        pos = frozenset((int(i), int(j)) for i, j in self.positions)
+        pos = frozenset((i, j) for i, j in self.positions)
         object.__setattr__(self, "positions", pos)
         for i, j in pos:
+            if not (_is_index(i) and _is_index(j)):
+                raise ValueError(f"position ({i!r}, {j!r}) must be a pair of ints")
             if not (1 <= i <= j <= self.n):
                 raise ValueError(f"position ({i}, {j}) not upper-triangular in 1..{self.n}")
 
@@ -127,16 +137,13 @@ class ZeroPattern:
     def from_zero_set(cls, n: int, zero_set: Iterable[int]) -> "ZeroPattern":
         return MaskDerivation(n, frozenset(zero_set)).pattern
 
-    def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        if matrix.n != self.n:
-            raise MatrixMismatchError(f"dimension mismatch: {matrix.n} vs {self.n}")
-        zero = matrix.semiring.zero
+    @cached_property
+    def _zeroed(self) -> tuple[int, ...]:
         pos = self.positions
-        cells = tuple(
-            zero if p in pos else v
-            for p, v in zip(iter_positions(self.n), matrix.entries)
-        )
-        return UTMatrix(self.n, matrix.semiring, cells)
+        return tuple(t for t, p in enumerate(iter_positions(self.n)) if p in pos)
+
+    def __call__(self, matrix: UTMatrix) -> UTMatrix:
+        return _apply_zeroed(self.n, self._zeroed, matrix)
 
     def __add__(self, other: "ZeroPattern") -> "ZeroPattern":
         """Pointwise sum of the mask maps: zero only where both sides zero."""
@@ -230,6 +237,8 @@ def first_difference(left: UTMatrix, right: UTMatrix) -> Witness | None:
     """Lexicographically first (row-major) position where the matrices differ."""
     if left.n != right.n:
         raise MatrixMismatchError(f"dimension mismatch: {left.n} vs {right.n}")
+    if left.entries == right.entries:
+        return None
     for pos, a, b in zip(iter_positions(left.n), left.entries, right.entries):
         if a != b:
             return Witness(pos, a, b)

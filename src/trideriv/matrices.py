@@ -7,9 +7,10 @@ runtime check.  Positions are 1-based ``(i, j)`` with ``i <= j``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .semirings import Semiring, get_semiring
 
@@ -37,13 +38,24 @@ def _offset(n: int, i: int, j: int) -> int:
     return (i - 1) * n - (i - 1) * (i - 2) // 2 + (j - i)
 
 
+@functools.lru_cache(maxsize=64)
+def _mul_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per stored cell (i, j), row-major: the offsets of a_ik and b_kj for k = i..j."""
+    return tuple(
+        tuple((_offset(n, i, k), _offset(n, k, j)) for k in range(i, j + 1))
+        for i, j in iter_positions(n)
+    )
+
+
 @dataclass(frozen=True)
 class UTMatrix:
     """Immutable n x n upper-triangular matrix over ``semiring``.
 
     ``entries`` holds the upper triangle row-major:
     ``(1,1) .. (1,n), (2,2) .. (2,n), ..., (n,n)``.
-    Equality is entrywise exact equality.
+    Equality is entrywise exact equality.  The public constructor checks
+    every entry against the carrier; results of the library's own
+    arithmetic, sampling and parsing go through :meth:`_trusted`.
     """
 
     n: int
@@ -60,8 +72,18 @@ class UTMatrix:
                 f"expected {triangle_size(self.n)} entries for n={self.n}, "
                 f"got {len(self.entries)}"
             )
+        for value in self.entries:
+            self.semiring.check(value)
 
     # -- constructors
+
+    @classmethod
+    def _trusted(cls, n: int, semiring: Semiring, entries: tuple) -> "UTMatrix":
+        """Skip validation: ``entries`` must be a tuple of the right length,
+        every value already in the carrier."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(n=n, semiring=semiring, entries=entries)
+        return matrix
 
     @classmethod
     def zeros(cls, n: int, semiring: Semiring) -> "UTMatrix":
@@ -82,7 +104,7 @@ class UTMatrix:
         cells = [semiring.zero] * triangle_size(n)
         for (i, j), value in values.items():
             _check_position(n, i, j)
-            cells[_offset(n, i, j)] = semiring.check(value)
+            cells[_offset(n, i, j)] = value
         return cls(n, semiring, tuple(cells))
 
     @classmethod
@@ -94,7 +116,7 @@ class UTMatrix:
         for i, row in enumerate(rows, start=1):
             if len(row) != n - i + 1:
                 raise ValueError(f"row {i}: expected {n - i + 1} entries, got {len(row)}")
-            cells.extend(semiring.check(v) for v in row)
+            cells.extend(row)
         return cls(n, semiring, tuple(cells))
 
     # -- access
@@ -104,35 +126,25 @@ class UTMatrix:
         _check_position(self.n, i, j)
         return self.entries[_offset(self.n, i, j)]
 
-    def map_entries(self, fn: Callable[[Any], Any]) -> "UTMatrix":
-        return UTMatrix(self.n, self.semiring, tuple(fn(v) for v in self.entries))
-
     # -- arithmetic
 
     def __add__(self, other: "UTMatrix") -> "UTMatrix":
         ensure_compatible(self, other)
-        add = self.semiring.add
-        return UTMatrix(
-            self.n,
-            self.semiring,
-            tuple(add(a, b) for a, b in zip(self.entries, other.entries)),
+        return UTMatrix._trusted(
+            self.n, self.semiring, tuple(map(self.semiring.add, self.entries, other.entries))
         )
 
     def __mul__(self, other: "UTMatrix") -> "UTMatrix":
         ensure_compatible(self, other)
-        n = self.n
         add, mul, zero = self.semiring.add, self.semiring.mul, self.semiring.zero
         a, b = self.entries, other.entries
         cells = []
-        row_off = 0
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                acc = zero
-                for k in range(i, j + 1):
-                    acc = add(acc, mul(a[row_off + k - i], b[_offset(n, k, j)]))
-                cells.append(acc)
-            row_off += n - i + 1
-        return UTMatrix(n, self.semiring, tuple(cells))
+        for pairs in _mul_plan(self.n):
+            acc = zero
+            for p, q in pairs:
+                acc = add(acc, mul(a[p], b[q]))
+            cells.append(acc)
+        return UTMatrix._trusted(self.n, self.semiring, tuple(cells))
 
 
 def ensure_compatible(a: UTMatrix, b: UTMatrix) -> None:
@@ -183,7 +195,7 @@ def diag_tail(n: int, m: int, semiring: Semiring) -> UTMatrix:
 def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
     """Matrix with every stored entry drawn from the semiring's sampler."""
     sample = semiring.sample
-    return UTMatrix(n, semiring, tuple(sample(rng) for _ in range(triangle_size(n))))
+    return UTMatrix._trusted(n, semiring, tuple(sample(rng) for _ in range(triangle_size(n))))
 
 
 # --- text format ---------------------------------------------------------------
@@ -234,4 +246,4 @@ def parse_matrix(text: str) -> UTMatrix:
             if tok != ".":
                 raise ValueError(f"row {i}: sub-diagonal token {tok!r} must be '.'")
         cells.extend(semiring.parse_element(tok) for tok in tokens[i - 1 :])
-    return UTMatrix(n, semiring, tuple(cells))
+    return UTMatrix._trusted(n, semiring, tuple(cells))

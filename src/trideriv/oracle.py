@@ -55,7 +55,7 @@ def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
     _check_dimension(n)
     size = triangle_size(n)
     for bits in range(1 << size):
-        yield UTMatrix(n, BOOLEAN, tuple(bits >> t & 1 for t in range(size)))
+        yield UTMatrix._trusted(n, BOOLEAN, tuple(bits >> t & 1 for t in range(size)))
 
 
 def matrix_bits(matrix: UTMatrix) -> int:

@@ -123,12 +123,14 @@ def _format_fuzzy(value: Any) -> str:
 
 # --- carriers ----------------------------------------------------------------
 
+# ``bool`` is an ``int`` subclass, but True/False are not carrier elements.
+
 def _is_rational(value: Any) -> bool:
-    return isinstance(value, (int, Fraction))
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def _in_boolean(value: Any) -> bool:
-    return value == 0 or value == 1
+    return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
 
 
 def _in_maxplus(value: Any) -> bool:

@@ -65,6 +65,7 @@ class HereditaryShift:
             raise MatrixMismatchError(
                 f"hereditary shifts act on maxplus matrices, got {matrix.semiring.name}"
             )
+        # A max-plus product of carrier elements stays in the carrier.
         x = self.shift.x
         mul = MAXPLUS.mul
-        return matrix.map_entries(lambda v: mul(v, x))
+        return UTMatrix._trusted(matrix.n, MAXPLUS, tuple(mul(v, x) for v in matrix.entries))

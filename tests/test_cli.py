@@ -1,8 +1,20 @@
 """Exit-code contract, output formats, and byte-determinism of the CLI."""
 
+import random
+
 import pytest
 
-from trideriv.cli import main
+from trideriv import (
+    ZeroPattern,
+    d_m,
+    delta_k,
+    enumerate_family_derivations,
+    get_semiring,
+    leibniz_check,
+    linearity_check,
+    random_matrix,
+)
+from trideriv.cli import INTERVAL_ENUMERATION_LIMIT, _first_failures, main
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -160,6 +172,14 @@ def test_enumerate_family_cap(capsys):
     assert "capped" in err
 
 
+def test_enumerate_interval_cap(capsys):
+    n = str(INTERVAL_ENUMERATION_LIMIT + 1)
+    code, out, err = run(capsys, "enumerate", "--n", n, "--class", "intervals")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "capped" in err
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_theorem2_exhaustive(capsys):
@@ -200,6 +220,49 @@ def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
         capsys, "verify", "leibniz", "--n", "4", "--semiring", "boolean", "--exhaustive"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--n", "2", "--semiring", "boolean", "--exhaustive", "--trials", "2"),
+        ("hereditary", "--n", "2", "--exhaustive"),
+    ],
+)
+def test_verify_exhaustive_only_for_leibniz_and_theorem2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "exhaustive mode applies only to leibniz and theorem2" in err
+
+
+def reference_first_failure(fn, n, semiring, trials, seed):
+    """The per-map trial loop: redraw trial t for this map alone."""
+    for trial in range(trials):
+        rng = random.Random(seed + trial)
+        a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
+        witness = leibniz_check(fn, a, b)
+        if witness is not None:
+            return trial, "leibniz", witness
+        witness = linearity_check(fn, a, b)
+        if witness is not None:
+            return trial, "linearity", witness
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy"])
+def test_trial_runner_matches_per_map_loop(name, n):
+    semiring = get_semiring(name)
+    maps = [
+        delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)
+    ]
+    maps += enumerate_family_derivations(n)
+    maps.append(ZeroPattern(n, {(1, n)}))  # not a derivation for n >= 2
+    for seed in (0, 631):
+        expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
+        assert _first_failures(maps, n, semiring, 12, seed) == expected
 
 
 def test_verify_decompose(capsys):

@@ -4,6 +4,7 @@ and the rewriting into delta/d terms."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trideriv import (
     BOOLEAN,
@@ -26,6 +27,7 @@ from trideriv import (
     enumerate_interval_derivations,
     format_pattern,
     format_zero_set,
+    iter_positions,
     jordan,
     leibniz_check,
     linearity_check,
@@ -120,6 +122,32 @@ def test_mask_validates_indices():
         MaskDerivation(3, {0})
     with pytest.raises(ValueError):
         MaskDerivation(3, {4})
+    with pytest.raises(ValueError):
+        MaskDerivation(3, {True})
+
+
+@pytest.mark.parametrize("position", [(1.7, 2.2), (1.0, 2), (True, 2), (1, False), ("1", 2)])
+def test_pattern_rejects_non_int_positions(position):
+    with pytest.raises(ValueError):
+        ZeroPattern(3, {position})
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n)), st.integers(0, 2**32))
+    ),
+    st.sampled_from(INSTANCES),
+)
+def test_mask_application_matches_definition(case, semiring):
+    n, zero_set, seed = case
+    a = random_matrix(n, semiring, random.Random(seed))
+    mask = MaskDerivation(n, zero_set)
+    result = mask(a)
+    for r, c in iter_positions(n):
+        dies = all(t in zero_set for t in range(r, c + 1))
+        assert result[r, c] == (semiring.zero if dies else a[r, c])
+    assert mask.pattern(a) == result
 
 
 def test_blocks_are_maximal_runs():

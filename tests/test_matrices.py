@@ -1,6 +1,7 @@
 """Triangular matrix arithmetic, the Jordan product, and the text format."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,14 +9,17 @@ from trideriv import (
     BOOLEAN,
     MAXPLUS,
     MINUS_INF,
+    PLUS_INF,
     FUZZY,
     MINPLUS,
+    CarrierError,
     MatrixMismatchError,
     TriangularityError,
     UTMatrix,
     diag_head,
     diag_tail,
     format_matrix,
+    iter_positions,
     jordan,
     matrix_unit,
     parse_matrix,
@@ -255,3 +259,65 @@ def test_from_rows_validates():
         UTMatrix.from_rows(BOOLEAN, [[1, 1], [1], [1]])  # ragged for n=3
     with pytest.raises(ValueError):
         UTMatrix.from_rows(BOOLEAN, [[2, 1], [1]])  # 2 not boolean
+
+
+def test_public_constructor_checks_every_entry():
+    with pytest.raises(CarrierError):
+        UTMatrix(2, BOOLEAN, (5, 7, 9))
+    with pytest.raises(CarrierError):
+        UTMatrix(2, MAXPLUS, (0.5, 1, 2))
+    with pytest.raises(CarrierError):
+        UTMatrix(1, BOOLEAN, (True,))
+    with pytest.raises(CarrierError):
+        UTMatrix.from_dict(2, MINPLUS, {(1, 2): MINUS_INF})
+
+
+# --- the planned product against the textbook triple loop ---------------------------
+
+def reference_mul(x, y):
+    """The triple loop: acc = zero, then acc = add(acc, mul(x_ik, y_kj)) for k = i..j."""
+    s = x.semiring
+    cells = []
+    for i, j in iter_positions(x.n):
+        acc = s.zero
+        for k in range(i, j + 1):
+            acc = s.add(acc, s.mul(x[i, k], y[k, j]))
+        cells.append(acc)
+    return cells
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
+def test_product_matches_triple_loop_in_value_and_type(semiring, n):
+    rng = random.Random(n)
+    mats = [random_matrix(n, semiring, rng) for _ in range(3)]
+    mats += [UTMatrix.identity(n, semiring), UTMatrix.zeros(n, semiring), diag_head(n, 1, semiring)]
+    # Sums with the identity mix Fraction(0) into int entries, so the fold meets
+    # equal values of different types.
+    mats += [mats[0] + mats[3], mats[1] + mats[5]]
+    for x in mats:
+        for y in mats:
+            got, want = list((x * y).entries), reference_mul(x, y)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+# --- seeded streams ----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "semiring, seed, entries",
+    [
+        (BOOLEAN, 0, (1, 1, 0, 1, 1, 1)),
+        (BOOLEAN, 631, (1, 1, 0, 0, 0, 0)),
+        (MAXPLUS, 0, (6, MINUS_INF, 11, -1, 2, -7)),
+        (MAXPLUS, 631, (1, -9, 18, 12, -2, -11)),
+        (MINPLUS, 0, (6, PLUS_INF, 11, -1, 2, -7)),
+        (FUZZY, 0, tuple(Fraction(k, 16) for k in (12, 13, 1, 8, 16, 15))),
+        (FUZZY, 631, tuple(Fraction(k, 16) for k in (9, 10, 6, 5, 4, 6))),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_random_matrix_stream_is_pinned(semiring, seed, entries):
+    got = random_matrix(3, semiring, random.Random(seed)).entries
+    assert got == entries
+    assert [type(v) for v in got] == [type(v) for v in entries]

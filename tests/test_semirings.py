@@ -65,6 +65,14 @@ def test_mixed_operands_rejected():
         sr_mul(MAXPLUS, 0.5, 1)  # inexact floats are not carrier elements
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
+def test_carriers_reject_bool(semiring, value):
+    assert not semiring.contains(value)
+    with pytest.raises(CarrierError):
+        semiring.check(value)
+
+
 @pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
 def test_check_axioms_passes(semiring):
     report = check_axioms(semiring, 1000, seed=42)
