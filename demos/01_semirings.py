@@ -13,8 +13,6 @@ from trideriv import (
     Semiring,
     check_axioms,
     natural_leq,
-    sr_add,
-    sr_mul,
 )
 
 print("=== the four shipped instances ===")
@@ -23,11 +21,11 @@ for s in (BOOLEAN, MAXPLUS, MINPLUS, FUZZY):
 
 print()
 print("=== max-plus arithmetic: addition is max, multiplication is + ===")
-print("3 (+) 5  =", sr_add(MAXPLUS, 3, 5))
-print("3 (*) 5  =", sr_mul(MAXPLUS, 3, 5))
+print("3 (+) 5  =", MAXPLUS.add(3, 5))
+print("3 (*) 5  =", MAXPLUS.mul(3, 5))
 print("-inf is neutral for (+) and absorbing for (*):")
-print("-inf (+) 7 =", sr_add(MAXPLUS, MAXPLUS.zero, 7))
-print("-inf (*) 7 =", sr_mul(MAXPLUS, MAXPLUS.zero, 7))
+print("-inf (+) 7 =", MAXPLUS.add(MAXPLUS.zero, 7))
+print("-inf (*) 7 =", MAXPLUS.mul(MAXPLUS.zero, 7))
 
 print()
 print("=== every instance passes the sampled axiom check ===")

@@ -4,14 +4,12 @@ from .derivations import (
     DecompositionExpr,
     DecompositionTerm,
     MaskDerivation,
-    Witness,
     ZeroPattern,
     d_m,
     decompose,
     delta_k,
     enumerate_family_derivations,
     enumerate_interval_derivations,
-    first_difference,
     format_pattern,
     format_zero_set,
     leibniz_check,
@@ -38,7 +36,6 @@ from .matrices import (
 )
 from .oracle import (
     CapacityError,
-    OracleReport,
     brute_force_classify,
     enumerate_matrices,
     exhaustive_leibniz_witness,
@@ -52,16 +49,11 @@ from .semirings import (
     MINPLUS,
     MINUS_INF,
     PLUS_INF,
-    SEMIRINGS,
-    AxiomReport,
-    AxiomViolation,
     CarrierError,
     Semiring,
     check_axioms,
     get_semiring,
     natural_leq,
-    sr_add,
-    sr_mul,
 )
 from .shifts import HereditaryShift, ShiftDerivation
 

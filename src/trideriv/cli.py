@@ -4,8 +4,8 @@ Every subcommand prints deterministic, grep-friendly lines (``PASS``/
 ``FAIL`` prefixes for verification verdicts) and follows one exit-code
 contract: 0 all checked properties hold, 1 a property violation was
 found (witness printed), 2 usage, parse, or capacity error.  Random
-trials draw trial t from ``random.Random(seed + t)`` so any reported
-trial index is reproducible on its own.
+trials come from :func:`~trideriv.semirings.seeded_trials`, so any
+reported trial index is reproducible on its own.
 """
 
 from __future__ import annotations
@@ -40,11 +40,14 @@ from .oracle import (
     exhaustive_leibniz_witness,
     format_report,
 )
-from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring
+from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
+# Seeded ``verify`` runs cost about 0.16-0.6 us per unit of verify_work on a
+# 2-core VM, so this caps a run at minutes.
+VERIFY_WORK_LIMIT = 10**9
 
 
 def _witness_fields(semiring: Semiring, witness: Witness) -> str:
@@ -84,17 +87,17 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_masks(n: int) -> list[MaskDerivation]:
+def _check_family_cap(n: int) -> None:
     if n > FAMILY_ENUMERATION_LIMIT:
         raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
-    return enumerate_family_derivations(n)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.cls == "families":
-        masks = _family_masks(args.n)
+        _check_family_cap(args.n)
+        masks = enumerate_family_derivations(args.n)
     elif args.n > INTERVAL_ENUMERATION_LIMIT:
         raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
     else:
@@ -132,17 +135,17 @@ def _random_pair(n: int, semiring: Semiring, rng: random.Random):
 def _first_failures(maps, n, semiring, trials, seed):
     """Each map's first failing (trial, check-name, witness), else None.
 
-    Trial t draws (A, B) from ``random.Random(seed + t)`` once for all
+    Trial t draws (A, B) from :func:`seeded_trials` once for all
     maps, so AB and A + B are computed once per trial; each map still
     unfailed is checked for Leibniz, then linearity.  Stops early once
     every map has failed.
     """
     failures = [None] * len(maps)
     unfailed = list(range(len(maps)))
-    for trial in range(trials):
+    for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
             break
-        a, b = _random_pair(n, semiring, random.Random(seed + trial))
+        a, b = _random_pair(n, semiring, rng)
         ab, a_plus_b = a * b, a + b
         still = []
         for index in unfailed:
@@ -168,7 +171,7 @@ def _failures(maps, args: argparse.Namespace, semiring: Semiring):
 
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
-    masks = _family_masks(args.n)
+    masks = enumerate_family_derivations(args.n)
     failures = 0
     for mask, failure in zip(masks, _failures(masks, args, semiring)):
         zs = format_zero_set(mask.zero_set)
@@ -205,8 +208,7 @@ def _verify_theorem2(args: argparse.Namespace, semiring: Semiring) -> int:
 
 def _verify_decompose(args: argparse.Namespace, semiring: Semiring) -> int:
     failures = 0
-    for trial in range(args.trials):
-        rng = random.Random(args.seed + trial)
+    for trial, rng in seeded_trials(args.trials, args.seed):
         zero_set = frozenset(i for i in range(1, args.n + 1) if rng.random() < 0.5)
         mask = MaskDerivation(args.n, zero_set)
         expr = decompose(mask)
@@ -224,8 +226,7 @@ def _verify_decompose(args: argparse.Namespace, semiring: Semiring) -> int:
 def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
     if semiring.name != "maxplus":
         raise ValueError("hereditary verification runs over the maxplus semiring")
-    for trial in range(args.trials):
-        rng = random.Random(args.seed + trial)
+    for trial, rng in seeded_trials(args.trials, args.seed):
         lifted = ShiftDerivation(MAXPLUS.sample(rng)).hereditary()
         a, b = _random_pair(args.n, semiring, rng)
         witness = leibniz_check(lifted, a, b) or linearity_check(lifted, a, b)
@@ -238,6 +239,13 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
             return 1
     print(f"PASS hereditary n={args.n} trials={args.trials} seed={args.seed}")
     return 0
+
+
+def verify_work(kind: str, n: int, trials: int) -> int:
+    """maps x trials x n^3 of a seeded ``verify`` run: leibniz checks 2^n masks,
+    theorem2 n^2 compositions, decompose and hereditary one map."""
+    maps = 1 << n if kind == "leibniz" else n * n if kind == "theorem2" else 1
+    return maps * trials * n**3
 
 
 _VERIFY_KINDS = {
@@ -259,6 +267,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive and (semiring.name != "boolean" or args.n > EXHAUSTIVE_LIMIT):
         raise CapacityError(
             f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"
+        )
+    if args.kind == "leibniz":
+        _check_family_cap(args.n)
+    work = verify_work(args.kind, args.n, args.trials)
+    if not args.exhaustive and work > VERIFY_WORK_LIMIT:
+        raise CapacityError(
+            f"verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3); "
+            f"this run needs {work}"
         )
     return _VERIFY_KINDS[args.kind](args, semiring)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Any, Callable, Iterable, Union
 
-from .matrices import MatrixMismatchError, UTMatrix, iter_positions
+from .matrices import UTMatrix, ensure_same_dimension, iter_positions
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -38,8 +38,7 @@ def _mask_offsets(n: int, zero_set: frozenset) -> tuple[int, ...]:
 def _apply_zeroed(n: int, offsets: tuple[int, ...], matrix: UTMatrix) -> UTMatrix:
     """Send the entries at row-major ``offsets`` to zero: the one apply path of
     :class:`MaskDerivation` and :class:`ZeroPattern`."""
-    if matrix.n != n:
-        raise MatrixMismatchError(f"dimension mismatch: {matrix.n} vs {n}")
+    ensure_same_dimension(matrix.n, n)
     cells = list(matrix.entries)
     zero = matrix.semiring.zero
     for t in offsets:
@@ -82,20 +81,17 @@ class MaskDerivation:
         return tuple(runs)
 
     @cached_property
-    def _zeroed(self) -> tuple[int, ...]:
-        return _mask_offsets(self.n, self.zero_set)
-
-    @cached_property
     def pattern(self) -> "ZeroPattern":
         positions = tuple(iter_positions(self.n))
-        return ZeroPattern(self.n, frozenset(positions[t] for t in self._zeroed))
+        zeroed = _mask_offsets(self.n, self.zero_set)
+        return ZeroPattern(self.n, frozenset(positions[t] for t in zeroed))
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        return _apply_zeroed(self.n, self._zeroed, matrix)
+        return _apply_zeroed(self.n, _mask_offsets(self.n, self.zero_set), matrix)
 
     def __add__(self, other: "MaskDerivation") -> "MaskDerivation":
         """Pointwise sum of the two maps (an entry survives if either side keeps it)."""
-        self._check_same_dim(other)
+        ensure_same_dimension(self.n, other.n)
         return MaskDerivation(self.n, self.zero_set & other.zero_set)
 
     def compose(self, other: Union["MaskDerivation", "ZeroPattern"]) -> "ZeroPattern":
@@ -104,15 +100,8 @@ class MaskDerivation:
 
     def __le__(self, other: "MaskDerivation") -> bool:
         """Natural order of idempotent addition: self <= other iff self + other = other."""
-        self._check_same_dim(other)
+        ensure_same_dimension(self.n, other.n)
         return self.zero_set >= other.zero_set
-
-    def __ge__(self, other: "MaskDerivation") -> bool:
-        return other.__le__(self)
-
-    def _check_same_dim(self, other: "MaskDerivation") -> None:
-        if self.n != other.n:
-            raise MatrixMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,6 @@ class ZeroPattern:
             if not (1 <= i <= j <= self.n):
                 raise ValueError(f"position ({i}, {j}) not upper-triangular in 1..{self.n}")
 
-    @classmethod
-    def from_zero_set(cls, n: int, zero_set: Iterable[int]) -> "ZeroPattern":
-        return MaskDerivation(n, frozenset(zero_set)).pattern
-
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
         pos = self.positions
@@ -147,12 +132,12 @@ class ZeroPattern:
 
     def __add__(self, other: "ZeroPattern") -> "ZeroPattern":
         """Pointwise sum of the mask maps: zero only where both sides zero."""
-        self._check_same_dim(other)
+        ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions & other.positions)
 
     def compose(self, other: Union["ZeroPattern", MaskDerivation]) -> "ZeroPattern":
         other = _as_pattern(other)
-        self._check_same_dim(other)
+        ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions | other.positions)
 
     def diagonal_zero_set(self) -> frozenset:
@@ -184,10 +169,6 @@ class ZeroPattern:
                     if (i, k) in pos and (k, j) in pos:
                         return False
         return True
-
-    def _check_same_dim(self, other: "ZeroPattern") -> None:
-        if self.n != other.n:
-            raise MatrixMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
 
 
 def _as_pattern(f: Union[MaskDerivation, ZeroPattern]) -> ZeroPattern:
@@ -235,8 +216,7 @@ class Witness:
 
 def first_difference(left: UTMatrix, right: UTMatrix) -> Witness | None:
     """Lexicographically first (row-major) position where the matrices differ."""
-    if left.n != right.n:
-        raise MatrixMismatchError(f"dimension mismatch: {left.n} vs {right.n}")
+    ensure_same_dimension(left.n, right.n)
     if left.entries == right.entries:
         return None
     for pos, a, b in zip(iter_positions(left.n), left.entries, right.entries):
@@ -347,8 +327,7 @@ class DecompositionExpr:
     terms: tuple[DecompositionTerm, ...]
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        if matrix.n != self.n:
-            raise MatrixMismatchError(f"dimension mismatch: {matrix.n} vs {self.n}")
+        ensure_same_dimension(matrix.n, self.n)
         return pointwise_sum(*self.terms)(matrix)
 
     def __str__(self) -> str:

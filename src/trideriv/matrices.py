@@ -147,9 +147,14 @@ class UTMatrix:
         return UTMatrix._trusted(self.n, self.semiring, tuple(cells))
 
 
+def ensure_same_dimension(n: int, m: int) -> None:
+    """The one dimension check shared by every operation on two operands."""
+    if n != m:
+        raise MatrixMismatchError(f"dimension mismatch: {n} vs {m}")
+
+
 def ensure_compatible(a: UTMatrix, b: UTMatrix) -> None:
-    if a.n != b.n:
-        raise MatrixMismatchError(f"dimension mismatch: {a.n} vs {b.n}")
+    ensure_same_dimension(a.n, b.n)
     if a.semiring is not b.semiring:
         raise MatrixMismatchError(
             f"semiring mismatch: {a.semiring.name} vs {b.semiring.name}"

@@ -28,10 +28,11 @@ from .derivations import (
     MaskDerivation,
     Witness,
     ZeroPattern,
+    _as_pattern,
     format_pattern,
     leibniz_check,
 )
-from .matrices import MatrixMismatchError, UTMatrix, iter_positions, triangle_size
+from .matrices import UTMatrix, ensure_same_dimension, iter_positions, triangle_size
 from .semirings import BOOLEAN
 
 EXHAUSTIVE_LIMIT = 3
@@ -98,9 +99,8 @@ def exhaustive_leibniz_witness(
     if not isinstance(f, (MaskDerivation, ZeroPattern)):
         raise TypeError(f"exhaustive search needs a mask map, got {type(f).__name__}")
     _check_dimension(n)
-    pattern = f.pattern if isinstance(f, MaskDerivation) else f
-    if pattern.n != n:
-        raise MatrixMismatchError(f"dimension mismatch: {pattern.n} vs {n}")
+    pattern = _as_pattern(f)
+    ensure_same_dimension(pattern.n, n)
     mats, product = _table(n)
     found = _first_failure(product, _keep_bits(pattern))
     if found is None:

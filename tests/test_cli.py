@@ -14,7 +14,13 @@ from trideriv import (
     linearity_check,
     random_matrix,
 )
-from trideriv.cli import INTERVAL_ENUMERATION_LIMIT, _first_failures, main
+from trideriv.cli import (
+    INTERVAL_ENUMERATION_LIMIT,
+    VERIFY_WORK_LIMIT,
+    _first_failures,
+    main,
+    verify_work,
+)
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -276,6 +282,21 @@ def test_verify_decompose(capsys):
     assert all("expr=" in line for line in lines)
 
 
+def test_verify_decompose_pinned_stream(capsys):
+    code, out, _ = run(
+        capsys, "verify", "decompose", "--n", "5", "--trials", "6", "--seed", "11"
+    )
+    assert code == 0
+    assert out == (
+        "PASS decompose n=5 trial=0 zero_set=1,4 expr=delta3*d4 + d1\n"
+        "PASS decompose n=5 trial=1 zero_set=1,4,5 expr=delta3*d4\n"
+        "PASS decompose n=5 trial=2 zero_set=1,5 expr=delta4*d4\n"
+        "PASS decompose n=5 trial=3 zero_set=1,5 expr=delta4*d4\n"
+        "PASS decompose n=5 trial=4 zero_set=2,4 expr=delta1 + delta3*d3 + d1\n"
+        "PASS decompose n=5 trial=5 zero_set=1,2,3,4,5 expr=delta5*d0\n"
+    )
+
+
 def test_verify_hereditary(capsys):
     code, out, _ = run(
         capsys, "verify", "hereditary", "--n", "4", "--trials", "50", "--seed", "3"
@@ -305,6 +326,40 @@ def test_verify_leibniz_family_cap(capsys):
     assert code == 2
     assert out == ""
     assert "capped" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("leibniz", "--n", "12", "--semiring", "maxplus"),
+        ("theorem2", "--n", "300", "--trials", "1"),
+        ("decompose", "--n", "101"),
+        ("hereditary", "--n", "1001", "--trials", "1"),
+    ],
+)
+def test_verify_work_bound_rejects(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "verify work capped" in err
+
+
+def test_verify_work_bound_boundary():
+    assert verify_work("leibniz", 12, 1000) == 4096 * 1000 * 12**3
+    assert verify_work("theorem2", 10, 28) == 100 * 28 * 10**3
+    assert verify_work("decompose", 7, 5) == verify_work("hereditary", 7, 5) == 5 * 7**3
+    assert verify_work("leibniz", 17, 1) <= VERIFY_WORK_LIMIT < verify_work("leibniz", 18, 1)
+    assert verify_work("hereditary", 100, 1000) <= VERIFY_WORK_LIMIT
+    assert verify_work("hereditary", 100, 1001) > VERIFY_WORK_LIMIT
+
+
+def test_verify_work_bound_exempts_exhaustive(capsys):
+    code, out, _ = run(
+        capsys, "verify", "theorem2", "--n", "3", "--semiring", "boolean",
+        "--exhaustive", "--trials", str(10**9),
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 9
 
 
 def test_verify_has_no_random_flag(capsys):

@@ -25,6 +25,7 @@ from trideriv import (
     diag_tail,
     enumerate_family_derivations,
     enumerate_interval_derivations,
+    exhaustive_leibniz_witness,
     format_pattern,
     format_zero_set,
     iter_positions,
@@ -39,6 +40,7 @@ from trideriv import (
     theorem2_predicate,
     triangle_size,
 )
+from trideriv.derivations import first_difference
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -230,6 +232,29 @@ def test_order_matches_natural_order_of_sum():
     for z1, z2 in [({1, 2}, {2}), ({2}, {1, 2}), ({1}, {3}), (set(), {1})]:
         d1, d2 = MaskDerivation(3, z1), MaskDerivation(3, z2)
         assert (d1 <= d2) == (d1 + d2 == d2)
+
+
+def masks_of(n):
+    return st.frozensets(st.integers(1, n)).map(lambda zs: MaskDerivation(n, zs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(masks_of(n), masks_of(n), masks_of(n))))
+def test_mask_sum_and_order_form_a_join_semilattice(masks):
+    a, b, c = masks
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + a == a
+    assert (a <= b) == (a + b == b)
+    assert (b >= a) == (a <= b)
+    assert a <= a and a >= a
+    if a <= b and b <= a:
+        assert a == b
+    if a <= b and b <= c:
+        assert a <= c
+    assert a <= a + b and b <= a + b
+    if a <= c and b <= c:
+        assert a + b <= c
 
 
 def test_delta_chain_extremes():
@@ -439,6 +464,20 @@ def test_decompose_matches_mask_on_random_matrices():
             assert expr(a) == mask(a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n)), st.integers(0, 2**32))
+    ),
+    st.sampled_from(INSTANCES),
+)
+def test_decompose_property(case, semiring):
+    n, zero_set, seed = case
+    mask = MaskDerivation(n, zero_set)
+    a = random_matrix(n, semiring, random.Random(seed))
+    assert decompose(mask)(a) == mask(a)
+
+
 def test_decomposition_term_validation():
     with pytest.raises(ValueError):
         DecompositionTerm()
@@ -467,3 +506,40 @@ def test_pattern_syntax():
         parse_pattern("2,1", 3)  # below the diagonal
     with pytest.raises(ValueError):
         parse_pattern("1;2", 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n)))))
+def test_zero_set_text_roundtrip(case):
+    n, zero_set = case
+    assert parse_zero_set(format_zero_set(zero_set), n) == zero_set
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.frozensets(st.sampled_from(list(iter_positions(n)))))
+    )
+)
+def test_pattern_text_roundtrip(case):
+    n, positions = case
+    pattern = ZeroPattern(n, positions)
+    assert parse_pattern(format_pattern(pattern), n) == pattern
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda: distinct_maxplus(2) + distinct_maxplus(3),
+        lambda: MaskDerivation(2, {1})(distinct_maxplus(3)),
+        lambda: first_difference(distinct_maxplus(2), distinct_maxplus(3)),
+        lambda: decompose(MaskDerivation(2, {1}))(distinct_maxplus(3)),
+        lambda: exhaustive_leibniz_witness(MaskDerivation(2, {1}), 3),
+        lambda: MaskDerivation(2, {1}) + MaskDerivation(3, {1}),
+        lambda: ZeroPattern(2, {(1, 1)}) + ZeroPattern(3, {(1, 1)}),
+    ],
+    ids=["matrix-sum", "mask-apply", "compare", "decomposition", "oracle", "mask-sum", "pattern-sum"],
+)
+def test_every_dimension_check_reports_alike(site):
+    with pytest.raises(MatrixMismatchError, match=r"^dimension mismatch: (2 vs 3|3 vs 2)$"):
+        site()

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trideriv import (
     BOOLEAN,
@@ -24,6 +25,7 @@ from trideriv import (
     matrix_unit,
     parse_matrix,
     random_matrix,
+    triangle_size,
 )
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
@@ -225,6 +227,26 @@ def test_text_roundtrip(semiring):
     for n in (1, 2, 5):
         a = random_matrix(n, semiring, rng)
         assert parse_matrix(format_matrix(a)) == a
+
+
+def carrier_elements(semiring):
+    """Every kind of element the carrier holds, well beyond the sampler's range."""
+    if semiring is BOOLEAN:
+        return st.sampled_from([0, 1])
+    if semiring is FUZZY:
+        return st.sampled_from([0, 1]) | st.fractions(min_value=0, max_value=1)
+    bottom = MINUS_INF if semiring is MAXPLUS else PLUS_INF
+    return st.just(bottom) | st.integers() | st.fractions()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INSTANCES), st.integers(1, 6), st.data())
+def test_text_roundtrip_property(semiring, n, data):
+    entries = data.draw(
+        st.lists(carrier_elements(semiring), min_size=triangle_size(n), max_size=triangle_size(n))
+    )
+    a = UTMatrix(n, semiring, tuple(entries))
+    assert parse_matrix(format_matrix(a)) == a
 
 
 @pytest.mark.parametrize(

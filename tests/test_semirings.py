@@ -18,9 +18,8 @@ from trideriv import (
     check_axioms,
     get_semiring,
     natural_leq,
-    sr_add,
-    sr_mul,
 )
+from trideriv.semirings import AxiomViolation, seeded_trials
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -37,32 +36,32 @@ def elements(semiring):
 
 
 def test_maxplus_add_is_max():
-    assert sr_add(MAXPLUS, 3, 5) == 5
+    assert MAXPLUS.add(3, 5) == 5
 
 
 def test_maxplus_mul_is_plus():
-    assert sr_mul(MAXPLUS, 3, 5) == 8
+    assert MAXPLUS.mul(3, 5) == 8
 
 
 def test_maxplus_bottom_neutral_and_absorbing():
-    assert sr_add(MAXPLUS, MINUS_INF, 7) == 7
-    assert sr_mul(MAXPLUS, MINUS_INF, 7) == MINUS_INF
+    assert MAXPLUS.add(MINUS_INF, 7) == 7
+    assert MAXPLUS.mul(MINUS_INF, 7) == MINUS_INF
 
 
 def test_boolean_idempotent_and_absorbing():
-    assert sr_add(BOOLEAN, 1, 1) == 1
-    assert sr_mul(BOOLEAN, 1, 0) == 0
+    assert BOOLEAN.add(1, 1) == 1
+    assert BOOLEAN.mul(1, 0) == 0
 
 
 def test_mixed_operands_rejected():
     with pytest.raises(CarrierError):
-        sr_add(MAXPLUS, 3, PLUS_INF)
+        MAXPLUS.check(PLUS_INF)
     with pytest.raises(CarrierError):
-        sr_mul(BOOLEAN, 1, 2)
+        BOOLEAN.check(2)
     with pytest.raises(CarrierError):
-        sr_add(FUZZY, Fraction(1, 2), Fraction(3, 2))
+        FUZZY.check(Fraction(3, 2))
     with pytest.raises(CarrierError):
-        sr_mul(MAXPLUS, 0.5, 1)  # inexact floats are not carrier elements
+        MAXPLUS.check(0.5)  # inexact floats are not carrier elements
 
 
 @pytest.mark.parametrize("value", [True, False])
@@ -108,6 +107,25 @@ def test_check_axioms_deterministic():
     assert first == second
 
 
+def test_check_axioms_pinned_violation():
+    report = check_axioms(naturals(), 10, seed=1)
+    assert report.violation == AxiomViolation("add-idempotent", 0, (2, 9, 1))
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_seeded_trials_rejects_fewer_than_one(trials):
+    with pytest.raises(ValueError):
+        seeded_trials(trials, seed=5)
+
+
+@pytest.mark.parametrize("seed", [0, 17, -4])
+def test_seeded_trials_stream(seed):
+    trials = list(seeded_trials(4, seed))
+    assert [t for t, _ in trials] == [0, 1, 2, 3]
+    for t, rng in trials:
+        assert rng.getstate() == random.Random(seed + t).getstate()
+
+
 def test_check_axioms_rejects_zero_trials():
     with pytest.raises(ValueError):
         check_axioms(BOOLEAN, 0, seed=0)
@@ -151,6 +169,14 @@ def test_parse_element(semiring, token, value):
 def test_parse_element_rejects(semiring, token):
     with pytest.raises(ValueError):
         semiring.parse_element(token)
+
+
+def test_shipped_semirings_share_one_formatter():
+    assert len({s.format_element for s in INSTANCES}) == 1
+    fmt = BOOLEAN.format_element
+    assert [fmt(v) for v in (MINUS_INF, PLUS_INF, 0, 1, Fraction(-7, 2))] == [
+        "-inf", "+inf", "0", "1", "-7/2"
+    ]
 
 
 @pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
