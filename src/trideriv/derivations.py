@@ -27,12 +27,22 @@ def _is_index(value: Any) -> bool:
 
 @lru_cache(maxsize=256)
 def _mask_offsets(n: int, zero_set: frozenset) -> tuple[int, ...]:
-    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``."""
-    return tuple(
-        t
-        for t, (r, c) in enumerate(iter_positions(n))
-        if all(i in zero_set for i in range(r, c + 1))
-    )
+    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``.
+
+    Row r's zeroed entries are (r, r..e), where e ends the run of
+    ``zero_set`` that starts at r; one pass from n down finds every e.
+    """
+    run_end = [0] * (n + 2)
+    for r in range(n, 0, -1):
+        if r in zero_set:
+            run_end[r] = run_end[r + 1] or r
+    offsets = []
+    start = 0  # offset of (r, r)
+    for r in range(1, n + 1):
+        if run_end[r]:
+            offsets.extend(range(start, start + run_end[r] - r + 1))
+        start += n - r + 1
+    return tuple(offsets)
 
 
 def _apply_zeroed(n: int, offsets: tuple[int, ...], matrix: UTMatrix) -> UTMatrix:

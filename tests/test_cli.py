@@ -10,17 +10,24 @@ from trideriv import (
     delta_k,
     enumerate_family_derivations,
     get_semiring,
+    iter_positions,
     leibniz_check,
     linearity_check,
     random_matrix,
+    strip_diagonal,
 )
+from trideriv import cli
 from trideriv.cli import (
+    AXIOM_TRIALS_LIMIT,
     INTERVAL_ENUMERATION_LIMIT,
     VERIFY_WORK_LIMIT,
     _first_failures,
+    _segments,
+    _zero_masks,
     main,
     verify_work,
 )
+from trideriv.semirings import AxiomReport
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -63,6 +70,25 @@ def test_axioms_unknown_semiring(capsys):
     assert code == 2
     assert out == ""
     assert "unknown semiring" in err
+
+
+def test_axioms_trials_cap(capsys, monkeypatch):
+    calls = []
+
+    def fake_check_axioms(semiring, trials, seed):
+        calls.append(trials)
+        return AxiomReport(semiring.name, trials)
+
+    monkeypatch.setattr(cli, "check_axioms", fake_check_axioms)
+    limit = AXIOM_TRIALS_LIMIT
+    code, out, _ = run(capsys, "axioms", "--semiring", "fuzzy", "--trials", str(limit))
+    assert code == 0
+    assert out == f"PASS axioms semiring=fuzzy trials={limit} seed=0\n"
+    code, out, err = run(capsys, "axioms", "--semiring", "fuzzy", "--trials", str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: axioms trials capped at {limit}\n"
+    assert calls == [limit]
 
 
 # --- apply ----------------------------------------------------------------------
@@ -257,8 +283,20 @@ def reference_first_failure(fn, n, semiring, trials, seed):
     return None
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy"])
+def random_non_derivations(n, count):
+    """``count`` seeded random zero patterns that fail the Leibniz rule."""
+    rng = random.Random(n)
+    positions = list(iter_positions(n))
+    found = []
+    while n >= 2 and len(found) < count:
+        pattern = ZeroPattern(n, {p for p in positions if rng.random() < 0.5})
+        if not pattern.is_derivation():
+            found.append(pattern)
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy", "boolean"])
 def test_trial_runner_matches_per_map_loop(name, n):
     semiring = get_semiring(name)
     maps = [
@@ -266,9 +304,59 @@ def test_trial_runner_matches_per_map_loop(name, n):
     ]
     maps += enumerate_family_derivations(n)
     maps.append(ZeroPattern(n, {(1, n)}))  # not a derivation for n >= 2
+    maps += random_non_derivations(n, 20)
     for seed in (0, 631):
         expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
-        assert _first_failures(maps, n, semiring, 12, seed) == expected
+        got = _first_failures(maps, n, semiring, 12, seed)
+        assert got == expected
+        # Witness compares with ==, which lets Fraction(8) stand for 8.
+        assert witness_types(got) == witness_types(expected)
+
+
+def witness_types(failures):
+    return [None if f is None else (type(f[2].lhs), type(f[2].rhs)) for f in failures]
+
+
+@pytest.mark.parametrize("fn", [lambda m: m, strip_diagonal(3).__call__, "not a map"])
+def test_trial_runner_rejects_non_mask_maps(fn):
+    with pytest.raises(TypeError, match="trial runner needs a mask map"):
+        _first_failures([delta_k(3, 1), fn], 3, get_semiring("maxplus"), 1, 0)
+
+
+def segment_maps():
+    for n in range(1, 4):
+        positions = list(iter_positions(n))
+        for bits in range(1 << len(positions)):
+            yield ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
+    for n in range(1, 7):
+        yield from enumerate_family_derivations(n)
+
+
+def test_trial_runner_segment_keys_name_the_zeroed_operands():
+    checked = 0
+    for fn in segment_maps():
+        n = fn.n
+        if isinstance(fn, ZeroPattern):
+            zeroed = fn.positions
+        else:  # a mask kills (r, c) iff all of r..c is in its zero set
+            zeroed = {
+                (r, c) for r, c in iter_positions(n)
+                if all(x in fn.zero_set for x in range(r, c + 1))
+            }
+        rows, cols = _zero_masks(fn, n)
+        for (i, j), (row_start, col_start, width) in zip(iter_positions(n), _segments(n)):
+            assert width == (1 << (j - i + 1)) - 1
+            row_key, col_key = rows >> row_start & width, cols >> col_start & width
+            assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
+                k for k in range(i, j + 1) if (i, k) in zeroed
+            }
+            assert {i + x for x in range(j - i + 1) if col_key >> x & 1} == {
+                k for k in range(i, j + 1) if (k, j) in zeroed
+            }
+            checked += 1
+    assert checked == sum(  # every cell of 2 + 8 + 64 patterns and 2^n masks per n
+        (1 << n * (n + 1) // 2) * n * (n + 1) // 2 for n in range(1, 4)
+    ) + sum((1 << n) * n * (n + 1) // 2 for n in range(1, 7))
 
 
 def test_verify_decompose(capsys):
