@@ -19,8 +19,7 @@ from pathlib import Path
 from .derivations import (
     MaskDerivation,
     Witness,
-    ZeroPattern,
-    _mask_offsets,
+    _zeroed_offsets,
     d_m,
     decompose,
     delta_k,
@@ -161,12 +160,7 @@ def _segments(n: int) -> tuple[tuple[int, int, int], ...]:
 
 def _zero_masks(fn, n: int) -> tuple[int, int]:
     """The entries a mask map zeroes, as a row-major and a column-major bitmask."""
-    if isinstance(fn, MaskDerivation):
-        zeroed = _mask_offsets(fn.n, fn.zero_set)
-    elif isinstance(fn, ZeroPattern):
-        zeroed = fn._zeroed
-    else:
-        raise TypeError(f"trial runner needs a mask map, got {type(fn).__name__}")
+    zeroed = _zeroed_offsets(fn, "trial runner")
     ensure_same_dimension(n, fn.n)
     segments = _segments(n)
     rows = cols = 0
@@ -353,6 +347,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3); "
             f"this run needs {work}"
         )
+    if args.exhaustive and (args.trials, args.seed) != (1000, 0):
+        print("note: --exhaustive ignores --trials and --seed", file=sys.stderr)
     return _VERIFY_KINDS[args.kind](args, semiring)
 
 
@@ -379,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     mask.add_argument("--delta-k", type=int, help="keep the first K rows")
     mask.add_argument("--d-m", type=int, help="keep the last M columns")
     mask.add_argument("--pattern", help="semicolon-separated i,j pairs, e.g. 1,1;2,2")
-    mask.add_argument("--shift", help="hereditary max-plus shift: rational or -inf")
+    mask.add_argument(
+        "--shift", help="hereditary max-plus shift: rational or -inf (write --shift=-inf)"
+    )
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("enumerate", help="list mask derivations and their count")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Any, Callable, Iterable, Union
 
-from .matrices import UTMatrix, ensure_same_dimension, iter_positions
+from .matrices import UTMatrix, _offset, ensure_same_dimension, iter_positions
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -25,24 +25,27 @@ def _is_index(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of consecutive indices in ``zero_set``, as (start, end) pairs."""
+    runs: list[list[int]] = []
+    for i in sorted(zero_set):
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return tuple((s, e) for s, e in runs)
+
+
 @lru_cache(maxsize=256)
 def _mask_offsets(n: int, zero_set: frozenset) -> tuple[int, ...]:
-    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``.
-
-    Row r's zeroed entries are (r, r..e), where e ends the run of
-    ``zero_set`` that starts at r; one pass from n down finds every e.
-    """
-    run_end = [0] * (n + 2)
-    for r in range(n, 0, -1):
-        if r in zero_set:
-            run_end[r] = run_end[r + 1] or r
-    offsets = []
-    start = 0  # offset of (r, r)
-    for r in range(1, n + 1):
-        if run_end[r]:
-            offsets.extend(range(start, start + run_end[r] - r + 1))
-        start += n - r + 1
-    return tuple(offsets)
+    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``:
+    row r of the run (s, e) loses (r, r..e)."""
+    return tuple(
+        t
+        for s, e in _runs(zero_set)
+        for r in range(s, e + 1)
+        for t in range(_offset(n, r, r), _offset(n, r, e) + 1)
+    )
 
 
 def _apply_zeroed(n: int, offsets: tuple[int, ...], matrix: UTMatrix) -> UTMatrix:
@@ -79,16 +82,7 @@ class MaskDerivation:
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Maximal runs of consecutive zeroed indices, as (start, end) pairs."""
-        runs = []
-        start = None
-        for i in range(1, self.n + 2):
-            if i <= self.n and i in self.zero_set:
-                if start is None:
-                    start = i
-            elif start is not None:
-                runs.append((start, i - 1))
-                start = None
-        return tuple(runs)
+        return _runs(self.zero_set)
 
     @cached_property
     def pattern(self) -> "ZeroPattern":
@@ -161,28 +155,34 @@ class ZeroPattern:
     def is_derivation(self) -> bool:
         """Local characterization of the Leibniz rule for mask maps.
 
-        A zeroed (i, j) must have every (i, k) and (k, j), i <= k <= j,
-        zeroed too (otherwise the right-hand side keeps a term the left
-        kills); a kept (i, j) must, for every k, keep (i, k) or (k, j)
-        (otherwise the right-hand side misses the k-th summand).
-        Sufficiency holds over any additively idempotent semiring by
-        termwise expansion; necessity is the boolean brute-force result.
+        With kept(i, l) for "the map keeps (i, l)", the map is a derivation
+        iff kept(i, l) = kept(i, k) or kept(k, l) for all i <= k <= l.
+        Necessity: the pair (E_ik, E_kl) has AB = E_il, which f(AB) keeps
+        iff kept(i, l) and f(A)B + Af(B) iff kept(i, k) or kept(k, l).
+        Sufficiency, over any additively idempotent semiring, by termwise
+        expansion of (AB)_il = sum_k a_ik b_kl on both sides.
         """
         pos = self.positions
-        for i, j in iter_positions(self.n):
-            if (i, j) in pos:
-                for k in range(i, j + 1):
-                    if (i, k) not in pos or (k, j) not in pos:
-                        return False
-            else:
-                for k in range(i, j + 1):
-                    if (i, k) in pos and (k, j) in pos:
-                        return False
+        for i, l in iter_positions(self.n):
+            zeroed = (i, l) in pos
+            for k in range(i, l + 1):
+                if zeroed != ((i, k) in pos and (k, l) in pos):
+                    return False
         return True
 
 
 def _as_pattern(f: Union[MaskDerivation, ZeroPattern]) -> ZeroPattern:
     return f.pattern if isinstance(f, MaskDerivation) else f
+
+
+def _zeroed_offsets(f: Any, caller: str) -> tuple[int, ...]:
+    """Row-major offsets of the entries a mask map sends to zero; any other
+    map raises TypeError, naming ``caller``."""
+    if isinstance(f, MaskDerivation):
+        return _mask_offsets(f.n, f.zero_set)
+    if isinstance(f, ZeroPattern):
+        return f._zeroed
+    raise TypeError(f"{caller} needs a mask map, got {type(f).__name__}")
 
 
 # --- the two basic chains ------------------------------------------------------
@@ -313,12 +313,7 @@ class DecompositionTerm:
         return out
 
     def __str__(self) -> str:
-        parts = []
-        if self.k is not None:
-            parts.append(f"δ{self.k}")
-        if self.m is not None:
-            parts.append(f"d{self.m}")
-        return "·".join(parts)
+        return self.ascii().replace("delta", "δ").replace("*", "·")
 
     def ascii(self) -> str:
         parts = []

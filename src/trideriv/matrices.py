@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from .semirings import Semiring, get_semiring
@@ -219,13 +220,11 @@ def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
 # Lines 2..n+1: row i = (i-1) '.' placeholders, then a_ii .. a_in.
 
 def format_matrix(matrix: UTMatrix) -> str:
-    fmt = matrix.semiring.format_element
     n = matrix.n
+    cells = map(matrix.semiring.format_element, matrix.entries)  # row-major
     lines = [f"utm n={n} semiring={matrix.semiring.name}"]
-    for i in range(1, n + 1):
-        tokens = ["."] * (i - 1)
-        tokens.extend(fmt(matrix[i, j]) for j in range(i, n + 1))
-        lines.append(" ".join(tokens))
+    for i in range(n):
+        lines.append(" ".join(["."] * i + list(islice(cells, n - i))))
     return "\n".join(lines) + "\n"
 
 

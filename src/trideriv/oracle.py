@@ -29,6 +29,7 @@ from .derivations import (
     Witness,
     ZeroPattern,
     _as_pattern,
+    _zeroed_offsets,
     format_pattern,
     leibniz_check,
 )
@@ -71,12 +72,6 @@ def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[tuple[int, ...], ...]]:
     return mats, tuple(tuple(matrix_bits(a * b) for b in mats) for a in mats)
 
 
-def _keep_bits(pattern: ZeroPattern) -> int:
-    """Bitmask of the positions the pattern's map keeps."""
-    pos = pattern.positions
-    return sum(1 << t for t, p in enumerate(iter_positions(pattern.n)) if p not in pos)
-
-
 def _first_failure(product: tuple[tuple[int, ...], ...], keep: int) -> tuple[int, int] | None:
     """First (a, b) in bitmask order where masking by ``keep`` breaks Leibniz."""
     for a, row in enumerate(product):
@@ -96,13 +91,12 @@ def exhaustive_leibniz_witness(
     table is re-checked with :func:`leibniz_check`, and "no failure" with
     :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
     """
-    if not isinstance(f, (MaskDerivation, ZeroPattern)):
-        raise TypeError(f"exhaustive search needs a mask map, got {type(f).__name__}")
+    zeroed = _zeroed_offsets(f, "exhaustive search")
     _check_dimension(n)
     pattern = _as_pattern(f)
     ensure_same_dimension(pattern.n, n)
     mats, product = _table(n)
-    found = _first_failure(product, _keep_bits(pattern))
+    found = _first_failure(product, ~sum(1 << t for t in zeroed) & (len(product) - 1))
     if found is None:
         if not pattern.is_derivation():
             raise RuntimeError(

@@ -76,14 +76,6 @@ def _parse_boolean(token: str) -> int:
     raise ValueError(f"bad boolean literal {token!r} (expected 0 or 1)")
 
 
-def _parse_maxplus(token: str) -> Any:
-    return MINUS_INF if token == "-inf" else _parse_rational(token)
-
-
-def _parse_minplus(token: str) -> Any:
-    return PLUS_INF if token == "+inf" else _parse_rational(token)
-
-
 def _parse_fuzzy(token: str) -> Fraction:
     value = _parse_rational(token)
     if not 0 <= value <= 1:
@@ -114,14 +106,6 @@ def _in_boolean(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
 
 
-def _in_maxplus(value: Any) -> bool:
-    return _is_rational(value) or value == MINUS_INF
-
-
-def _in_minplus(value: Any) -> bool:
-    return _is_rational(value) or value == PLUS_INF
-
-
 def _in_fuzzy(value: Any) -> bool:
     return _is_rational(value) and 0 <= value <= 1
 
@@ -131,14 +115,6 @@ def _in_fuzzy(value: Any) -> bool:
 
 def _sample_boolean(rng: random.Random) -> int:
     return rng.randrange(2)
-
-
-def _sample_maxplus(rng: random.Random) -> Any:
-    return MINUS_INF if rng.random() < 0.05 else rng.randint(-20, 20)
-
-
-def _sample_minplus(rng: random.Random) -> Any:
-    return PLUS_INF if rng.random() < 0.05 else rng.randint(-20, 20)
 
 
 def _sample_fuzzy(rng: random.Random) -> Fraction:
@@ -157,29 +133,25 @@ BOOLEAN = Semiring(
     sample=_sample_boolean,
 )
 
-MAXPLUS = Semiring(
-    name="maxplus",
-    add=max,
-    mul=operator.add,
-    zero=MINUS_INF,
-    one=Fraction(0),
-    contains=_in_maxplus,
-    parse_element=_parse_maxplus,
-    format_element=_format_element,
-    sample=_sample_maxplus,
-)
 
-MINPLUS = Semiring(
-    name="minplus",
-    add=min,
-    mul=operator.add,
-    zero=PLUS_INF,
-    one=Fraction(0),
-    contains=_in_minplus,
-    parse_element=_parse_minplus,
-    format_element=_format_element,
-    sample=_sample_minplus,
-)
+def _tropical(name: str, add: Callable[[Any, Any], Any], bottom: float) -> Semiring:
+    """Max-plus or min-plus: the rationals under ``add`` and +, with ``bottom`` as zero."""
+    literal = _format_element(bottom)
+    return Semiring(
+        name=name,
+        add=add,
+        mul=operator.add,
+        zero=bottom,
+        one=Fraction(0),
+        contains=lambda value: _is_rational(value) or value == bottom,
+        parse_element=lambda token: bottom if token == literal else _parse_rational(token),
+        format_element=_format_element,
+        sample=lambda rng: bottom if rng.random() < 0.05 else rng.randint(-20, 20),
+    )
+
+
+MAXPLUS = _tropical("maxplus", max, MINUS_INF)
+MINPLUS = _tropical("minplus", min, PLUS_INF)
 
 FUZZY = Semiring(
     name="fuzzy",

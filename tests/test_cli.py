@@ -126,6 +126,17 @@ def test_apply_shift_adds_to_every_entry(capsys, matrix_file):
     )
 
 
+def test_apply_bottom_shift_needs_the_equals_form(capsys, matrix_file):
+    code, out, _ = run(capsys, "apply", "--matrix", matrix_file, "--shift=-inf")
+    assert code == 0
+    assert out == (
+        "utm n=3 semiring=maxplus\n"
+        "-inf -inf -inf\n"
+        ". -inf -inf\n"
+        ". . -inf\n"
+    )
+
+
 def test_apply_pattern(capsys, matrix_file):
     code, out, _ = run(capsys, "apply", "--matrix", matrix_file, "--pattern", "1,1;3,3")
     assert code == 0
@@ -328,7 +339,7 @@ def segment_maps():
         positions = list(iter_positions(n))
         for bits in range(1 << len(positions)):
             yield ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
-    for n in range(1, 7):
+    for n in range(1, 9):
         yield from enumerate_family_derivations(n)
 
 
@@ -356,7 +367,7 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
             checked += 1
     assert checked == sum(  # every cell of 2 + 8 + 64 patterns and 2^n masks per n
         (1 << n * (n + 1) // 2) * n * (n + 1) // 2 for n in range(1, 4)
-    ) + sum((1 << n) * n * (n + 1) // 2 for n in range(1, 7))
+    ) + sum((1 << n) * n * (n + 1) // 2 for n in range(1, 9))
 
 
 def test_verify_decompose(capsys):
@@ -448,6 +459,15 @@ def test_verify_work_bound_exempts_exhaustive(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 9
+
+
+def test_exhaustive_notes_that_it_ignores_trials_and_seed(capsys):
+    argv = ["verify", "leibniz", "--n", "2", "--semiring", "boolean", "--exhaustive"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--seed", "5") == (
+        0, out, "note: --exhaustive ignores --trials and --seed\n"
+    )
 
 
 def test_verify_has_no_random_flag(capsys):

@@ -155,6 +155,13 @@ def test_mask_application_matches_definition(case, semiring):
 def test_blocks_are_maximal_runs():
     assert MaskDerivation(6, {1, 2, 4, 6}).blocks == ((1, 2), (4, 4), (6, 6))
     assert MaskDerivation(3, frozenset()).blocks == ()
+    for n in range(1, 9):
+        for mask in enumerate_family_derivations(n):
+            blocks = mask.blocks
+            # Non-empty runs that tile the zero set in order, with a gap between any two.
+            assert all(start <= end for start, end in blocks)
+            assert [i for s, e in blocks for i in range(s, e + 1)] == sorted(mask.zero_set)
+            assert all(end + 1 < start for (_, end), (start, _) in zip(blocks, blocks[1:]))
 
 
 # --- agreement with the Jordan-product definition ---------------------------------
@@ -274,6 +281,17 @@ def test_interval_masks_are_derivation_patterns():
 
 def test_lone_offdiagonal_zero_is_not_a_derivation():
     assert not ZeroPattern(2, {(1, 2)}).is_derivation()
+
+
+def test_derivation_patterns_are_counted_by_odd_fibonacci():
+    # F(2n+1) derivation patterns at n = 1..5, past the boolean sweep's n <= 3.
+    for n, expected in zip(range(1, 6), (2, 5, 13, 34, 89)):
+        positions = list(iter_positions(n))
+        count = sum(
+            ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1}).is_derivation()
+            for bits in range(1 << len(positions))
+        )
+        assert count == expected
 
 
 def test_pattern_application_extremes():
