@@ -11,21 +11,18 @@ reported trial index is reproducible on its own.
 from __future__ import annotations
 
 import argparse
-import functools
-import random
 import sys
 from pathlib import Path
 
 from .derivations import (
     MaskDerivation,
     Witness,
-    _zeroed_offsets,
     d_m,
     decompose,
     delta_k,
     enumerate_family_derivations,
     enumerate_interval_derivations,
-    first_difference,
+    first_failures,
     format_pattern,
     format_zero_set,
     leibniz_check,
@@ -34,17 +31,7 @@ from .derivations import (
     parse_zero_set,
     theorem2_predicate,
 )
-from .matrices import (
-    UTMatrix,
-    _fold_cell,
-    _mul_plan,
-    _offset,
-    ensure_same_dimension,
-    format_matrix,
-    iter_positions,
-    parse_matrix,
-    random_matrix,
-)
+from .matrices import format_matrix, parse_matrix, random_matrix
 from .oracle import (
     EXHAUSTIVE_LIMIT,
     CapacityError,
@@ -143,100 +130,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # --- verify ----------------------------------------------------------------------
 
-def _random_pair(n: int, semiring: Semiring, rng: random.Random):
-    return random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
-
-
-@functools.lru_cache(maxsize=64)
-def _segments(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per stored cell (i, j), row-major: where its row segment (i, i..j) starts
-    in a row-major bitmask, where its column segment (i..j, j) starts in a
-    column-major one, and the segments' common width as a bitmask of ones."""
-    return tuple(
-        (_offset(n, i, i), j * (j - 1) // 2 + i - 1, (1 << (j - i + 1)) - 1)
-        for i, j in iter_positions(n)
-    )
-
-
-def _zero_masks(fn, n: int) -> tuple[int, int]:
-    """The entries a mask map zeroes, as a row-major and a column-major bitmask."""
-    zeroed = _zeroed_offsets(fn, "trial runner")
-    ensure_same_dimension(n, fn.n)
-    segments = _segments(n)
-    rows = cols = 0
-    for t in zeroed:
-        rows |= 1 << t
-        cols |= 1 << segments[t][1]  # cell t's column segment starts at cell t
-    return rows, cols
-
-
-def _first_failures(maps, n, semiring, trials, seed):
-    """Each map's first failing (trial, check-name, witness), else None.
-
-    Trial t draws (A, B) from :func:`seeded_trials` once for all mask
-    maps (any other map raises TypeError), so AB and A + B are computed
-    once per trial; each map still unfailed is checked for Leibniz, then
-    linearity.  Stops early once every map has failed.
-
-    The right-hand side f(A)B + Af(B) is built cell by cell from two
-    memos that live for one trial.  Cell (i, j) of f(A)B depends on the
-    map only through the entries it zeroes in the row segment
-    (i, i..j), and cell (i, j) of Af(B) only through the column segment
-    (i..j, j); those bits, cut from the map's row-major and
-    column-major zero masks, key the memos, and the key with no bit set
-    holds AB's own cell.  A miss runs the product's own fold
-    (:func:`~trideriv.matrices._fold_cell`) on f(A) and B, or on A and
-    f(B): the same operand objects in the same order.  So every value,
-    verdict and witness equals the one the two full products give, with
-    no semiring axiom assumed.
-    """
-    masks = [_zero_masks(fn, n) for fn in maps]
-    plan, segments, add = _mul_plan(n), _segments(n), semiring.add
-    failures = [None] * len(maps)
-    unfailed = list(range(len(maps)))
-    for trial, rng in seeded_trials(trials, seed):
-        if not unfailed:
-            break
-        a, b = _random_pair(n, semiring, rng)
-        ab, a_plus_b = a * b, a + b
-        left = [{0: x} for x in ab.entries]  # f(A)B by row-segment zero bits
-        right = [{0: x} for x in ab.entries]  # Af(B) by column-segment zero bits
-        still = []
-        for index in unfailed:
-            fn = maps[index]
-            rows, cols = masks[index]
-            fa, fb = fn(a), fn(b)
-            rhs = []
-            for (row_start, col_start, width), pairs, left_memo, right_memo in zip(
-                segments, plan, left, right
-            ):
-                key = rows >> row_start & width
-                try:
-                    x = left_memo[key]
-                except KeyError:
-                    x = left_memo[key] = _fold_cell(semiring, pairs, fa.entries, b.entries)
-                key = cols >> col_start & width
-                try:
-                    y = right_memo[key]
-                except KeyError:
-                    y = right_memo[key] = _fold_cell(semiring, pairs, a.entries, fb.entries)
-                rhs.append(add(x, y))
-            check = "leibniz"
-            witness = first_difference(fn(ab), UTMatrix._trusted(n, semiring, tuple(rhs)))
-            if witness is None:
-                check, witness = "linearity", first_difference(fn(a_plus_b), fa + fb)
-            if witness is None:
-                still.append(index)
-            else:
-                failures[index] = trial, check, witness
-        unfailed = still
-    return failures
-
-
 def _failures(maps, args: argparse.Namespace, semiring: Semiring):
-    """:func:`_first_failures`, or with ``--exhaustive`` the boolean sweep (trial None)."""
+    """:func:`first_failures`, or with ``--exhaustive`` the boolean sweep (trial None)."""
     if not args.exhaustive:
-        return _first_failures(maps, args.n, semiring, args.trials, args.seed)
+        return first_failures(maps, args.n, semiring, args.trials, args.seed)
     found = [exhaustive_leibniz_witness(fn, args.n) for fn in maps]
     return [None if f is None else (None, "leibniz", f[2]) for f in found]
 
@@ -299,7 +196,7 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
         raise ValueError("hereditary verification runs over the maxplus semiring")
     for trial, rng in seeded_trials(args.trials, args.seed):
         lifted = ShiftDerivation(MAXPLUS.sample(rng)).hereditary()
-        a, b = _random_pair(args.n, semiring, rng)
+        a, b = random_matrix(args.n, semiring, rng), random_matrix(args.n, semiring, rng)
         witness = leibniz_check(lifted, a, b) or linearity_check(lifted, a, b)
         if witness is not None:
             x = MAXPLUS.format_element(lifted.shift.x)

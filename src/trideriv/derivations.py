@@ -1,4 +1,4 @@
-"""Derivations of upper-triangular matrices given by zeroing positions.
+"""Derivations of upper-triangular matrices by zeroing, and their trial runner.
 
 Two representations coexist.  A :class:`MaskDerivation` is canonically a
 set of diagonal indices forced to zero: entry (r, c) dies iff every
@@ -7,7 +7,19 @@ dense diagonal blocks and always yields a derivation.  A
 :class:`ZeroPattern` is an arbitrary set of upper positions; it is the
 right shape for compositions, whose patterns are usually not of the
 diagonal form, and being a derivation becomes a predicate
-(:meth:`ZeroPattern.is_derivation`) instead of a type guarantee.
+(:meth:`ZeroPattern.is_derivation`) instead of a type guarantee.  The
+runner :func:`first_failures` tries many mask maps on shared seeded pairs.
+
+Every derivation acts entrywise.  Let S be additively idempotent (so
+x ⊕ y = 0 forces x = y = 0) and f additive and Leibniz on UT_n(S).
+E_ii = E_ii·E_ii puts f(E_ii) on row and column i, and for j ≠ i,
+0 = f(E_ii·E_jj) = f(E_ii)E_jj ⊕ E_ii f(E_jj) empties column j of f(E_ii) and
+row i of f(E_jj): f(E_ii) ∈ S·E_ii.  Then λE_ij = E_ii·λE_ij = λE_ij·E_jj
+gives f(λE_ij) = δ_ij(λ)E_ij with δ_ij additive, so f(A) = (δ_ij(a_ij)), and
+by additivity Leibniz holds iff δ_il(ab) = δ_ik(a)b ⊕ aδ_kl(b) for all
+i ≤ k ≤ l and a, b in S.  So, for weights u_ij that commute with S (zero and
+one do; take a = b = one), A ↦ (a_ij ⊗ u_ij) is a derivation iff
+u(i,l) = u(i,k) ⊕ u(k,l) for all i ≤ k ≤ l; the 0/1 weights are the mask maps.
 """
 
 from __future__ import annotations
@@ -16,7 +28,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Any, Callable, Iterable, Union
 
-from .matrices import UTMatrix, _offset, ensure_same_dimension, iter_positions
+from .matrices import (
+    UTMatrix,
+    _fold_cell,
+    _mul_plan,
+    _offset,
+    ensure_positive_dimension,
+    ensure_same_dimension,
+    iter_positions,
+    random_matrix,
+)
+from .semirings import seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -72,8 +94,7 @@ class MaskDerivation:
     zero_set: frozenset
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+        ensure_positive_dimension(self.n)
         zs = frozenset(self.zero_set)
         object.__setattr__(self, "zero_set", zs)
         if not all(_is_index(i) and 1 <= i <= self.n for i in zs):
@@ -116,8 +137,7 @@ class ZeroPattern:
     positions: frozenset
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+        ensure_positive_dimension(self.n)
         pos = frozenset((i, j) for i, j in self.positions)
         object.__setattr__(self, "positions", pos)
         for i, j in pos:
@@ -153,15 +173,8 @@ class ZeroPattern:
         return mask if mask.pattern == self else None
 
     def is_derivation(self) -> bool:
-        """Local characterization of the Leibniz rule for mask maps.
-
-        With kept(i, l) for "the map keeps (i, l)", the map is a derivation
-        iff kept(i, l) = kept(i, k) or kept(k, l) for all i <= k <= l.
-        Necessity: the pair (E_ik, E_kl) has AB = E_il, which f(AB) keeps
-        iff kept(i, l) and f(A)B + Af(B) iff kept(i, k) or kept(k, l).
-        Sufficiency, over any additively idempotent semiring, by termwise
-        expansion of (AB)_il = sum_k a_ik b_kl on both sides.
-        """
+        """Local characterization of Leibniz for mask maps, the module's weight
+        identity at 0/1: (i, l) is zeroed iff (i, k) and (k, l) are, for i <= k <= l."""
         pos = self.positions
         for i, l in iter_positions(self.n):
             zeroed = (i, l) in pos
@@ -256,6 +269,92 @@ def pointwise_sum(*maps: MatrixMap) -> MatrixMap:
     return combined
 
 
+# --- the seeded trial runner -------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _segments(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per cell (i, j), row-major: the starts of its row segment (i, i..j) in a
+    row-major and its column segment (i..j, j) in a column-major bitmask, and
+    their width as ones."""
+    return tuple(
+        (_offset(n, i, i), j * (j - 1) // 2 + i - 1, (1 << (j - i + 1)) - 1)
+        for i, j in iter_positions(n)
+    )
+
+
+def _zero_masks(f: Any, n: int, caller: str) -> tuple[int, int]:
+    """The entries a mask map zeroes, as a row-major and a column-major bitmask."""
+    zeroed = _zeroed_offsets(f, caller)
+    ensure_same_dimension(f.n, n)
+    segments = _segments(n)
+    rows = cols = 0
+    for t in zeroed:
+        rows |= 1 << t
+        cols |= 1 << segments[t][1]  # cell t's column segment starts at cell t
+    return rows, cols
+
+
+def first_failures(maps, n, semiring, trials, seed):
+    """Each map's first failing (trial, check-name, witness), else None.
+
+    Trial t draws (A, B) from :func:`seeded_trials` once for all mask
+    maps (any other map raises TypeError), so AB and A + B are computed
+    once per trial; each map still unfailed is checked for Leibniz, then
+    linearity.  Stops early once every map has failed.
+
+    The right-hand side f(A)B + Af(B) is built cell by cell from two
+    memos that live for one trial.  Cell (i, j) of f(A)B depends on the
+    map only through its zero bits in the row segment (i, i..j), and of
+    Af(B) only through those in the column segment (i..j, j); these bits,
+    cut from :func:`_zero_masks`, key the memos, and the empty key holds
+    AB's own cell.  A miss runs the product's own fold
+    (:func:`~trideriv.matrices._fold_cell`) on the same operand objects in
+    the same order, so every value, verdict and witness equals the one
+    the two full products give, with no semiring axiom assumed.
+    """
+    masks = [_zero_masks(fn, n, "trial runner") for fn in maps]
+    plan, segments, add = _mul_plan(n), _segments(n), semiring.add
+    failures = [None] * len(maps)
+    unfailed = list(range(len(maps)))
+    for trial, rng in seeded_trials(trials, seed):
+        if not unfailed:
+            break
+        a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
+        ab, a_plus_b = a * b, a + b
+        left = [{0: x} for x in ab.entries]  # f(A)B by row-segment zero bits
+        right = [{0: x} for x in ab.entries]  # Af(B) by column-segment zero bits
+        still = []
+        for index in unfailed:
+            fn = maps[index]
+            rows, cols = masks[index]
+            fa, fb = fn(a), fn(b)
+            rhs = []
+            for (row_start, col_start, width), pairs, left_memo, right_memo in zip(
+                segments, plan, left, right
+            ):
+                key = rows >> row_start & width
+                try:
+                    x = left_memo[key]
+                except KeyError:
+                    x = left_memo[key] = _fold_cell(semiring, pairs, fa.entries, b.entries)
+                key = cols >> col_start & width
+                try:
+                    y = right_memo[key]
+                except KeyError:
+                    y = right_memo[key] = _fold_cell(semiring, pairs, a.entries, fb.entries)
+                rhs.append(add(x, y))
+            check = "leibniz"
+            witness = first_difference(fn(ab), UTMatrix._trusted(n, semiring, tuple(rhs)))
+            if witness is None:
+                check, witness = "linearity", first_difference(fn(a_plus_b), fa + fb)
+            if witness is None:
+                still.append(index)
+            else:
+                failures[index] = trial, check, witness
+        unfailed = still
+    return failures
+
+
 # --- enumeration -----------------------------------------------------------------
 
 def enumerate_interval_derivations(n: int) -> list[MaskDerivation]:
@@ -265,8 +364,7 @@ def enumerate_interval_derivations(n: int) -> list[MaskDerivation]:
     which makes the count exactly n(n+1)/2; it still appears in
     :func:`enumerate_family_derivations`.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    ensure_positive_dimension(n)
     masks = [MaskDerivation(n, frozenset())]
     for span in range(1, n):
         for start in range(1, n - span + 2):
@@ -276,8 +374,7 @@ def enumerate_interval_derivations(n: int) -> list[MaskDerivation]:
 
 def enumerate_family_derivations(n: int) -> list[MaskDerivation]:
     """One mask per subset of {1..n}, in binary-counter order; 2^n of them."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    ensure_positive_dimension(n)
     return [
         MaskDerivation(n, frozenset(i + 1 for i in range(n) if bits >> i & 1))
         for bits in range(1 << n)

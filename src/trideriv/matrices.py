@@ -64,8 +64,7 @@ class UTMatrix:
     entries: tuple
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+        ensure_positive_dimension(self.n)
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != triangle_size(self.n):
@@ -157,6 +156,12 @@ def _fold_cell(semiring: Semiring, pairs: tuple, a: tuple, b: tuple) -> Any:
     for p, q in pairs:
         acc = add(acc, mul(a[p], b[q]))
     return acc
+
+
+def ensure_positive_dimension(n: int) -> None:
+    """The one positivity rule for a dimension."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
 
 
 def ensure_same_dimension(n: int, m: int) -> None:

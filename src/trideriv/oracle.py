@@ -29,11 +29,12 @@ from .derivations import (
     Witness,
     ZeroPattern,
     _as_pattern,
+    _zero_masks,
     _zeroed_offsets,
     format_pattern,
     leibniz_check,
 )
-from .matrices import UTMatrix, ensure_same_dimension, iter_positions, triangle_size
+from .matrices import UTMatrix, ensure_positive_dimension, iter_positions, triangle_size
 from .semirings import BOOLEAN
 
 EXHAUSTIVE_LIMIT = 3
@@ -44,8 +45,7 @@ class CapacityError(ValueError):
 
 
 def _check_dimension(n: int) -> None:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    ensure_positive_dimension(n)
     if n > EXHAUSTIVE_LIMIT:
         raise CapacityError(
             f"n={n} too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
@@ -91,12 +91,12 @@ def exhaustive_leibniz_witness(
     table is re-checked with :func:`leibniz_check`, and "no failure" with
     :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
     """
-    zeroed = _zeroed_offsets(f, "exhaustive search")
+    _zeroed_offsets(f, "exhaustive search")  # a non-mask map fails before n is checked
     _check_dimension(n)
+    rows, _ = _zero_masks(f, n, "exhaustive search")
     pattern = _as_pattern(f)
-    ensure_same_dimension(pattern.n, n)
     mats, product = _table(n)
-    found = _first_failure(product, ~sum(1 << t for t in zeroed) & (len(product) - 1))
+    found = _first_failure(product, ~rows & (len(product) - 1))
     if found is None:
         if not pattern.is_derivation():
             raise RuntimeError(

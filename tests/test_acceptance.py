@@ -9,6 +9,7 @@ tests/test_acceptance.py`` to see the per-criterion lines.
 import random
 import time
 from contextlib import contextmanager
+from itertools import product
 
 from trideriv import (
     BOOLEAN,
@@ -18,6 +19,7 @@ from trideriv import (
     MaskDerivation,
     ShiftDerivation,
     UTMatrix,
+    ZeroPattern,
     brute_force_classify,
     check_axioms,
     d_m,
@@ -233,3 +235,36 @@ def test_criterion_11_pointwise_sums_of_derivations():
                 a = random_matrix(n, MAXPLUS, pair_rng)
                 b = random_matrix(n, MAXPLUS, pair_rng)
                 assert leibniz_check(combined, a, b) is None, (t, u)
+
+
+def derivation_words(n):
+    """The zero pattern of every word: a diagonal d in {0,1}^n and a
+    superdiagonal s in {0,1}^(n-1) with s_i = 1 wherever d_i or d_(i+1) is 1.
+    A word keeps (i, i) iff d_i = 1, and (i, l) for l > i iff some s_k = 1
+    with i <= k < l; its pattern zeroes every other position."""
+    positions = list(iter_positions(n))
+    for d in product((0, 1), repeat=n):
+        for s in product((0, 1), repeat=n - 1):
+            if any(s[k] < d[k] | d[k + 1] for k in range(n - 1)):
+                continue
+            kept = {(i, i) for i in range(1, n + 1) if d[i - 1]}
+            kept |= {(i, l) for i, l in positions if l > i and any(s[i - 1:l - 1])}
+            yield ZeroPattern(n, frozenset(p for p in positions if p not in kept))
+
+
+def test_criterion_12_derivation_patterns_are_words():
+    """Three routes agree: the words (n <= 8, counted by F(2n+1)), the local
+    predicate over every pattern (n <= 5) and the boolean sweep (n <= 3)."""
+    with criterion(12, 5.0):
+        for n, fibonacci in zip(range(1, 9), (2, 5, 13, 34, 89, 233, 610, 1597)):
+            words = list(derivation_words(n))
+            assert len(words) == len(set(words)) == fibonacci
+            if n <= 5:
+                positions = list(iter_positions(n))
+                patterns = (
+                    ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
+                    for bits in range(1 << len(positions))
+                )
+                assert set(words) == {p for p in patterns if p.is_derivation()}
+            if n <= 3:
+                assert set(words) == set(brute_force_classify(n).derivation_patterns)

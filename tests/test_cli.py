@@ -21,12 +21,10 @@ from trideriv.cli import (
     AXIOM_TRIALS_LIMIT,
     INTERVAL_ENUMERATION_LIMIT,
     VERIFY_WORK_LIMIT,
-    _first_failures,
-    _segments,
-    _zero_masks,
     main,
     verify_work,
 )
+from trideriv.derivations import _segments, _zero_masks, first_failures
 from trideriv.semirings import AxiomReport
 
 MAXPLUS_3X3 = (
@@ -318,7 +316,7 @@ def test_trial_runner_matches_per_map_loop(name, n):
     maps += random_non_derivations(n, 20)
     for seed in (0, 631):
         expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
-        got = _first_failures(maps, n, semiring, 12, seed)
+        got = first_failures(maps, n, semiring, 12, seed)
         assert got == expected
         # Witness compares with ==, which lets Fraction(8) stand for 8.
         assert witness_types(got) == witness_types(expected)
@@ -331,7 +329,7 @@ def witness_types(failures):
 @pytest.mark.parametrize("fn", [lambda m: m, strip_diagonal(3).__call__, "not a map"])
 def test_trial_runner_rejects_non_mask_maps(fn):
     with pytest.raises(TypeError, match="trial runner needs a mask map"):
-        _first_failures([delta_k(3, 1), fn], 3, get_semiring("maxplus"), 1, 0)
+        first_failures([delta_k(3, 1), fn], 3, get_semiring("maxplus"), 1, 0)
 
 
 def segment_maps():
@@ -354,7 +352,7 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
                 (r, c) for r, c in iter_positions(n)
                 if all(x in fn.zero_set for x in range(r, c + 1))
             }
-        rows, cols = _zero_masks(fn, n)
+        rows, cols = _zero_masks(fn, n, "trial runner")
         for (i, j), (row_start, col_start, width) in zip(iter_positions(n), _segments(n)):
             assert width == (1 << (j - i + 1)) - 1
             row_key, col_key = rows >> row_start & width, cols >> col_start & width

@@ -1,0 +1,108 @@
+"""Byte identity of the CLI over a fixed grid of commands.
+
+Each command group runs in process; every command contributes its argv,
+exit code, stdout and stderr to one sha256 per group, and the digests are
+pinned.  Any change to a byte the CLI prints for these commands, or to
+the seeded matrices it draws, changes a digest.  A registered
+non-idempotent carrier (ordinary N) makes the seeded runs print FAIL
+lines, so witnesses are pinned as well as verdicts.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from trideriv import format_matrix, get_semiring, random_matrix, semirings
+from trideriv.cli import main
+from trideriv.semirings import Semiring
+
+CARRIERS = ("boolean", "maxplus", "minplus", "fuzzy", "naturals")
+
+NATURALS = Semiring(
+    name="naturals",
+    add=lambda a, b: a + b,
+    mul=lambda a, b: a * b,
+    zero=0,
+    one=1,
+    contains=lambda v: isinstance(v, int) and v >= 0,
+    parse_element=int,
+    format_element=str,
+    sample=lambda rng: rng.randint(0, 9),
+)
+
+
+def verify_commands():
+    for kind in ("decompose", "hereditary", "leibniz", "theorem2"):
+        for carrier in CARRIERS:
+            for n in range(1, 6):
+                for seed in ("0", "631"):
+                    yield ("verify", kind, "--n", str(n), "--semiring", carrier,
+                           "--trials", "25", "--seed", seed)
+    for kind in ("leibniz", "theorem2"):
+        for n in range(1, 5):
+            yield ("verify", kind, "--n", str(n), "--semiring", "boolean", "--exhaustive")
+
+
+def oracle_commands():
+    for n in range(1, 4):
+        yield ("oracle", "--n", str(n))
+
+
+def enumerate_commands():
+    for cls in ("intervals", "families"):
+        for n in range(1, 6):
+            yield ("enumerate", "--n", str(n), "--class", cls)
+
+
+def decompose_commands():
+    for n in range(1, 6):
+        for bits in range(1 << n):
+            zero_set = ",".join(str(i + 1) for i in range(n) if bits >> i & 1)
+            yield ("decompose", "--n", str(n), f"--zero-set={zero_set}")
+
+
+def apply_commands():
+    flags = ("--zero-set=2,3", "--delta-k=2", "--d-m=1", "--pattern=1,2;3,4;2,2",
+             "--shift=3/2", "--shift=-inf")
+    for carrier in CARRIERS:
+        for flag in flags:
+            yield ("apply", f"--matrix={carrier}.utm", flag)
+
+
+GROUPS = {
+    "verify": (verify_commands, 208,
+               "52b4a4f939d6bafa1facee6d50fa2fabc74a9d8078e3af27fa40f65d52abf37c"),
+    "oracle": (oracle_commands, 3,
+               "374c6fed638101135405a089ceb6af28dacec95510bbb5aef78fcc8788cbb4f1"),
+    "enumerate": (enumerate_commands, 10,
+                  "a18e1c9579eb6a80a723b68692ef0a88f5f698c7a1c090b0f77826d3baf491c4"),
+    "decompose": (decompose_commands, 62,
+                  "d779b0e24a44ef147ca551e83a7428af314f26e4399d591a654fdae14c0fae28"),
+    "apply": (apply_commands, 30,
+              "23d6e9fd5b00e6a3b5f7c41bc9ae605fa95c129c0d500ebc0897f569c76af4a5"),
+}
+
+
+@pytest.fixture
+def cli_grid(tmp_path, monkeypatch):
+    """Register the naturals carrier, write one 4x4 matrix file per carrier
+    and run from that directory."""
+    monkeypatch.setitem(semirings.SEMIRINGS, "naturals", NATURALS)
+    for carrier in CARRIERS:
+        matrix = random_matrix(4, get_semiring(carrier), random.Random(4))
+        (tmp_path / f"{carrier}.utm").write_text(format_matrix(matrix))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_cli_grid_prints_pinned_bytes(cli_grid, capsys, group):
+    commands, count, expected = GROUPS[group]
+    digest = hashlib.sha256()
+    argvs = list(commands())
+    for argv in argvs:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, code, out, err)).encode())
+    assert len(argvs) == count
+    assert digest.hexdigest() == expected

@@ -18,6 +18,7 @@ from trideriv import (
     MatrixMismatchError,
     UTMatrix,
     ZeroPattern,
+    brute_force_classify,
     d_m,
     decompose,
     delta_k,
@@ -561,3 +562,22 @@ def test_pattern_text_roundtrip(case):
 def test_every_dimension_check_reports_alike(site):
     with pytest.raises(MatrixMismatchError, match=r"^dimension mismatch: (2 vs 3|3 vs 2)$"):
         site()
+
+
+@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: UTMatrix(n, MAXPLUS, ()),
+        lambda n: MaskDerivation(n, frozenset()),
+        lambda n: ZeroPattern(n, frozenset()),
+        enumerate_interval_derivations,
+        enumerate_family_derivations,
+        brute_force_classify,
+    ],
+    ids=["matrix", "mask", "pattern", "intervals", "families", "oracle"],
+)
+def test_every_dimension_positivity_check_reports_alike(build, n):
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1$") as caught:
+        build(n)
+    assert type(caught.value) is ValueError
