@@ -42,7 +42,7 @@ from .oracle import (
 from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
-AXIOM_TRIALS_LIMIT = 10**6  # about 40 s on fuzzy, the slowest carrier
+AXIOM_TRIALS_LIMIT = 10**6  # about 60 s on fuzzy, the slowest carrier; 20 s on the others
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
 # Seeded ``verify`` runs cost about 0.03-0.5 us per unit of verify_work on a

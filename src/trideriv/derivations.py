@@ -38,7 +38,7 @@ from .matrices import (
     iter_positions,
     random_matrix,
 )
-from .semirings import seeded_trials
+from .semirings import _ranked, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -188,14 +188,10 @@ def _as_pattern(f: Union[MaskDerivation, ZeroPattern]) -> ZeroPattern:
     return f.pattern if isinstance(f, MaskDerivation) else f
 
 
-def _zeroed_offsets(f: Any, caller: str) -> tuple[int, ...]:
-    """Row-major offsets of the entries a mask map sends to zero; any other
-    map raises TypeError, naming ``caller``."""
-    if isinstance(f, MaskDerivation):
-        return _mask_offsets(f.n, f.zero_set)
-    if isinstance(f, ZeroPattern):
-        return f._zeroed
-    raise TypeError(f"{caller} needs a mask map, got {type(f).__name__}")
+def _check_mask_map(f: Any, caller: str) -> None:
+    """Raise TypeError, naming ``caller``, unless ``f`` is a mask map."""
+    if not isinstance(f, (MaskDerivation, ZeroPattern)):
+        raise TypeError(f"{caller} needs a mask map, got {type(f).__name__}")
 
 
 # --- the two basic chains ------------------------------------------------------
@@ -283,9 +279,11 @@ def _segments(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _zero_masks(f: Any, n: int, caller: str) -> tuple[int, int]:
-    """The entries a mask map zeroes, as a row-major and a column-major bitmask."""
-    zeroed = _zeroed_offsets(f, caller)
+    """The entries a mask map zeroes, as a row-major and a column-major bitmask;
+    any other map raises TypeError, naming ``caller``."""
+    _check_mask_map(f, caller)
     ensure_same_dimension(f.n, n)
+    zeroed = _mask_offsets(n, f.zero_set) if isinstance(f, MaskDerivation) else f._zeroed
     segments = _segments(n)
     rows = cols = 0
     for t in zeroed:
@@ -311,6 +309,10 @@ def first_failures(maps, n, semiring, trials, seed):
     (:func:`~trideriv.matrices._fold_cell`) on the same operand objects in
     the same order, so every value, verdict and witness equals the one
     the two full products give, with no semiring axiom assumed.
+
+    Over a max/min carrier each trial runs on the int ranks of its drawn
+    entries (:func:`~trideriv.semirings._ranked`), and a witness's values
+    are mapped back to the drawn ones.
     """
     masks = [_zero_masks(fn, n, "trial runner") for fn in maps]
     plan, segments, add = _mul_plan(n), _segments(n), semiring.add
@@ -320,6 +322,11 @@ def first_failures(maps, n, semiring, trials, seed):
         if not unfailed:
             break
         a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
+        carrier, ranked = semiring, _ranked(semiring, a.entries + b.entries)
+        if ranked is not None:
+            carrier, rank, values = ranked
+            a = UTMatrix._trusted(n, carrier, tuple(map(rank.__getitem__, a.entries)))
+            b = UTMatrix._trusted(n, carrier, tuple(map(rank.__getitem__, b.entries)))
         ab, a_plus_b = a * b, a + b
         left = [{0: x} for x in ab.entries]  # f(A)B by row-segment zero bits
         right = [{0: x} for x in ab.entries]  # Af(B) by column-segment zero bits
@@ -336,21 +343,23 @@ def first_failures(maps, n, semiring, trials, seed):
                 try:
                     x = left_memo[key]
                 except KeyError:
-                    x = left_memo[key] = _fold_cell(semiring, pairs, fa.entries, b.entries)
+                    x = left_memo[key] = _fold_cell(carrier, pairs, fa.entries, b.entries)
                 key = cols >> col_start & width
                 try:
                     y = right_memo[key]
                 except KeyError:
-                    y = right_memo[key] = _fold_cell(semiring, pairs, a.entries, fb.entries)
+                    y = right_memo[key] = _fold_cell(carrier, pairs, a.entries, fb.entries)
                 rhs.append(add(x, y))
             check = "leibniz"
-            witness = first_difference(fn(ab), UTMatrix._trusted(n, semiring, tuple(rhs)))
+            witness = first_difference(fn(ab), UTMatrix._trusted(n, carrier, tuple(rhs)))
             if witness is None:
                 check, witness = "linearity", first_difference(fn(a_plus_b), fa + fb)
             if witness is None:
                 still.append(index)
-            else:
-                failures[index] = trial, check, witness
+                continue
+            if ranked is not None:
+                witness = Witness(witness.position, values[witness.lhs], values[witness.rhs])
+            failures[index] = trial, check, witness
         unfailed = still
     return failures
 

@@ -29,8 +29,8 @@ from .derivations import (
     Witness,
     ZeroPattern,
     _as_pattern,
+    _check_mask_map,
     _zero_masks,
-    _zeroed_offsets,
     format_pattern,
     leibniz_check,
 )
@@ -91,7 +91,7 @@ def exhaustive_leibniz_witness(
     table is re-checked with :func:`leibniz_check`, and "no failure" with
     :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
     """
-    _zeroed_offsets(f, "exhaustive search")  # a non-mask map fails before n is checked
+    _check_mask_map(f, "exhaustive search")  # before n, and without building offsets
     _check_dimension(n)
     rows, _ = _zero_masks(f, n, "exhaustive search")
     pattern = _as_pattern(f)

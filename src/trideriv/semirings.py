@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 MINUS_INF = float("-inf")
 PLUS_INF = float("inf")
@@ -186,6 +186,30 @@ def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]
     return ((t, random.Random(seed + t)) for t in range(trials))
 
 
+def _ranked(semiring: Semiring, values: Iterable) -> tuple[Semiring, dict, list] | None:
+    """A max/min carrier's ``values``, ``zero`` and ``one`` as int ranks.
+
+    ``max`` and ``min`` commute with every order embedding, so a check
+    whose every value is built from these by ``add`` and ``mul`` gives the
+    same verdicts on the ranks, and its witnesses map back through the
+    rank -> value list.  ``zero`` and ``one`` are ranked like any other
+    value, so no semiring law is assumed.  Condition: the values are
+    totally ordered by ``<``, and equal values share a type (true of ``int``
+    and ``Fraction``), so a mapped-back value has the type the check would
+    have produced.  Returns (rank carrier, value -> rank, rank -> value),
+    or None unless ``add is max and mul is min``, and None when every value
+    is already an ``int``, whose comparisons ranks would not make cheaper.
+    """
+    zero, one = semiring.zero, semiring.one
+    if semiring.add is not max or semiring.mul is not min:
+        return None
+    if all(isinstance(v, int) for v in (zero, one, *values)):
+        return None
+    ordered = sorted({*values, zero, one})
+    rank = {value: r for r, value in enumerate(ordered)}
+    return replace(semiring, zero=rank[zero], one=rank[one]), rank, ordered
+
+
 @dataclass(frozen=True)
 class AxiomViolation:
     """First law broken during sampling, with the witnessing triple."""
@@ -213,16 +237,18 @@ def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomReport:
     reported witness can be reproduced from its trial index alone.
     Violations are data, not exceptions.
     """
-    add, mul = semiring.add, semiring.mul
-    zero, one = semiring.zero, semiring.one
-    sample = semiring.sample
+    add, mul, sample = semiring.add, semiring.mul, semiring.sample
     for trial, rng in seeded_trials(trials, seed):
-        a, b, c = sample(rng), sample(rng), sample(rng)
+        drawn = sample(rng), sample(rng), sample(rng)
+        ranked = _ranked(semiring, drawn)
+        if ranked is None:
+            (a, b, c), zero, one = drawn, semiring.zero, semiring.one
+        else:  # a max/min carrier: the laws run on ranks, the report keeps ``drawn``
+            carrier, rank, _ = ranked
+            (a, b, c), zero, one = map(rank.__getitem__, drawn), carrier.zero, carrier.one
 
         def fail(law: str) -> AxiomReport:
-            return AxiomReport(
-                semiring.name, trials, AxiomViolation(law, trial, (a, b, c))
-            )
+            return AxiomReport(semiring.name, trials, AxiomViolation(law, trial, drawn))
 
         ab = add(a, b)
         if add(ab, c) != add(a, add(b, c)):

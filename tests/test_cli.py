@@ -1,10 +1,13 @@
 """Exit-code contract, output formats, and byte-determinism of the CLI."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from trideriv import (
+    FUZZY,
     ZeroPattern,
     d_m,
     delta_k,
@@ -25,7 +28,7 @@ from trideriv.cli import (
     verify_work,
 )
 from trideriv.derivations import _segments, _zero_masks, first_failures
-from trideriv.semirings import AxiomReport
+from trideriv.semirings import AxiomReport, _ranked
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -304,16 +307,21 @@ def random_non_derivations(n, count):
     return found
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy", "boolean"])
-def test_trial_runner_matches_per_map_loop(name, n):
-    semiring = get_semiring(name)
+def runner_maps(n):
+    """The theorem-2 compositions, the family masks and some non-derivations."""
     maps = [
         delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)
     ]
     maps += enumerate_family_derivations(n)
     maps.append(ZeroPattern(n, {(1, n)}))  # not a derivation for n >= 2
-    maps += random_non_derivations(n, 20)
+    return maps + random_non_derivations(n, 20)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy", "boolean"])
+def test_trial_runner_matches_per_map_loop(name, n):
+    semiring = get_semiring(name)
+    maps = runner_maps(n)
     for seed in (0, 631):
         expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
         got = first_failures(maps, n, semiring, 12, seed)
@@ -324,6 +332,24 @@ def test_trial_runner_matches_per_map_loop(name, n):
 
 def witness_types(failures):
     return [None if f is None else (type(f[2].lhs), type(f[2].rhs)) for f in failures]
+
+
+# A lambda add fails ``add is max``, so each twin runs its carrier without ranks.
+OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("ranked", [FUZZY, OFF_BOTTOM_FUZZY], ids=["fuzzy", "off-bottom-zero"])
+def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
+    twin = replace(ranked, add=lambda a, b: max(a, b))
+    assert _ranked(ranked, (Fraction(1, 4),)) is not None
+    assert _ranked(twin, (Fraction(1, 4),)) is None
+    maps = runner_maps(n)
+    for seed in (0, 631):
+        got = first_failures(maps, n, ranked, 12, seed)
+        expected = first_failures(maps, n, twin, 12, seed)
+        assert got == expected
+        assert witness_types(got) == witness_types(expected)
 
 
 @pytest.mark.parametrize("fn", [lambda m: m, strip_diagonal(3).__call__, "not a map"])

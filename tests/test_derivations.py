@@ -284,17 +284,6 @@ def test_lone_offdiagonal_zero_is_not_a_derivation():
     assert not ZeroPattern(2, {(1, 2)}).is_derivation()
 
 
-def test_derivation_patterns_are_counted_by_odd_fibonacci():
-    # F(2n+1) derivation patterns at n = 1..5, past the boolean sweep's n <= 3.
-    for n, expected in zip(range(1, 6), (2, 5, 13, 34, 89)):
-        positions = list(iter_positions(n))
-        count = sum(
-            ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1}).is_derivation()
-            for bits in range(1 << len(positions))
-        )
-        assert count == expected
-
-
 def test_pattern_application_extremes():
     a = distinct_maxplus(3)
     assert ZeroPattern(3, frozenset())(a) == a

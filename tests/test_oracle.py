@@ -218,6 +218,13 @@ def test_exhaustive_witness_capacity():
         exhaustive_leibniz_witness(MaskDerivation(4, frozenset()), 4)
 
 
+def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
+    f = ZeroPattern(2000, frozenset())
+    with pytest.raises(CapacityError):
+        exhaustive_leibniz_witness(f, 2000)
+    assert "_zeroed" not in f.__dict__  # no scan of the n(n+1)/2 positions
+
+
 def test_exhaustive_witness_dimension_mismatch():
     with pytest.raises(MatrixMismatchError):
         exhaustive_leibniz_witness(MaskDerivation(2, {1}), 3)

@@ -1,6 +1,7 @@
 """Semiring instances, literals, and the executable axiom check."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from trideriv import (
     get_semiring,
     natural_leq,
 )
-from trideriv.semirings import AxiomViolation, seeded_trials
+from trideriv.semirings import AxiomViolation, _ranked, seeded_trials
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -110,6 +111,38 @@ def test_check_axioms_deterministic():
 def test_check_axioms_pinned_violation():
     report = check_axioms(naturals(), 10, seed=1)
     assert report.violation == AxiomViolation("add-idempotent", 0, (2, 9, 1))
+
+
+# A lambda add fails ``add is max``, so each twin checks its carrier without ranks.
+OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
+RANKED_TWINS = [
+    (FUZZY, replace(FUZZY, add=lambda a, b: max(a, b))),
+    (OFF_BOTTOM_FUZZY, replace(OFF_BOTTOM_FUZZY, add=lambda a, b: max(a, b))),
+]
+
+
+def element_types(report):
+    return None if report.ok else tuple(map(type, report.violation.elements))
+
+
+@pytest.mark.parametrize("ranked, twin", RANKED_TWINS, ids=["fuzzy", "off-bottom-zero"])
+def test_check_axioms_on_ranks_matches_unranked_twin(ranked, twin):
+    drawn = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
+    assert _ranked(ranked, drawn) is not None and _ranked(twin, drawn) is None
+    got, expected = check_axioms(ranked, 500, seed=631), check_axioms(twin, 500, seed=631)
+    assert got == expected
+    assert element_types(got) == element_types(expected)
+    if ranked is OFF_BOTTOM_FUZZY:  # a < 1/2 gives max(a, zero) = 1/2 != a
+        assert got.violation.law == "add-zero-neutral"
+
+
+def test_ranks_skip_int_carriers_and_keep_the_order():
+    assert _ranked(MAXPLUS, (1, 2)) is None
+    assert _ranked(BOOLEAN, (0, 1, 1)) is None
+    carrier, rank, values = _ranked(OFF_BOTTOM_FUZZY, (Fraction(3, 4), Fraction(1, 4)))
+    assert values == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    assert rank == {v: r for r, v in enumerate(values)}
+    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (max, min, 1, 3)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
