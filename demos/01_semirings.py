@@ -30,8 +30,8 @@ print("-inf (*) 7 =", MAXPLUS.mul(MAXPLUS.zero, 7))
 print()
 print("=== every instance passes the sampled axiom check ===")
 for s in (BOOLEAN, MAXPLUS, MINPLUS, FUZZY):
-    report = check_axioms(s, 2000, seed=42)
-    print(f"{s.name:8s} ok={report.ok} ({report.trials} sampled triples)")
+    violation = check_axioms(s, 2000, seed=42)
+    print(f"{s.name:8s} ok={violation is None} (2000 sampled triples)")
 
 print()
 print("=== a non-example: ordinary natural-number arithmetic ===")
@@ -46,9 +46,8 @@ naturals = Semiring(
     format_element=str,
     sample=lambda rng: rng.randint(0, 9),
 )
-report = check_axioms(naturals, 10, seed=1)
-v = report.violation
-print(f"ok={report.ok}; first broken law: {v.law} with a={v.elements[0]}")
+v = check_axioms(naturals, 10, seed=1)
+print(f"ok={v is None}; first broken law: {v.law} with a={v.elements[0]}")
 print(f"(indeed {v.elements[0]} + {v.elements[0]} != {v.elements[0]})")
 
 print()

@@ -60,11 +60,10 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     semiring = get_semiring(args.semiring)
     if args.trials > AXIOM_TRIALS_LIMIT:
         raise CapacityError(f"axioms trials capped at {AXIOM_TRIALS_LIMIT}")
-    report = check_axioms(semiring, args.trials, args.seed)
-    if report.ok:
+    v = check_axioms(semiring, args.trials, args.seed)
+    if v is None:
         print(f"PASS axioms semiring={semiring.name} trials={args.trials} seed={args.seed}")
         return 0
-    v = report.violation
     elems = " ".join(
         f"{name}={semiring.format_element(x)}" for name, x in zip("abc", v.elements)
     )
@@ -95,8 +94,6 @@ def _check_family_cap(n: int) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     if args.cls == "families":
         _check_family_cap(args.n)
         masks = enumerate_family_derivations(args.n)
@@ -121,8 +118,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     mask = MaskDerivation(args.n, parse_zero_set(args.zero_set, args.n))
     print(decompose(mask).ascii())
     return 0
@@ -134,7 +129,7 @@ def _failures(maps, args: argparse.Namespace, semiring: Semiring):
     """:func:`first_failures`, or with ``--exhaustive`` the boolean sweep (trial None)."""
     if not args.exhaustive:
         return first_failures(maps, args.n, semiring, args.trials, args.seed)
-    found = [exhaustive_leibniz_witness(fn, args.n) for fn in maps]
+    found = [exhaustive_leibniz_witness(fn) for fn in maps]
     return [None if f is None else (None, "leibniz", f[2]) for f in found]
 
 
@@ -225,10 +220,6 @@ _VERIFY_KINDS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     semiring = get_semiring(args.semiring)
     if args.exhaustive and args.kind not in ("leibniz", "theorem2"):
         raise ValueError("exhaustive mode applies only to leibniz and theorem2")
@@ -308,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("n", "trials"):  # the floors of every subcommand with the flag
+            if vars(args).get(flag, 1) < 1:
+                raise ValueError(f"--{flag} must be >= 1")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,15 +83,17 @@ def _first_failure(product: tuple[tuple[int, ...], ...], keep: int) -> tuple[int
 
 
 def exhaustive_leibniz_witness(
-    f: MaskDerivation | ZeroPattern, n: int
+    f: MaskDerivation | ZeroPattern,
 ) -> tuple[UTMatrix, UTMatrix, Witness] | None:
-    """First (A, B, witness) violating the Leibniz rule over all boolean pairs.
+    """First (A, B, witness) violating the Leibniz rule over all boolean
+    pairs at the map's dimension.
 
     Only mask maps are accepted.  A failing pair found in the product
     table is re-checked with :func:`leibniz_check`, and "no failure" with
     :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
     """
-    _check_mask_map(f, "exhaustive search")  # before n, and without building offsets
+    _check_mask_map(f, "exhaustive search")  # before f.n, and without building offsets
+    n = f.n
     _check_dimension(n)
     rows, _ = _zero_masks(f, n, "exhaustive search")
     pattern = _as_pattern(f)

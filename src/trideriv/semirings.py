@@ -219,19 +219,9 @@ class AxiomViolation:
     elements: tuple
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    semiring: str
-    trials: int
-    violation: AxiomViolation | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
-def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomReport:
-    """Replay the semiring laws on ``trials`` sampled triples.
+def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomViolation | None:
+    """Replay the semiring laws on ``trials`` sampled triples: the first
+    violation, or None when every law held.
 
     Trial ``t`` draws its triple from :func:`seeded_trials`, so a
     reported witness can be reproduced from its trial index alone.
@@ -243,30 +233,27 @@ def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomReport:
         ranked = _ranked(semiring, drawn)
         if ranked is None:
             (a, b, c), zero, one = drawn, semiring.zero, semiring.one
-        else:  # a max/min carrier: the laws run on ranks, the report keeps ``drawn``
+        else:  # a max/min carrier: the laws run on ranks, the violation keeps ``drawn``
             carrier, rank, _ = ranked
             (a, b, c), zero, one = map(rank.__getitem__, drawn), carrier.zero, carrier.one
 
-        def fail(law: str) -> AxiomReport:
-            return AxiomReport(semiring.name, trials, AxiomViolation(law, trial, drawn))
-
         ab = add(a, b)
         if add(ab, c) != add(a, add(b, c)):
-            return fail("add-associative")
+            return AxiomViolation("add-associative", trial, drawn)
         if ab != add(b, a):
-            return fail("add-commutative")
+            return AxiomViolation("add-commutative", trial, drawn)
         if add(a, a) != a:
-            return fail("add-idempotent")
+            return AxiomViolation("add-idempotent", trial, drawn)
         if add(a, zero) != a:
-            return fail("add-zero-neutral")
+            return AxiomViolation("add-zero-neutral", trial, drawn)
         if mul(mul(a, b), c) != mul(a, mul(b, c)):
-            return fail("mul-associative")
+            return AxiomViolation("mul-associative", trial, drawn)
         if mul(a, one) != a or mul(one, a) != a:
-            return fail("mul-one-neutral")
+            return AxiomViolation("mul-one-neutral", trial, drawn)
         if mul(a, zero) != zero or mul(zero, a) != zero:
-            return fail("mul-zero-absorbing")
+            return AxiomViolation("mul-zero-absorbing", trial, drawn)
         if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-            return fail("mul-distributes-left")
+            return AxiomViolation("mul-distributes-left", trial, drawn)
         if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-            return fail("mul-distributes-right")
-    return AxiomReport(semiring.name, trials)
+            return AxiomViolation("mul-distributes-right", trial, drawn)
+    return None

@@ -63,8 +63,8 @@ def test_criterion_01_semiring_axioms():
     """All four shipped instances satisfy the laws on 10,000 sampled triples."""
     with criterion(1, 5.0):
         for semiring in (BOOLEAN, MAXPLUS, MINPLUS, FUZZY):
-            report = check_axioms(semiring, 10_000, seed=42)
-            assert report.ok, (semiring.name, report.violation)
+            violation = check_axioms(semiring, 10_000, seed=42)
+            assert violation is None, (semiring.name, violation)
 
 
 def test_criterion_02_row_and_column_maps_agree_three_ways():
@@ -116,7 +116,7 @@ def test_criterion_05_composition_is_a_derivation_iff_indices_cover():
         for k in range(1, 4):
             for m in range(1, 4):
                 pattern = delta_k(3, k).compose(d_m(3, m))
-                empirical = exhaustive_leibniz_witness(pattern, 3) is None
+                empirical = exhaustive_leibniz_witness(pattern) is None
                 assert empirical == (k + m >= 3), (k, m)
         for n in (4, 5):
             for k in range(1, n + 1):

@@ -28,7 +28,7 @@ from trideriv.cli import (
     verify_work,
 )
 from trideriv.derivations import _segments, _zero_masks, first_failures
-from trideriv.semirings import AxiomReport, _ranked
+from trideriv.semirings import _ranked
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -78,7 +78,7 @@ def test_axioms_trials_cap(capsys, monkeypatch):
 
     def fake_check_axioms(semiring, trials, seed):
         calls.append(trials)
-        return AxiomReport(semiring.name, trials)
+        return None
 
     monkeypatch.setattr(cli, "check_axioms", fake_check_axioms)
     limit = AXIOM_TRIALS_LIMIT
@@ -561,6 +561,26 @@ def test_decompose_identity(capsys):
 def test_decompose_bad_zero_set(capsys):
     code, _, err = run(capsys, "decompose", "--n", "3", "--zero-set", "9")
     assert code == 2
+
+
+# --- argument floors --------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("oracle", "--n", "0"), "n"),
+        (("oracle", "--n", "-2"), "n"),
+        (("enumerate", "--n", "0", "--class", "families"), "n"),
+        (("decompose", "--n", "0", "--zero-set", ""), "n"),
+        (("verify", "leibniz", "--n", "0", "--trials", "0"), "n"),
+        (("axioms", "--semiring", "fuzzy", "--trials", "0"), "trials"),
+        (("verify", "decompose", "--n", "2", "--trials", "-5"), "trials"),
+    ],
+    ids=["oracle", "oracle-negative", "enumerate", "decompose", "verify-n", "axioms",
+         "verify-trials"],
+)
+def test_argument_floors_read_alike(capsys, argv, flag):
+    assert run(capsys, *argv) == (2, "", f"error: --{flag} must be >= 1\n")
 
 
 # --- determinism ------------------------------------------------------------------

@@ -1,0 +1,179 @@
+"""Every derivation acts entrywise: the weighted local rule on all four
+carriers, and a search over all additive maps at tiny dimensions.
+
+The ``derivations`` module docstring carries the proof.  These tests check
+its two conclusions without it: weight maps obey Leibniz exactly when their
+weights satisfy u(i,l) = u(i,k) ⊕ u(k,l), and a search over every additive
+map of UT_n finds only entrywise maps among the derivations.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from functools import reduce
+
+from hypothesis import given, settings, strategies as st
+
+from trideriv import (
+    BOOLEAN,
+    FUZZY,
+    MAXPLUS,
+    MINPLUS,
+    UTMatrix,
+    brute_force_classify,
+    iter_positions,
+    leibniz_check,
+    linearity_check,
+    matrix_unit,
+    random_matrix,
+)
+
+INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
+
+
+# --- weight maps ---------------------------------------------------------------------
+
+def weight_map(n, u, semiring):
+    """The map A -> (a_ij ⊗ u_ij) on UT_n, for weights ``u`` keyed by position."""
+    weights = [u[p] for p in iter_positions(n)]
+    mul = semiring.mul
+    return lambda a: UTMatrix._trusted(n, semiring, tuple(map(mul, a.entries, weights)))
+
+
+def word_weights(n, semiring, rng):
+    """Weights from a drawn diagonal d and superdiagonal s with s_i ≥ d_i ⊕ d_{i+1}:
+    u(i,i) = d_i and u(i,l) = s_i ⊕ ... ⊕ s_{l-1}."""
+    add, sample = semiring.add, semiring.sample
+    d = [sample(rng) for _ in range(n)]
+    s = [add(add(d[i], d[i + 1]), sample(rng)) for i in range(n - 1)]
+    return {
+        (i, l): d[i - 1] if i == l else reduce(add, s[i - 1 : l - 1])
+        for i, l in iter_positions(n)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INSTANCES), st.integers(1, 6), st.integers(0, 2**32))
+def test_weight_maps_follow_the_local_rule_on_every_carrier(semiring, n, seed):
+    rng = random.Random(seed)
+    add = semiring.add
+    u = word_weights(n, semiring, rng)
+    assert all(
+        u[i, l] == add(u[i, k], u[k, l]) for i, l in iter_positions(n) for k in range(i, l + 1)
+    )
+    f = weight_map(n, u, semiring)
+    for _ in range(3):
+        a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
+        assert leibniz_check(f, a, b) is None
+        assert linearity_check(f, a, b) is None
+    if n == 1:
+        return
+    # Break the identity at one (i, k, l): the pair (E_ik, E_kl) must show it at (i, l).
+    i, l = sorted(rng.sample(range(1, n + 1), 2))
+    k = rng.randint(i, l)
+    for wrong in (semiring.sample(rng), semiring.zero, semiring.one):
+        w = {**u, (i, l): wrong}
+        target = add(w[i, k], w[k, l])  # k = i or l reads the replaced weight too
+        if wrong != target:
+            break
+    else:  # k = i (or l) with u(k,k) = zero: every u(i,l) keeps the identity
+        return
+    pair = matrix_unit(n, i, k, semiring), matrix_unit(n, k, l, semiring)
+    witness = leibniz_check(weight_map(n, w, semiring), *pair)
+    assert witness is not None
+    assert (witness.position, witness.lhs, witness.rhs) == ((i, l), wrong, target)
+
+
+# --- every additive map ----------------------------------------------------------------
+
+def generators(n, semiring, scalars):
+    """The generators λE_ij (λ a nonzero scalar) as ((i, j), λ) keys, diagonal
+    positions first and λ ascending, with their matrices."""
+    positions = sorted(iter_positions(n), key=lambda p: p[0] != p[1])
+    keys = [(p, lam) for p in positions for lam in scalars[1:]]
+    return keys, [UTMatrix.from_dict(n, semiring, {p: lam}) for p, lam in keys]
+
+
+def derivations_by_search(n, semiring, scalars):
+    """Every derivation of UT_n over the chain ``scalars`` (ascending from
+    ``zero``, closed under add and mul), as its tuple of generator images.
+
+    An additive map with f(0) = 0 (Leibniz at A = B = 0 forces it) is fixed
+    by its images of the generators λE_ij, monotone in λ, and every such
+    choice extends additively, since A = ⊕ a_ij E_ij.  The search draws each
+    image from all of UT_n, diagonal generators first (E_ij = E_ii·E_ij·E_jj),
+    and prunes by Leibniz on a generator pair once the images of both
+    factors and of their product are set.  A pruning condition is necessary,
+    never sufficient, so each caller confirms what survives on its own.
+    """
+    keys, units = generators(n, semiring, scalars)
+    index = {key: t for t, key in enumerate(keys)}
+    zero = UTMatrix.zeros(n, semiring)
+    candidates = [
+        UTMatrix(n, semiring, cells)
+        for cells in itertools.product(scalars, repeat=len(units[0].entries))
+    ]
+    leibniz = [[] for _ in keys]  # per generator t: pairs (s, r, product) decided at t
+    smaller = [[] for _ in keys]  # per generator t = μE: the generators λE with λ < μ
+    for s, ((i, j), lam) in enumerate(keys):
+        smaller[s] = [index[(i, j), x] for x in scalars[1:] if x < lam]
+        for r, ((k, l), mu) in enumerate(keys):
+            scalar = semiring.mul(lam, mu)
+            product = index[(i, l), scalar] if j == k and scalar != scalars[0] else None
+            leibniz[max(s, r, -1 if product is None else product)].append((s, r, product))
+
+    found = []
+
+    def extend(images):
+        t = len(images)
+        if t == len(keys):
+            found.append(tuple(images))
+            return
+        for image in candidates:
+            images.append(image)
+            if all(images[x] + image == image for x in smaller[t]) and all(
+                (zero if p is None else images[p]) == images[s] * units[r] + units[s] * images[r]
+                for s, r, p in leibniz[t]
+            ):
+                extend(images)
+            images.pop()
+
+    extend([])
+    return found
+
+
+def test_boolean_derivations_are_the_zero_pattern_maps():
+    """2, 5 and 13 derivations of UT_n(B) for n = 1..3, each the map of one of
+    the oracle's derivation patterns, which the oracle confirmed on all pairs."""
+    for n, count in ((1, 2), (2, 5), (3, 13)):
+        _, units = generators(n, BOOLEAN, (0, 1))
+        found = derivations_by_search(n, BOOLEAN, (0, 1))
+        patterns = brute_force_classify(n).derivation_patterns
+        assert len(found) == len(set(found)) == count
+        assert set(found) == {tuple(map(p, units)) for p in patterns}
+
+
+def test_chain_derivations_are_entrywise_weight_maps():
+    """UT_2 over the sub-chain {0, 1/2, 1} of FUZZY: 14 derivations, exactly the
+    maps a ↦ a ∧ u_ij with u_12 ≥ u_11 ∨ u_22, each confirmed on all 729 pairs."""
+    chain = (Fraction(0), Fraction(1, 2), Fraction(1))
+    keys, _ = generators(2, FUZZY, chain)
+    found = derivations_by_search(2, FUZZY, chain)
+    weights = [
+        dict(zip(iter_positions(2), w))
+        for w in itertools.product(chain, repeat=3)
+        if w[1] >= max(w[0], w[2])  # row-major: u_11, u_12, u_22
+    ]
+    expected = {
+        tuple(UTMatrix.from_dict(2, FUZZY, {p: min(lam, u[p])}) for p, lam in keys)
+        for u in weights
+    }
+    assert len(found) == len(set(found)) == len(expected) == 14
+    assert set(found) == expected
+    everything = [UTMatrix(2, FUZZY, c) for c in itertools.product(chain, repeat=3)]
+    for u in weights:
+        f = weight_map(2, u, FUZZY)
+        for a in everything:
+            for b in everything:
+                assert leibniz_check(f, a, b) is None
+                assert linearity_check(f, a, b) is None

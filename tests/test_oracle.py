@@ -13,7 +13,6 @@ from trideriv import (
     MINPLUS,
     CapacityError,
     MaskDerivation,
-    MatrixMismatchError,
     ShiftDerivation,
     ZeroPattern,
     brute_force_classify,
@@ -169,12 +168,12 @@ def test_boolean_verdicts_transfer_to_every_instance():
 
 def test_exhaustive_witness_search():
     bad = delta_k(3, 1).compose(d_m(3, 1))
-    found = exhaustive_leibniz_witness(bad, 3)
+    found = exhaustive_leibniz_witness(bad)
     assert found is not None
     a, b, witness = found
     assert leibniz_check(bad, a, b) == witness
     good = MaskDerivation(3, {2})
-    assert exhaustive_leibniz_witness(good, 3) is None
+    assert exhaustive_leibniz_witness(good) is None
 
 
 def _direct_witness(f, n):
@@ -203,31 +202,26 @@ def _engine_cases():
 
 @pytest.mark.parametrize("f,n", _engine_cases())
 def test_table_engine_matches_direct_sweep(f, n):
-    assert exhaustive_leibniz_witness(f, n) == _direct_witness(f, n)
+    assert exhaustive_leibniz_witness(f) == _direct_witness(f, n)
 
 
 def test_exhaustive_witness_rejects_non_mask_maps():
     with pytest.raises(TypeError):
-        exhaustive_leibniz_witness(lambda m: m, 2)
+        exhaustive_leibniz_witness(lambda m: m)
     with pytest.raises(TypeError):
-        exhaustive_leibniz_witness(ShiftDerivation(0).hereditary(), 2)
+        exhaustive_leibniz_witness(ShiftDerivation(0).hereditary())
 
 
 def test_exhaustive_witness_capacity():
     with pytest.raises(CapacityError):
-        exhaustive_leibniz_witness(MaskDerivation(4, frozenset()), 4)
+        exhaustive_leibniz_witness(MaskDerivation(4, frozenset()))
 
 
 def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
     f = ZeroPattern(2000, frozenset())
     with pytest.raises(CapacityError):
-        exhaustive_leibniz_witness(f, 2000)
+        exhaustive_leibniz_witness(f)
     assert "_zeroed" not in f.__dict__  # no scan of the n(n+1)/2 positions
-
-
-def test_exhaustive_witness_dimension_mismatch():
-    with pytest.raises(MatrixMismatchError):
-        exhaustive_leibniz_witness(MaskDerivation(2, {1}), 3)
 
 
 def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
@@ -235,11 +229,11 @@ def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
     bad = delta_k(3, 1).compose(d_m(3, 1))
     monkeypatch.setattr(oracle, "leibniz_check", lambda f, a, b: None)
     with pytest.raises(RuntimeError):
-        exhaustive_leibniz_witness(bad, 3)
+        exhaustive_leibniz_witness(bad)
     monkeypatch.undo()
     monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: False)
     with pytest.raises(RuntimeError):
-        exhaustive_leibniz_witness(MaskDerivation(3, {2}), 3)
+        exhaustive_leibniz_witness(MaskDerivation(3, {2}))
 
 
 def test_format_report_lines():
