@@ -316,17 +316,16 @@ def first_failures(maps, n, semiring, trials, seed):
     """
     masks = [_zero_masks(fn, n, "trial runner") for fn in maps]
     plan, segments, add = _mul_plan(n), _segments(n), semiring.add
+    size = len(plan)
     failures = [None] * len(maps)
     unfailed = list(range(len(maps)))
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
             break
         a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
-        carrier, ranked = semiring, _ranked(semiring, a.entries + b.entries)
-        if ranked is not None:
-            carrier, rank, values = ranked
-            a = UTMatrix._trusted(n, carrier, tuple(map(rank.__getitem__, a.entries)))
-            b = UTMatrix._trusted(n, carrier, tuple(map(rank.__getitem__, b.entries)))
+        carrier, entries, values = _ranked(semiring, a.entries + b.entries)
+        a = UTMatrix._trusted(n, carrier, entries[:size])
+        b = UTMatrix._trusted(n, carrier, entries[size:])
         ab, a_plus_b = a * b, a + b
         left = [{0: x} for x in ab.entries]  # f(A)B by row-segment zero bits
         right = [{0: x} for x in ab.entries]  # Af(B) by column-segment zero bits
@@ -357,7 +356,7 @@ def first_failures(maps, n, semiring, trials, seed):
             if witness is None:
                 still.append(index)
                 continue
-            if ranked is not None:
+            if values is not None:
                 witness = Witness(witness.position, values[witness.lhs], values[witness.rhs])
             failures[index] = trial, check, witness
         unfailed = still

@@ -12,10 +12,11 @@ index is the t-th row-major entry), so masking is ``index & keep`` and
 matrix addition is bitwise-or of indices; the product table is computed
 once per dimension and process with the real matrix multiplication.  One
 engine, :func:`_first_failure`, scans that table for both the witness
-search and the classification, and each of its verdicts is confirmed by
-a second route: a found pair by :func:`leibniz_check` on real matrices,
-a "no failure" by the local characterization.  The encoding lemmas are
-re-checked exhaustively in the test suite.
+search and the classification, and compares each verdict with the local
+characterization in both directions; a disagreement raises.  The witness
+search also re-checks a found pair with :func:`leibniz_check` on real
+matrices.  The encoding lemmas are re-checked exhaustively in the test
+suite.
 """
 
 from __future__ import annotations
@@ -72,14 +73,29 @@ def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[tuple[int, ...], ...]]:
     return mats, tuple(tuple(matrix_bits(a * b) for b in mats) for a in mats)
 
 
-def _first_failure(product: tuple[tuple[int, ...], ...], keep: int) -> tuple[int, int] | None:
-    """First (a, b) in bitmask order where masking by ``keep`` breaks Leibniz."""
+def _first_failure(
+    product: tuple[tuple[int, ...], ...], zeroed: int, pattern: ZeroPattern
+) -> tuple[int, int] | None:
+    """First (a, b) in bitmask order where ``pattern``, which zeroes the
+    entries in the bitmask ``zeroed``, breaks Leibniz.  A verdict that
+    disagrees with :meth:`ZeroPattern.is_derivation` raises RuntimeError.
+    """
+    keep = ~zeroed & (len(product) - 1)
+    found = None
     for a, row in enumerate(product):
         kept_row = product[a & keep]
         for b, ab in enumerate(row):
             if kept_row[b] | row[b & keep] != ab & keep:
-                return a, b
-    return None
+                found = a, b
+                break
+        if found:
+            break
+    if (found is None) != pattern.is_derivation():
+        raise RuntimeError(
+            f"product table {'finds no' if found is None else 'finds a'} boolean witness "
+            f"for pattern {format_pattern(pattern)!r}, but the local characterization disagrees"
+        )
+    return found
 
 
 def exhaustive_leibniz_witness(
@@ -88,9 +104,10 @@ def exhaustive_leibniz_witness(
     """First (A, B, witness) violating the Leibniz rule over all boolean
     pairs at the map's dimension.
 
-    Only mask maps are accepted.  A failing pair found in the product
-    table is re-checked with :func:`leibniz_check`, and "no failure" with
-    :meth:`ZeroPattern.is_derivation`; a disagreement raises RuntimeError.
+    Only mask maps are accepted.  The verdict is compared with
+    :meth:`ZeroPattern.is_derivation`, and a failing pair found in the
+    product table is re-checked with :func:`leibniz_check`; a
+    disagreement raises RuntimeError.
     """
     _check_mask_map(f, "exhaustive search")  # before f.n, and without building offsets
     n = f.n
@@ -98,13 +115,8 @@ def exhaustive_leibniz_witness(
     rows, _ = _zero_masks(f, n, "exhaustive search")
     pattern = _as_pattern(f)
     mats, product = _table(n)
-    found = _first_failure(product, ~rows & (len(product) - 1))
+    found = _first_failure(product, rows, pattern)
     if found is None:
-        if not pattern.is_derivation():
-            raise RuntimeError(
-                f"no boolean witness, but pattern {format_pattern(pattern)!r} "
-                "fails the local characterization"
-            )
         return None
     a, b = mats[found[0]], mats[found[1]]
     witness = leibniz_check(f, a, b)
@@ -124,7 +136,6 @@ class OracleReport:
     total_patterns: int
     derivation_patterns: tuple[ZeroPattern, ...]
     interval_form_count: int
-    predicate_mismatches: tuple[ZeroPattern, ...]
 
     @property
     def derivation_count(self) -> int:
@@ -138,18 +149,13 @@ class OracleReport:
     def counts(self) -> tuple[int, int, int]:
         return (self.derivation_count, self.interval_form_count, self.other_count)
 
-    @property
-    def predicate_agrees(self) -> bool:
-        return not self.predicate_mismatches
-
 
 def brute_force_classify(n: int) -> OracleReport:
     """Sweep every zero pattern against every boolean matrix pair.
 
     A pattern is recorded as a derivation iff no pair witnesses a Leibniz
-    failure; each verdict is also cross-checked against the local
-    characterization, and disagreements (there should be none) are
-    returned rather than raised.
+    failure; each verdict is also compared with the local characterization,
+    and a disagreement (there should be none) raises RuntimeError.
     """
     _check_dimension(n)
     positions = list(iter_positions(n))
@@ -157,19 +163,15 @@ def brute_force_classify(n: int) -> OracleReport:
     count = len(product)
 
     derivations = []
-    mismatches = []
     for pattern_bits in range(count):
-        holds = _first_failure(product, ~pattern_bits & (count - 1)) is None
         pattern = ZeroPattern(
             n,
             frozenset(p for t, p in enumerate(positions) if pattern_bits >> t & 1),
         )
-        if holds:
+        if _first_failure(product, pattern_bits, pattern) is None:
             derivations.append(pattern)
-        if holds != pattern.is_derivation():
-            mismatches.append(pattern)
     interval = sum(1 for p in derivations if p.interval_form() is not None)
-    return OracleReport(n, count, tuple(derivations), interval, tuple(mismatches))
+    return OracleReport(n, count, tuple(derivations), interval)
 
 
 def format_report(report: OracleReport) -> str:

@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 MINUS_INF = float("-inf")
 PLUS_INF = float("inf")
@@ -186,9 +186,10 @@ def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]
     return ((t, random.Random(seed + t)) for t in range(trials))
 
 
-def _ranked(semiring: Semiring, values: Iterable) -> tuple[Semiring, dict, list] | None:
-    """A max/min carrier's ``values``, ``zero`` and ``one`` as int ranks.
+def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, list | None]:
+    """The carrier a check computes on, ``values`` in it, and rank -> value.
 
+    A max/min carrier's ``values``, ``zero`` and ``one`` become int ranks:
     ``max`` and ``min`` commute with every order embedding, so a check
     whose every value is built from these by ``add`` and ``mul`` gives the
     same verdicts on the ranks, and its witnesses map back through the
@@ -196,18 +197,19 @@ def _ranked(semiring: Semiring, values: Iterable) -> tuple[Semiring, dict, list]
     value, so no semiring law is assumed.  Condition: the values are
     totally ordered by ``<``, and equal values share a type (true of ``int``
     and ``Fraction``), so a mapped-back value has the type the check would
-    have produced.  Returns (rank carrier, value -> rank, rank -> value),
-    or None unless ``add is max and mul is min``, and None when every value
-    is already an ``int``, whose comparisons ranks would not make cheaper.
+    have produced.  Any other carrier, and one whose every value is
+    already an ``int`` (ranks would not make it cheaper), gives
+    ``(semiring, values, None)``.
     """
     zero, one = semiring.zero, semiring.one
     if semiring.add is not max or semiring.mul is not min:
-        return None
+        return semiring, values, None
     if all(isinstance(v, int) for v in (zero, one, *values)):
-        return None
+        return semiring, values, None
     ordered = sorted({*values, zero, one})
     rank = {value: r for r, value in enumerate(ordered)}
-    return replace(semiring, zero=rank[zero], one=rank[one]), rank, ordered
+    carrier = replace(semiring, zero=rank[zero], one=rank[one])
+    return carrier, tuple(map(rank.__getitem__, values)), ordered
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,9 @@ def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomViolation |
     add, mul, sample = semiring.add, semiring.mul, semiring.sample
     for trial, rng in seeded_trials(trials, seed):
         drawn = sample(rng), sample(rng), sample(rng)
-        ranked = _ranked(semiring, drawn)
-        if ranked is None:
-            (a, b, c), zero, one = drawn, semiring.zero, semiring.one
-        else:  # a max/min carrier: the laws run on ranks, the violation keeps ``drawn``
-            carrier, rank, _ = ranked
-            (a, b, c), zero, one = map(rank.__getitem__, drawn), carrier.zero, carrier.one
+        # Over a max/min carrier the laws run on ranks; the violation keeps ``drawn``.
+        carrier, (a, b, c), _ = _ranked(semiring, drawn)
+        zero, one = carrier.zero, carrier.one
 
         ab = add(a, b)
         if add(ab, c) != add(a, add(b, c)):

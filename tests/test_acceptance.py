@@ -155,8 +155,12 @@ def test_criterion_07_brute_force_oracle():
         assert two.derivation_count == 5
         assert two.interval_form_count == 4
         three = brute_force_classify(3)
-        assert three.predicate_agrees  # sweep verdict == local condition on all 64
         found = {p.positions for p in three.derivation_patterns}
+        positions = list(iter_positions(3))
+        all_64 = (frozenset(p for p, z in zip(positions, bits) if z)
+                  for bits in product((0, 1), repeat=6))
+        # sweep verdict == local condition on all 64
+        assert found == {ps for ps in all_64 if ZeroPattern(3, ps).is_derivation()}
         for mask in enumerate_family_derivations(3):
             assert mask.pattern.positions in found
         assert strip_diagonal(3).positions in found

@@ -8,6 +8,7 @@ import pytest
 
 from trideriv import (
     FUZZY,
+    MINUS_INF,
     ZeroPattern,
     d_m,
     delta_k,
@@ -27,7 +28,7 @@ from trideriv.cli import (
     main,
     verify_work,
 )
-from trideriv.derivations import _segments, _zero_masks, first_failures
+from trideriv.derivations import Witness, _segments, _zero_masks, first_failures
 from trideriv.semirings import _ranked
 
 MAXPLUS_3X3 = (
@@ -342,8 +343,8 @@ OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero abov
 @pytest.mark.parametrize("ranked", [FUZZY, OFF_BOTTOM_FUZZY], ids=["fuzzy", "off-bottom-zero"])
 def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
     twin = replace(ranked, add=lambda a, b: max(a, b))
-    assert _ranked(ranked, (Fraction(1, 4),)) is not None
-    assert _ranked(twin, (Fraction(1, 4),)) is None
+    assert _ranked(ranked, (Fraction(1, 4),))[2] is not None
+    assert _ranked(twin, (Fraction(1, 4),))[2] is None
     maps = runner_maps(n)
     for seed in (0, 631):
         got = first_failures(maps, n, ranked, 12, seed)
@@ -426,6 +427,17 @@ def test_verify_hereditary(capsys):
     )
     assert code == 0
     assert out == "PASS hereditary n=4 trials=50 seed=3\n"
+
+
+def test_verify_hereditary_prints_a_witness(capsys, monkeypatch):
+    witness = Witness((1, 2), MINUS_INF, Fraction(3, 2))
+    monkeypatch.setattr(cli, "leibniz_check", lambda f, a, b: witness)
+    code, out, _ = run(
+        capsys, "verify", "hereditary", "--n", "4", "--trials", "50", "--seed", "3"
+    )
+    assert code == 1
+    # trial 0 draws its shift first from random.Random(3)
+    assert out == "FAIL hereditary n=4 trial=0 shift=14 position=1,2 lhs=-inf rhs=3/2\n"
 
 
 def test_verify_hereditary_requires_maxplus(capsys):

@@ -32,6 +32,13 @@ NATURALS = Semiring(
 )
 
 
+def axioms_commands():
+    for carrier in CARRIERS:
+        for seed in ("0", "631"):
+            for trials in ("1", "200"):
+                yield ("axioms", "--semiring", carrier, "--trials", trials, "--seed", seed)
+
+
 def verify_commands():
     for kind in ("decompose", "hereditary", "leibniz", "theorem2"):
         for carrier in CARRIERS:
@@ -71,6 +78,8 @@ def apply_commands():
 
 
 GROUPS = {
+    "axioms": (axioms_commands, 20,
+               "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 208,
                "52b4a4f939d6bafa1facee6d50fa2fabc74a9d8078e3af27fa40f65d52abf37c"),
     "oracle": (oracle_commands, 3,

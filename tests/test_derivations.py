@@ -196,6 +196,11 @@ def test_sum_is_pointwise_sum():
         assert (d1 + d2)(a) == d1(a) + d2(a)
 
 
+def test_pointwise_sum_needs_a_map():
+    with pytest.raises(ValueError, match=r"^need at least one map$"):
+        pointwise_sum()
+
+
 def test_delta_chain_sum_and_composition():
     n = 5
     for k in range(n + 1):
@@ -513,6 +518,11 @@ def test_pattern_syntax():
         parse_pattern("2,1", 3)  # below the diagonal
     with pytest.raises(ValueError):
         parse_pattern("1;2", 3)
+
+
+def test_pattern_syntax_rejects_a_non_integer_coordinate():
+    with pytest.raises(ValueError, match=r"^bad pattern position '1,x'$"):
+        parse_pattern("1,x", 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,6 +39,13 @@ def all_boolean(n):
 
 # --- builders ----------------------------------------------------------------
 
+def test_constructor_checks_the_entry_count_and_stores_a_tuple():
+    with pytest.raises(ValueError, match=r"^expected 3 entries for n=2, got 2$"):
+        UTMatrix(2, BOOLEAN, (0, 1))
+    matrix = UTMatrix(2, BOOLEAN, [0, 1, 1])
+    assert type(matrix.entries) is tuple and matrix.entries == (0, 1, 1)
+
+
 def test_matrix_unit_boolean():
     e = matrix_unit(2, 1, 2, BOOLEAN)
     assert e[1, 2] == 1 and e[1, 1] == 0 and e[2, 2] == 0

@@ -30,6 +30,7 @@ from trideriv import (
     strip_diagonal,
     triangle_size,
 )
+from trideriv.cli import main
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 8), (3, 64)])
@@ -78,6 +79,17 @@ def test_bitmask_masking_lemma():
 
 # --- classifications ------------------------------------------------------------------
 
+def local_derivations(n):
+    """The positions of every zero pattern at dimension n that passes the
+    local characterization."""
+    positions = list(iter_positions(n))
+    patterns = (
+        frozenset(p for t, p in enumerate(positions) if bits >> t & 1)
+        for bits in range(1 << len(positions))
+    )
+    return {ps for ps in patterns if ZeroPattern(n, ps).is_derivation()}
+
+
 def test_classify_dimension_one():
     report = brute_force_classify(1)
     assert report.total_patterns == 2
@@ -86,7 +98,7 @@ def test_classify_dimension_one():
         frozenset({(1, 1)}),
     }
     assert report.counts == (2, 2, 0)
-    assert report.predicate_agrees
+    assert {p.positions for p in report.derivation_patterns} == local_derivations(1)
 
 
 def test_classify_dimension_two_frozen():
@@ -100,14 +112,14 @@ def test_classify_dimension_two_frozen():
         frozenset({(1, 1), (1, 2), (2, 2)}),
     }
     assert report.counts == (5, 4, 1)
-    assert report.predicate_agrees
+    assert {p.positions for p in report.derivation_patterns} == local_derivations(2)
 
 
 def test_classify_dimension_three():
     report = brute_force_classify(3)
     assert report.total_patterns == 64
-    assert report.predicate_agrees
     found = {p.positions for p in report.derivation_patterns}
+    assert found == local_derivations(3)
     for mask in (MaskDerivation(3, frozenset({i + 1 for i in range(3) if b >> i & 1}))
                  for b in range(8)):
         assert mask.pattern.positions in found
@@ -234,6 +246,21 @@ def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
     monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: False)
     with pytest.raises(RuntimeError):
         exhaustive_leibniz_witness(MaskDerivation(3, {2}))
+
+
+def test_exhaustive_witness_raises_when_is_derivation_accepts_a_witness(monkeypatch):
+    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: True)
+    with pytest.raises(RuntimeError, match="local characterization disagrees"):
+        exhaustive_leibniz_witness(delta_k(3, 1).compose(d_m(3, 1)))
+
+
+def test_classify_raises_when_routes_disagree(monkeypatch):
+    real = ZeroPattern.is_derivation
+    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: not real(self))
+    with pytest.raises(RuntimeError, match=r"no boolean witness for pattern '', but"):
+        brute_force_classify(2)
+    with pytest.raises(RuntimeError):  # the CLI ends as `verify --exhaustive` does
+        main(["oracle", "--n", "2"])
 
 
 def test_format_report_lines():

@@ -102,6 +102,58 @@ def test_check_axioms_catches_non_idempotent_addition():
     assert a + a != a  # the witness really violates the law
 
 
+# (max, min) on the chain 0..3: a semiring.  Each entry of LAW_BREAKERS changes
+# it so that exactly one law breaks on 0..3, so check_axioms must name that law.
+CHAIN = Semiring(
+    name="chain",
+    add=max,
+    mul=min,
+    zero=0,
+    one=3,
+    contains=lambda v: v in range(4),
+    parse_element=int,
+    format_element=str,
+    sample=lambda rng: rng.randint(0, 3),
+)
+
+
+def band(pick):
+    """A product where 0 absorbs, 1 is neutral, and any other a * b is pick(a, b)."""
+    return lambda a, b: 0 if 0 in (a, b) else b if a == 1 else a if b == 1 else pick(a, b)
+
+
+LAW_BREAKERS = {
+    # 0 is neutral and two distinct elements of 1..3 add to the third; the cyclic
+    # group on 1..3 (1 neutral, 0 absorbing) permutes 1..3, so it distributes.
+    "add-associative": dict(
+        add=lambda a, b: a if a == b else a + b if 0 in (a, b) else 6 - a - b,
+        mul=lambda a, b: 0 if 0 in (a, b) else (a + b - 2) % 3 + 1,
+        one=1,
+    ),
+    "add-commutative": dict(add=lambda a, b: a),
+    "add-idempotent": dict(add=lambda a, b: a + b),
+    "add-zero-neutral": dict(zero=2),
+    # monotone, with 3 neutral and 0 absorbing, but (2 * 2) * 2 = 0 != 2 * (2 * 2) = 1
+    "mul-associative": dict(mul=lambda a, b: min(a, b) if {a, b} & {0, 3} else a - 1),
+    "mul-one-neutral": dict(one=1),
+    "mul-zero-absorbing": dict(mul=max, one=0),
+    # 3 * 2 = 2 < 3 * 1 = 3: a * x is not monotone in x, but x * a is
+    "mul-distributes-left": dict(mul=band(lambda a, b: b), one=1),
+    # 2 * 3 = 2 < 1 * 3 = 3: x * a is not monotone in x, but a * x is
+    "mul-distributes-right": dict(mul=band(lambda a, b: a), one=1),
+}
+
+
+def test_chain_passes_every_law():
+    assert check_axioms(CHAIN, 200, seed=0) is None
+
+
+@pytest.mark.parametrize("law", LAW_BREAKERS)
+def test_check_axioms_names_each_broken_law(law):
+    violation = check_axioms(replace(CHAIN, **LAW_BREAKERS[law]), 200, seed=0)
+    assert violation is not None and violation.law == law
+
+
 def test_check_axioms_deterministic():
     first = check_axioms(naturals(), 10, seed=1)
     second = check_axioms(naturals(), 10, seed=1)
@@ -128,7 +180,7 @@ def element_types(violation):
 @pytest.mark.parametrize("ranked, twin", RANKED_TWINS, ids=["fuzzy", "off-bottom-zero"])
 def test_check_axioms_on_ranks_matches_unranked_twin(ranked, twin):
     drawn = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-    assert _ranked(ranked, drawn) is not None and _ranked(twin, drawn) is None
+    assert _ranked(ranked, drawn)[2] is not None and _ranked(twin, drawn)[2] is None
     got, expected = check_axioms(ranked, 500, seed=631), check_axioms(twin, 500, seed=631)
     assert got == expected
     assert element_types(got) == element_types(expected)
@@ -137,11 +189,12 @@ def test_check_axioms_on_ranks_matches_unranked_twin(ranked, twin):
 
 
 def test_ranks_skip_int_carriers_and_keep_the_order():
-    assert _ranked(MAXPLUS, (1, 2)) is None
-    assert _ranked(BOOLEAN, (0, 1, 1)) is None
-    carrier, rank, values = _ranked(OFF_BOTTOM_FUZZY, (Fraction(3, 4), Fraction(1, 4)))
+    assert _ranked(MAXPLUS, (1, 2)) == (MAXPLUS, (1, 2), None)
+    assert _ranked(BOOLEAN, (0, 1, 1)) == (BOOLEAN, (0, 1, 1), None)
+    drawn = (Fraction(3, 4), Fraction(1, 4))
+    carrier, ranks, values = _ranked(OFF_BOTTOM_FUZZY, drawn)
     assert values == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    assert rank == {v: r for r, v in enumerate(values)}
+    assert ranks == (2, 0) and tuple(values[r] for r in ranks) == drawn
     assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (max, min, 1, 3)
 
 
