@@ -3,9 +3,11 @@
 Every subcommand prints deterministic, grep-friendly lines (``PASS``/
 ``FAIL`` prefixes for verification verdicts) and follows one exit-code
 contract: 0 all checked properties hold, 1 a property violation was
-found (witness printed), 2 usage, parse, or capacity error.  Random
-trials come from :func:`~trideriv.semirings.seeded_trials`, so any
-reported trial index is reproducible on its own.
+found (witness printed) or the oracle's two routes disagreed (message on
+stderr), 2 usage, parse, or capacity error.  Random trials come from
+:func:`~trideriv.semirings.seeded_trials`, so any reported trial index is
+reproducible on its own, and an exhaustive ``FAIL`` line names its pair by
+the :func:`~trideriv.oracle.matrix_bits` indices.
 """
 
 from __future__ import annotations
@@ -37,15 +39,17 @@ from .oracle import (
     brute_force_classify,
     exhaustive_leibniz_witness,
     format_report,
+    matrix_bits,
 )
 from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
-AXIOM_TRIALS_LIMIT = 10**6  # about 60 s on fuzzy, the slowest carrier; 20 s on the others
+AXIOM_TRIALS_LIMIT = 10**6  # about 32 s on fuzzy, the slowest carrier; 16-19 s on the others
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
-# Seeded ``verify`` runs cost about 0.03-0.5 us per unit of verify_work on a
-# 2-core VM (leibniz and theorem2 at the low end), so this caps a run at minutes.
+# Seeded ``verify`` runs cost about 0.004-1.7 us per unit of verify_work on a
+# 2-core VM (leibniz and theorem2 below 0.07 for n >= 6; the high end is
+# hereditary at n = 4), so this caps a run at about half an hour.
 VERIFY_WORK_LIMIT = 10**9
 
 
@@ -120,11 +124,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # --- verify ----------------------------------------------------------------------
 
 def _failures(maps, args: argparse.Namespace, semiring: Semiring):
-    """:func:`first_failures`, or with ``--exhaustive`` the boolean sweep (trial None)."""
+    """Each map's first failure as (where, check-name, witness), else None:
+    from :func:`first_failures` (where ``trial=t``), or with ``--exhaustive``
+    from the boolean sweep (where names the pair's enumeration indices)."""
     if not args.exhaustive:
-        return first_failures(maps, args.n, semiring, args.trials, args.seed)
+        found = first_failures(maps, args.n, semiring, args.trials, args.seed)
+        return [None if f is None else (f"trial={f[0]}", *f[1:]) for f in found]
     found = [exhaustive_leibniz_witness(fn) for fn in maps]
-    return [None if f is None else (None, "leibniz", f[2]) for f in found]
+    return [
+        None if f is None
+        else (f"exhaustive a_bits={matrix_bits(f[0])} b_bits={matrix_bits(f[1])}", "leibniz", f[2])
+        for f in found
+    ]
 
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
@@ -135,8 +146,7 @@ def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
         if failure is None:
             print(f"PASS leibniz n={args.n} semiring={semiring.name} zero_set={zs}")
         else:
-            trial, check, witness = failure
-            where = "exhaustive" if trial is None else f"trial={trial}"
+            where, check, witness = failure
             print(
                 f"FAIL {check} n={args.n} semiring={semiring.name} zero_set={zs} "
                 f"{where} {_witness_fields(semiring, witness)}"
@@ -300,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # the oracle's two routes disagree
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from .matrices import (
     UTMatrix,
@@ -292,6 +292,39 @@ def _zero_masks(f: Any, n: int, caller: str) -> tuple[int, int]:
     return rows, cols
 
 
+def _bitset(indices: list[int]) -> int:
+    """The int with exactly the bits ``indices`` set (ascending)."""
+    bits = bytearray(indices[-1] // 8 + 1)
+    for index in indices:
+        bits[index >> 3] |= 1 << (index & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The indices of the set bits of ``bits``, lowest first."""
+    digits = bin(bits)[:1:-1]
+    index = digits.find("1")
+    while index >= 0:
+        yield index
+        index = digits.find("1", index + 1)
+
+
+def _leibniz_groups(masks: list[tuple[int, int]], n: int) -> list[list[tuple]]:
+    """Per cell (i, j), row-major: the maps grouped by their zero bits in the
+    cell's row and column segments, as (row key, column key, whether (i, j)
+    itself is zeroed, members as a bitset, lowest member)."""
+    groups = []
+    for (i, j), (row_start, col_start, width) in zip(iter_positions(n), _segments(n)):
+        by_key: dict[tuple[int, int], list[int]] = {}
+        for index, (rows, cols) in enumerate(masks):
+            by_key.setdefault((rows >> row_start & width, cols >> col_start & width), []).append(index)
+        groups.append([
+            (row_key, col_key, row_key >> (j - i) & 1, _bitset(members), members[0])
+            for (row_key, col_key), members in by_key.items()
+        ])
+    return groups
+
+
 def first_failures(maps, n, semiring, trials, seed):
     """Each map's first failing (trial, check-name, witness), else None.
 
@@ -300,25 +333,36 @@ def first_failures(maps, n, semiring, trials, seed):
     once per trial; each map still unfailed is checked for Leibniz, then
     linearity.  Stops early once every map has failed.
 
-    The right-hand side f(A)B + Af(B) is built cell by cell from two
-    memos that live for one trial.  Cell (i, j) of f(A)B depends on the
-    map only through its zero bits in the row segment (i, i..j), and of
-    Af(B) only through those in the column segment (i..j, j); these bits,
-    cut from :func:`_zero_masks`, key the memos, and the empty key holds
-    AB's own cell.  A miss runs the product's own fold
-    (:func:`~trideriv.matrices._fold_cell`) on the same operand objects in
-    the same order, so every value, verdict and witness equals the one
-    the two full products give, with no semiring axiom assumed.
+    A map's Leibniz verdict at cell (i, j) depends on the map only through
+    its zero bits in the row segment (i, i..j) and the column segment
+    (i..j, j), cut from :func:`_zero_masks`: f(AB)'s cell is zero or AB's
+    by the bit of (i, j) itself, f(A)B's cell is the fold over the row
+    segment and Af(B)'s over the column segment.  So the maps are grouped
+    once per call by these two keys, cell by cell, and each trial walks
+    the cells in row-major order computing one verdict per group with a
+    member still live; a differing group fails all its live members at
+    that cell, which is the first difference the full matrices would
+    show.  The folds are memoised per cell and side by the side's key,
+    the empty key holding AB's own cell; a miss runs the product's own
+    fold (:func:`~trideriv.matrices._fold_cell`) on f(A) or f(B) of one
+    member.  Linearity needs two facts per trial: the cells where
+    A + B differs from add(a, b) (kept cells) and whether add(zero, zero)
+    differs from zero (zeroed cells); a map's first failing cell is the
+    lowest bit of one bitmask expression.  Every value is computed by the
+    same carrier calls on the same operand objects as f(AB), f(A)B + Af(B),
+    f(A + B) and f(A) + f(B) would be, so every verdict and witness equals
+    theirs, with no semiring axiom assumed.
 
-    Over a max/min carrier each trial runs on the int ranks of its drawn
+    Over a max/min carrier each trial runs on int keys of its drawn
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
     are mapped back to the drawn ones.
     """
     masks = [_zero_masks(fn, n, "trial runner") for fn in maps]
-    plan, segments, add = _mul_plan(n), _segments(n), semiring.add
+    groups = _leibniz_groups(masks, n)
+    plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     failures = [None] * len(maps)
-    unfailed = list(range(len(maps)))
+    unfailed = (1 << len(maps)) - 1
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
             break
@@ -326,40 +370,60 @@ def first_failures(maps, n, semiring, trials, seed):
         carrier, entries, values = _ranked(semiring, a.entries + b.entries)
         a = UTMatrix._trusted(n, carrier, entries[:size])
         b = UTMatrix._trusted(n, carrier, entries[size:])
+        add, zero = carrier.add, carrier.zero
         ab, a_plus_b = a * b, a + b
-        left = [{0: x} for x in ab.entries]  # f(A)B by row-segment zero bits
-        right = [{0: x} for x in ab.entries]  # Af(B) by column-segment zero bits
-        still = []
-        for index in unfailed:
-            fn = maps[index]
-            rows, cols = masks[index]
-            fa, fb = fn(a), fn(b)
-            rhs = []
-            for (row_start, col_start, width), pairs, left_memo, right_memo in zip(
-                segments, plan, left, right
-            ):
-                key = rows >> row_start & width
-                try:
-                    x = left_memo[key]
-                except KeyError:
-                    x = left_memo[key] = _fold_cell(carrier, pairs, fa.entries, b.entries)
-                key = cols >> col_start & width
-                try:
-                    y = right_memo[key]
-                except KeyError:
-                    y = right_memo[key] = _fold_cell(carrier, pairs, a.entries, fb.entries)
-                rhs.append(add(x, y))
-            check = "leibniz"
-            witness = first_difference(fn(ab), UTMatrix._trusted(n, carrier, tuple(rhs)))
-            if witness is None:
-                check, witness = "linearity", first_difference(fn(a_plus_b), fa + fb)
-            if witness is None:
-                still.append(index)
-                continue
+
+        def fail(check: str, position: tuple[int, int], lhs: Any, rhs: Any) -> tuple:
             if values is not None:
-                witness = Witness(witness.position, values[witness.lhs], values[witness.rhs])
-            failures[index] = trial, check, witness
-        unfailed = still
+                lhs, rhs = values[lhs], values[rhs]
+            return trial, check, Witness(position, lhs, rhs)
+
+        fa_of: dict[int, tuple] = {}  # f(A) and f(B) entries by map index,
+        fb_of: dict[int, tuple] = {}  # built for a fold miss only
+        live = unfailed
+        for position, cell_groups, pairs, ab_cell in zip(positions, groups, plan, ab.entries):
+            left, right = {0: ab_cell}, {0: ab_cell}  # f(A)B and Af(B) folds by key
+            for row_key, col_key, own, members, first in cell_groups:
+                hit = members & live
+                if not hit:
+                    continue
+                try:
+                    x = left[row_key]
+                except KeyError:
+                    if first not in fa_of:
+                        fa_of[first] = maps[first](a).entries
+                    x = left[row_key] = _fold_cell(carrier, pairs, fa_of[first], b.entries)
+                try:
+                    y = right[col_key]
+                except KeyError:
+                    if first not in fb_of:
+                        fb_of[first] = maps[first](b).entries
+                    y = right[col_key] = _fold_cell(carrier, pairs, a.entries, fb_of[first])
+                lhs, rhs = zero if own else ab_cell, add(x, y)
+                if lhs != rhs:
+                    live ^= hit
+                    failure = fail("leibniz", position, lhs, rhs)
+                    for index in _members(hit):
+                        failures[index] = failure
+            if not live:
+                break
+
+        # f(A + B) against f(A) + f(B): (A + B)_t against add(a_t, b_t) at a
+        # kept cell t, zero against add(zero, zero) at a zeroed one.
+        sums = tuple(map(add, a.entries, b.entries))
+        kept_differ = sum(1 << t for t, (x, y) in enumerate(zip(a_plus_b.entries, sums)) if x != y)
+        zero_sum = add(zero, zero)
+        zeroed_differ = -1 if zero_sum != zero else 0  # every bit, or none
+        if kept_differ or zeroed_differ:
+            for index in _members(live):
+                rows = masks[index][0]
+                differ = kept_differ & ~rows | zeroed_differ & rows
+                if differ:
+                    t = (differ & -differ).bit_length() - 1
+                    lhs, rhs = (zero, zero_sum) if rows >> t & 1 else (a_plus_b.entries[t], sums[t])
+                    failures[index] = fail("linearity", positions[t], lhs, rhs)
+                    live ^= 1 << index
+        unfailed = live
     return failures
 
 

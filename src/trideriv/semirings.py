@@ -9,6 +9,7 @@ plain ``==``; nothing is ever compared approximately.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -186,30 +187,33 @@ def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]
     return ((t, random.Random(seed + t)) for t in range(trials))
 
 
-def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, list | None]:
-    """The carrier a check computes on, ``values`` in it, and rank -> value.
+def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | None]:
+    """The carrier a check computes on, ``values`` in it, and key -> value.
 
-    A max/min carrier's ``values``, ``zero`` and ``one`` become int ranks:
-    ``max`` and ``min`` commute with every order embedding, so a check
-    whose every value is built from these by ``add`` and ``mul`` gives the
-    same verdicts on the ranks, and its witnesses map back through the
-    rank -> value list.  ``zero`` and ``one`` are ranked like any other
-    value, so no semiring law is assumed.  Condition: the values are
-    totally ordered by ``<``, and equal values share a type (true of ``int``
-    and ``Fraction``), so a mapped-back value has the type the check would
-    have produced.  Any other carrier, and one whose every value is
-    already an ``int`` (ranks would not make it cheaper), gives
-    ``(semiring, values, None)``.
+    A max/min carrier's ``values``, ``zero`` and ``one`` become int keys:
+    each p/q is scaled to p·(L/q), with L the lcm of the denominators.
+    This is an order embedding, and ``max`` and ``min`` commute with every
+    order embedding, so a check whose every value is built from these by
+    ``add`` and ``mul`` gives the same verdicts on the keys, and its
+    witnesses map back through the key -> value dict.  ``zero`` and ``one``
+    are scaled like any other value, so no semiring law is assumed.
+    Condition: every value, ``zero`` and ``one`` included, is an ``int``
+    or a ``Fraction``, not all of them ``int`` (keys would not make an
+    all-``int`` check cheaper), and equal values share a type, so a
+    mapped-back value has the type the check would have produced.  Any
+    other carrier or values give ``(semiring, values, None)``.
     """
-    zero, one = semiring.zero, semiring.one
     if semiring.add is not max or semiring.mul is not min:
         return semiring, values, None
-    if all(isinstance(v, int) for v in (zero, one, *values)):
+    every = (semiring.zero, semiring.one, *values)
+    types = set(map(type, every))
+    if Fraction not in types or not types <= {int, Fraction}:
         return semiring, values, None
-    ordered = sorted({*values, zero, one})
-    rank = {value: r for r, value in enumerate(ordered)}
-    carrier = replace(semiring, zero=rank[zero], one=rank[one])
-    return carrier, tuple(map(rank.__getitem__, values)), ordered
+    ratios = [v.as_integer_ratio() for v in every]
+    scale = math.lcm(*{q for _, q in ratios})
+    keys = [p * (scale // q) for p, q in ratios]
+    carrier = replace(semiring, zero=keys[0], one=keys[1])
+    return carrier, tuple(keys[2:]), dict(zip(keys, every))
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomViolation |
     add, mul, sample = semiring.add, semiring.mul, semiring.sample
     for trial, rng in seeded_trials(trials, seed):
         drawn = sample(rng), sample(rng), sample(rng)
-        # Over a max/min carrier the laws run on ranks; the violation keeps ``drawn``.
+        # Over a max/min carrier the laws run on int keys; the violation keeps ``drawn``.
         carrier, (a, b, c), _ = _ranked(semiring, drawn)
         zero, one = carrier.zero, carrier.one
 

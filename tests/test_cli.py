@@ -1,5 +1,6 @@
 """Exit-code contract, output formats, and byte-determinism of the CLI."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from trideriv import (
     d_m,
     delta_k,
     enumerate_family_derivations,
+    enumerate_matrices,
     get_semiring,
     iter_positions,
     leibniz_check,
@@ -29,7 +31,7 @@ from trideriv.cli import (
     verify_work,
 )
 from trideriv.derivations import Witness, _segments, _zero_masks, first_failures
-from trideriv.semirings import _ranked
+from trideriv.semirings import Semiring, _ranked
 
 MAXPLUS_3X3 = (
     "utm n=3 semiring=maxplus\n"
@@ -257,6 +259,35 @@ def test_verify_leibniz_exhaustive_boolean(capsys):
     assert len(out.splitlines()) == 4
 
 
+def test_exhaustive_fail_line_replays_from_its_pair(capsys, monkeypatch):
+    """An exhaustive FAIL line names its pair by enumeration index: rebuilding
+    the pair from that line alone gives the printed witness."""
+    def broken(mask):  # zeroing (1, n) as well breaks Leibniz unless all is zeroed
+        return ZeroPattern(mask.n, mask.pattern.positions | {(1, mask.n)})
+
+    real = cli.exhaustive_leibniz_witness
+    monkeypatch.setattr(cli, "exhaustive_leibniz_witness", lambda f: real(broken(f)))
+    code, out, _ = run(
+        capsys, "verify", "leibniz", "--n", "3", "--semiring", "boolean", "--exhaustive"
+    )
+    assert code == 1
+    mats = list(enumerate_matrices(3))
+    fails = 0
+    for mask, line in zip(enumerate_family_derivations(3), out.splitlines()):
+        if line.startswith("PASS"):
+            continue
+        fields = dict(token.split("=") for token in line.split() if "=" in token)
+        assert line.split()[:2] == ["FAIL", "leibniz"] and " exhaustive a_bits=" in line
+        a, b = mats[int(fields["a_bits"])], mats[int(fields["b_bits"])]
+        witness = leibniz_check(broken(mask), a, b)
+        assert witness is not None
+        assert (fields["position"], fields["lhs"], fields["rhs"]) == (
+            "{},{}".format(*witness.position), str(witness.lhs), str(witness.rhs)
+        )
+        fails += 1
+    assert fails == 7  # every mask but the all-zeroing one
+
+
 def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
     code, _, err = run(capsys, "verify", "leibniz", "--n", "3", "--exhaustive")
     assert code == 2
@@ -308,20 +339,71 @@ def random_non_derivations(n, count):
     return found
 
 
+NATURALS = Semiring(  # ordinary (N, +, *): add is not idempotent, Leibniz fails early
+    name="naturals",
+    add=lambda a, b: a + b,
+    mul=lambda a, b: a * b,
+    zero=0,
+    one=1,
+    contains=lambda v: isinstance(v, int) and v >= 0,
+    parse_element=int,
+    format_element=str,
+    sample=lambda rng: rng.randint(0, 3),
+)
+
+
+def drifting_add(a, b):
+    """max, except on {0, 1}: 0 + 0 = 1, 1 + 0 = 0 + 1 = 1 and 1 + 1 = 0."""
+    return max(a, b) if max(a, b) > 1 else 1 - a if a == b else 1
+
+
+# add(zero, zero) != zero, yet a mask derivation's zeroed cells still pass
+# Leibniz (the all-zero folds give 1 on each side and 1 + 1 = 0), so its
+# zeroed cells fail linearity instead; a drawn 0 breaks Leibniz at kept cells.
+DRIFTING_ZERO = Semiring(
+    name="drifting-zero",
+    add=drifting_add,
+    mul=min,
+    zero=0,
+    one=5,
+    contains=lambda v: v in range(6),
+    parse_element=int,
+    format_element=str,
+    sample=lambda rng: 0 if rng.random() < 0.02 else rng.randint(2, 5),
+)
+
+
+def one_side_maps(n):
+    """Zero the first row, whose Leibniz witness comes from the Af(B) fold
+    alone, and the last column, whose witness comes from f(A)B alone."""
+    return [
+        ZeroPattern(n, {(1, j) for j in range(1, n + 1)}),
+        ZeroPattern(n, {(i, n) for i in range(1, n + 1)}),
+    ]
+
+
 def runner_maps(n):
-    """The theorem-2 compositions, the family masks and some non-derivations."""
+    """The theorem-2 compositions, the family masks, some non-derivations,
+    the one-side maps, and duplicates, which share every group with their
+    originals."""
     maps = [
         delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)
     ]
     maps += enumerate_family_derivations(n)
     maps.append(ZeroPattern(n, {(1, n)}))  # not a derivation for n >= 2
-    return maps + random_non_derivations(n, 20)
+    maps += random_non_derivations(n, 20) + one_side_maps(n)
+    return maps + maps[::7]
+
+
+# The laws fail on these: N's add is not idempotent, and over DRIFTING_ZERO
+# the mask derivations fail linearity.
+LAW_BREAKERS = {"naturals": NATURALS, "drifting-zero": DRIFTING_ZERO}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy", "boolean"])
+@pytest.mark.parametrize("name", ["maxplus", "minplus", "fuzzy", "boolean", *LAW_BREAKERS])
 def test_trial_runner_matches_per_map_loop(name, n):
-    semiring = get_semiring(name)
+    semiring = LAW_BREAKERS.get(name) or get_semiring(name)
     maps = runner_maps(n)
     for seed in (0, 631):
         expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
@@ -329,6 +411,8 @@ def test_trial_runner_matches_per_map_loop(name, n):
         assert got == expected
         # Witness compares with ==, which lets Fraction(8) stand for 8.
         assert witness_types(got) == witness_types(expected)
+        if name == "drifting-zero" and n >= 2:  # both checks' paths are reached
+            assert {f[1] for f in got if f is not None} == {"leibniz", "linearity"}
 
 
 def witness_types(failures):
@@ -337,10 +421,20 @@ def witness_types(failures):
 
 # A lambda add fails ``add is max``, so each twin runs its carrier without ranks.
 OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
+# Thirds, sevenths and twelfths: the rank keys need a common scale, not only a sort.
+MIXED_FUZZY = replace(
+    FUZZY,
+    sample=lambda rng: Fraction(rng.randint(0, 21), 21)
+    if rng.random() < 0.5 else Fraction(rng.randint(0, 12), 12),
+)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("ranked", [FUZZY, OFF_BOTTOM_FUZZY], ids=["fuzzy", "off-bottom-zero"])
+@pytest.mark.parametrize(
+    "ranked",
+    [FUZZY, OFF_BOTTOM_FUZZY, MIXED_FUZZY],
+    ids=["fuzzy", "off-bottom-zero", "mixed-denominators"],
+)
 def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
     twin = replace(ranked, add=lambda a, b: max(a, b))
     assert _ranked(ranked, (Fraction(1, 4),))[2] is not None
@@ -351,6 +445,43 @@ def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
         expected = first_failures(maps, n, twin, 12, seed)
         assert got == expected
         assert witness_types(got) == witness_types(expected)
+
+
+def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():
+    """A kept cell whose sum is a fresh NaN: (A + B)_t != add(a_t, b_t) even
+    though both are the same call, so linearity fails there, as the per-map
+    loop finds.  Only n = 1 keeps the NaN out of every product cell."""
+    poison = replace(
+        get_semiring("maxplus"),
+        add=lambda a, b: float("nan") if {a, b} == {2, 3} else max(a, b),
+        mul=min,
+        zero=0,
+        sample=lambda rng: rng.randint(2, 3),
+    )
+    maps = [delta_k(1, 1), delta_k(1, 0)]  # keep the cell, zero it
+    got = first_failures(maps, 1, poison, 12, 0)
+    expected = [reference_first_failure(f, 1, poison, 12, 0) for f in maps]
+    assert got[1] is None is expected[1]
+    (trial, check, witness), (trial0, check0, witness0) = got[0], expected[0]
+    assert (trial, check, witness.position) == (trial0, check0, witness0.position)
+    assert check == "linearity" and math.isnan(witness.lhs) and math.isnan(witness.rhs)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_trial_runner_witness_from_one_fold_side(n):
+    semiring = get_semiring("maxplus")
+    maps = one_side_maps(n)
+    failures = first_failures(maps, n, semiring, 20, 5)
+    positions = list(iter_positions(n))
+    sides = []
+    for fn, (trial, check, witness) in zip(maps, failures):
+        rng = random.Random(5 + trial)
+        a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
+        t = positions.index(witness.position)
+        left, right = (fn(a) * b).entries[t], (a * fn(b)).entries[t]
+        assert (check, witness.lhs, witness.rhs) == ("leibniz", MINUS_INF, max(left, right))
+        sides.append((left == MINUS_INF, right == MINUS_INF))
+    assert sides == [(True, False), (False, True)]
 
 
 @pytest.mark.parametrize("fn", [lambda m: m, strip_diagonal(3).__call__, "not a map"])

@@ -254,13 +254,23 @@ def test_exhaustive_witness_raises_when_is_derivation_accepts_a_witness(monkeypa
         exhaustive_leibniz_witness(delta_k(3, 1).compose(d_m(3, 1)))
 
 
-def test_classify_raises_when_routes_disagree(monkeypatch):
+def test_classify_raises_when_routes_disagree(monkeypatch, capsys):
     real = ZeroPattern.is_derivation
     monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: not real(self))
     with pytest.raises(RuntimeError, match=r"no boolean witness for pattern '', but"):
         brute_force_classify(2)
-    with pytest.raises(RuntimeError):  # the CLI ends as `verify --exhaustive` does
-        main(["oracle", "--n", "2"])
+    # The CLI reports the disagreement as one error line, exit 1, no traceback.
+    for argv in (
+        ["oracle", "--n", "2"],
+        ["verify", "leibniz", "--n", "2", "--semiring", "boolean", "--exhaustive"],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: product table finds no boolean witness for pattern '', "
+            "but the local characterization disagrees\n"
+        )
 
 
 def test_format_report_lines():

@@ -192,10 +192,50 @@ def test_ranks_skip_int_carriers_and_keep_the_order():
     assert _ranked(MAXPLUS, (1, 2)) == (MAXPLUS, (1, 2), None)
     assert _ranked(BOOLEAN, (0, 1, 1)) == (BOOLEAN, (0, 1, 1), None)
     drawn = (Fraction(3, 4), Fraction(1, 4))
-    carrier, ranks, values = _ranked(OFF_BOTTOM_FUZZY, drawn)
-    assert values == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    assert ranks == (2, 0) and tuple(values[r] for r in ranks) == drawn
-    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (max, min, 1, 3)
+    carrier, keys, values = _ranked(OFF_BOTTOM_FUZZY, drawn)
+    assert values == {1: Fraction(1, 4), 2: Fraction(1, 2), 3: Fraction(3, 4), 4: Fraction(1)}
+    assert keys == (3, 1) and tuple(values[k] for k in keys) == drawn
+    assert all(type(k) is int for k in values)
+    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (max, min, 2, 4)
+
+
+def test_ranks_scale_mixed_denominators_to_order_keeping_ints():
+    drawn = (Fraction(2, 3), Fraction(5, 7), Fraction(1, 2), Fraction(2, 3), Fraction(0))
+    carrier, keys, values = _ranked(FUZZY, drawn)
+    assert (carrier.zero, carrier.one) == (0, 42)  # lcm(1, 3, 7, 2) = 42
+    assert keys == (28, 30, 21, 28, 0)
+    assert tuple(values[k] for k in keys) == drawn
+    assert all(type(values[k]) is Fraction for k in keys)
+    for x, kx in zip(drawn, keys):  # an order embedding: < and == are kept
+        for y, ky in zip(drawn, keys):
+            assert (x < y, x == y) == (kx < ky, kx == ky)
+
+
+@pytest.mark.parametrize(
+    "semiring, values",
+    [(FUZZY, (0.5, Fraction(1, 4))), (FUZZY, (True, Fraction(1, 4))), (CHAIN, (0, 2, 3))],
+    ids=["float", "bool", "all-int"],
+)
+def test_ranks_only_for_int_and_fraction_not_all_int(semiring, values):
+    assert _ranked(semiring, values) == (semiring, values, None)
+
+
+# Thirds, fifths, sevenths and twelfths: the keys need a scale, not only a sort.
+MIXED_FUZZY = replace(
+    FUZZY,
+    sample=lambda rng: Fraction(rng.randint(0, 105), 105)
+    if rng.random() < 0.5 else Fraction(rng.randint(0, 12), 12),
+)
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), Fraction(2, 7)], ids=["fuzzy", "off-bottom-zero"])
+def test_check_axioms_on_mixed_denominators_matches_unranked_twin(zero):
+    ranked = replace(MIXED_FUZZY, zero=zero)
+    twin = replace(ranked, add=lambda a, b: max(a, b))
+    got, expected = check_axioms(ranked, 300, seed=5), check_axioms(twin, 300, seed=5)
+    assert got == expected
+    assert element_types(got) == element_types(expected)
+    assert (got is None) == (zero == 0)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
