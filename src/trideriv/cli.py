@@ -47,9 +47,10 @@ from .shifts import ShiftDerivation
 AXIOM_TRIALS_LIMIT = 10**6  # about 32 s on fuzzy, the slowest carrier; 16-19 s on the others
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
-# Seeded ``verify`` runs cost about 0.004-1.7 us per unit of verify_work on a
-# 2-core VM (leibniz and theorem2 below 0.07 for n >= 6; the high end is
-# hereditary at n = 4), so this caps a run at about half an hour.
+# Seeded ``verify`` runs cost about 0.006-1.3 us per unit of verify_work on a
+# 2-core VM (leibniz 0.006-0.012 at n = 12..17, leibniz and theorem2 below 0.06
+# for n >= 6; the high end is hereditary at n = 4), so this caps a run at about
+# 20-30 minutes.
 VERIFY_WORK_LIMIT = 10**9
 
 

@@ -267,37 +267,22 @@ def pointwise_sum(*maps: MatrixMap) -> MatrixMap:
 
 # --- the seeded trial runner -------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _segments(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per cell (i, j), row-major: the starts of its row segment (i, i..j) in a
-    row-major and its column segment (i..j, j) in a column-major bitmask, and
-    their width as ones."""
-    return tuple(
-        (_offset(n, i, i), j * (j - 1) // 2 + i - 1, (1 << (j - i + 1)) - 1)
-        for i, j in iter_positions(n)
-    )
-
-
-def _zero_masks(f: Any, n: int, caller: str) -> tuple[int, int]:
-    """The entries a mask map zeroes, as a row-major and a column-major bitmask;
-    any other map raises TypeError, naming ``caller``."""
+def _zeroed(f: Any, n: int, caller: str) -> tuple[int, ...]:
+    """The row-major offsets of the entries a mask map zeroes; any other map
+    raises TypeError, naming ``caller``."""
     _check_mask_map(f, caller)
     ensure_same_dimension(f.n, n)
-    zeroed = _mask_offsets(n, f.zero_set) if isinstance(f, MaskDerivation) else f._zeroed
-    segments = _segments(n)
-    rows = cols = 0
-    for t in zeroed:
-        rows |= 1 << t
-        cols |= 1 << segments[t][1]  # cell t's column segment starts at cell t
-    return rows, cols
+    return _mask_offsets(n, f.zero_set) if isinstance(f, MaskDerivation) else f._zeroed
 
 
-def _bitset(indices: list[int]) -> int:
-    """The int with exactly the bits ``indices`` set (ascending)."""
-    bits = bytearray(indices[-1] // 8 + 1)
-    for index in indices:
-        bits[index >> 3] |= 1 << (index & 7)
-    return int.from_bytes(bits, "little")
+def _zeroing(maps: list, n: int) -> list[int]:
+    """Per cell, row-major: the bitset of the indices of the maps that zero it."""
+    cells = [bytearray(len(maps) // 8 + 1) for _ in range(len(_mul_plan(n)))]
+    for index, fn in enumerate(maps):
+        byte, bit = index >> 3, 1 << (index & 7)
+        for t in _zeroed(fn, n, "trial runner"):
+            cells[t][byte] |= bit
+    return [int.from_bytes(cell, "little") for cell in cells]
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -309,19 +294,34 @@ def _members(bits: int) -> Iterator[int]:
         index = digits.find("1", index + 1)
 
 
-def _leibniz_groups(masks: list[tuple[int, int]], n: int) -> list[list[tuple]]:
-    """Per cell (i, j), row-major: the maps grouped by their zero bits in the
-    cell's row and column segments, as (row key, column key, whether (i, j)
-    itself is zeroed, members as a bitset, lowest member)."""
+def _split(members: int, bitsets: list[int]) -> list[tuple[int, int]]:
+    """Cut ``members`` by each of ``bitsets`` in turn: the nonempty parts, each
+    with a key whose bit k says that the part lies in ``bitsets[k]``."""
+    parts = [(0, members)]
+    for k, bitset in enumerate(bitsets):
+        parts = [
+            (key | bit, cut)
+            for key, part in parts
+            for bit, cut in ((0, part & ~bitset), (1 << k, part & bitset))
+            if cut
+        ]
+    return parts
+
+
+def _leibniz_groups(zeroing: list[int], n: int, count: int) -> list[list[tuple]]:
+    """Per cell (i, j), row-major: the ``count`` maps grouped by which cells of
+    the row segment (i, i..j) and the column segment (i..j, j) they zero (key
+    bit k - i for (i, k) or (k, j)), as (row key, column key, whether (i, j)
+    is zeroed, members as a bitset, lowest member), lowest member first."""
     groups = []
-    for (i, j), (row_start, col_start, width) in zip(iter_positions(n), _segments(n)):
-        by_key: dict[tuple[int, int], list[int]] = {}
-        for index, (rows, cols) in enumerate(masks):
-            by_key.setdefault((rows >> row_start & width, cols >> col_start & width), []).append(index)
-        groups.append([
-            (row_key, col_key, row_key >> (j - i) & 1, _bitset(members), members[0])
-            for (row_key, col_key), members in by_key.items()
-        ])
+    for pairs in _mul_plan(n):
+        cell = [
+            (row_key, col_key, row_key >> (len(pairs) - 1) & 1, members,
+             (members & -members).bit_length() - 1)
+            for row_key, part in _split((1 << count) - 1, [zeroing[p] for p, _ in pairs])
+            for col_key, members in _split(part, [zeroing[q] for _, q in pairs])
+        ]
+        groups.append(sorted(cell, key=lambda group: group[4]))
     return groups
 
 
@@ -333,22 +333,23 @@ def first_failures(maps, n, semiring, trials, seed):
     once per trial; each map still unfailed is checked for Leibniz, then
     linearity.  Stops early once every map has failed.
 
+    Each cell holds the bitset of the maps that zero it (:func:`_zeroing`).
     A map's Leibniz verdict at cell (i, j) depends on the map only through
-    its zero bits in the row segment (i, i..j) and the column segment
-    (i..j, j), cut from :func:`_zero_masks`: f(AB)'s cell is zero or AB's
-    by the bit of (i, j) itself, f(A)B's cell is the fold over the row
-    segment and Af(B)'s over the column segment.  So the maps are grouped
-    once per call by these two keys, cell by cell, and each trial walks
-    the cells in row-major order computing one verdict per group with a
-    member still live; a differing group fails all its live members at
-    that cell, which is the first difference the full matrices would
-    show.  The folds are memoised per cell and side by the side's key,
-    the empty key holding AB's own cell; a miss runs the product's own
-    fold (:func:`~trideriv.matrices._fold_cell`) on f(A) or f(B) of one
-    member.  Linearity needs two facts per trial: the cells where
-    A + B differs from add(a, b) (kept cells) and whether add(zero, zero)
-    differs from zero (zeroed cells); a map's first failing cell is the
-    lowest bit of one bitmask expression.  Every value is computed by the
+    the cells it zeroes in the row segment (i, i..j) and the column segment
+    (i..j, j): f(AB)'s cell is zero or AB's by (i, j) itself, f(A)B's cell
+    is the fold over the row segment and Af(B)'s over the column segment.
+    So the maps are grouped once per call, cell by cell, by cutting the
+    set of all maps with those cells' bitsets (:func:`_leibniz_groups`),
+    and each trial walks the cells in row-major order computing one
+    verdict per group with a member still live; a differing group fails
+    all its live members at that cell, which is the first difference the
+    full matrices would show.  The folds are memoised per cell and side by
+    the side's key, the empty key holding AB's own cell; a miss runs the
+    product's own fold (:func:`~trideriv.matrices._fold_cell`) on f(A) or
+    f(B) of the group's lowest member.  Linearity needs two facts per
+    trial: the cells where A + B differs from add(a, b), which fail the
+    maps keeping them, and whether add(zero, zero) differs from zero,
+    which fails the maps zeroing them.  Every value is computed by the
     same carrier calls on the same operand objects as f(AB), f(A)B + Af(B),
     f(A + B) and f(A) + f(B) would be, so every verdict and witness equals
     theirs, with no semiring axiom assumed.
@@ -357,8 +358,8 @@ def first_failures(maps, n, semiring, trials, seed):
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
     are mapped back to the drawn ones.
     """
-    masks = [_zero_masks(fn, n, "trial runner") for fn in maps]
-    groups = _leibniz_groups(masks, n)
+    zeroing = _zeroing(maps, n)
+    groups = _leibniz_groups(zeroing, n, len(maps))
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     failures = [None] * len(maps)
@@ -373,10 +374,12 @@ def first_failures(maps, n, semiring, trials, seed):
         add, zero = carrier.add, carrier.zero
         ab, a_plus_b = a * b, a + b
 
-        def fail(check: str, position: tuple[int, int], lhs: Any, rhs: Any) -> tuple:
+        def fail(hit: int, check: str, position: tuple[int, int], lhs: Any, rhs: Any) -> None:
             if values is not None:
                 lhs, rhs = values[lhs], values[rhs]
-            return trial, check, Witness(position, lhs, rhs)
+            failure = trial, check, Witness(position, lhs, rhs)
+            for index in _members(hit):
+                failures[index] = failure
 
         fa_of: dict[int, tuple] = {}  # f(A) and f(B) entries by map index,
         fb_of: dict[int, tuple] = {}  # built for a fold miss only
@@ -402,27 +405,22 @@ def first_failures(maps, n, semiring, trials, seed):
                 lhs, rhs = zero if own else ab_cell, add(x, y)
                 if lhs != rhs:
                     live ^= hit
-                    failure = fail("leibniz", position, lhs, rhs)
-                    for index in _members(hit):
-                        failures[index] = failure
+                    fail(hit, "leibniz", position, lhs, rhs)
             if not live:
                 break
 
         # f(A + B) against f(A) + f(B): (A + B)_t against add(a_t, b_t) at a
         # kept cell t, zero against add(zero, zero) at a zeroed one.
         sums = tuple(map(add, a.entries, b.entries))
-        kept_differ = sum(1 << t for t, (x, y) in enumerate(zip(a_plus_b.entries, sums)) if x != y)
         zero_sum = add(zero, zero)
-        zeroed_differ = -1 if zero_sum != zero else 0  # every bit, or none
-        if kept_differ or zeroed_differ:
-            for index in _members(live):
-                rows = masks[index][0]
-                differ = kept_differ & ~rows | zeroed_differ & rows
-                if differ:
-                    t = (differ & -differ).bit_length() - 1
-                    lhs, rhs = (zero, zero_sum) if rows >> t & 1 else (a_plus_b.entries[t], sums[t])
-                    failures[index] = fail("linearity", positions[t], lhs, rhs)
-                    live ^= 1 << index
+        zeroed_differ = zero_sum != zero
+        for position, zeroed, x, y in zip(positions, zeroing, a_plus_b.entries, sums):
+            if x != y and live & ~zeroed:  # cell by cell: a tuple != passes x is y
+                fail(live & ~zeroed, "linearity", position, x, y)
+                live &= zeroed
+            if zeroed_differ and live & zeroed:
+                fail(live & zeroed, "linearity", position, zero, zero_sum)
+                live &= ~zeroed
         unfailed = live
     return failures
 

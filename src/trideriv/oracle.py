@@ -31,7 +31,7 @@ from .derivations import (
     ZeroPattern,
     _as_pattern,
     _check_mask_map,
-    _zero_masks,
+    _zeroed,
     format_pattern,
     leibniz_check,
 )
@@ -112,10 +112,10 @@ def exhaustive_leibniz_witness(
     _check_mask_map(f, "exhaustive search")  # before f.n, and without building offsets
     n = f.n
     _check_dimension(n)
-    rows, _ = _zero_masks(f, n, "exhaustive search")
+    zeroed = sum(1 << t for t in _zeroed(f, n, "exhaustive search"))  # distinct offsets
     pattern = _as_pattern(f)
     mats, product = _table(n)
-    found = _first_failure(product, rows, pattern)
+    found = _first_failure(product, zeroed, pattern)
     if found is None:
         return None
     a, b = mats[found[0]], mats[found[1]]

@@ -30,7 +30,7 @@ from trideriv.cli import (
     main,
     verify_work,
 )
-from trideriv.derivations import Witness, _segments, _zero_masks, first_failures
+from trideriv.derivations import Witness, _leibniz_groups, _zeroing, first_failures
 from trideriv.semirings import Semiring, _ranked
 
 MAXPLUS_3X3 = (
@@ -500,30 +500,48 @@ def segment_maps():
 
 
 def test_trial_runner_segment_keys_name_the_zeroed_operands():
-    checked = 0
+    by_n: dict[int, list] = {}
     for fn in segment_maps():
-        n = fn.n
-        if isinstance(fn, ZeroPattern):
-            zeroed = fn.positions
-        else:  # a mask kills (r, c) iff all of r..c is in its zero set
-            zeroed = {
-                (r, c) for r, c in iter_positions(n)
-                if all(x in fn.zero_set for x in range(r, c + 1))
-            }
-        rows, cols = _zero_masks(fn, n, "trial runner")
-        for (i, j), (row_start, col_start, width) in zip(iter_positions(n), _segments(n)):
-            assert width == (1 << (j - i + 1)) - 1
-            row_key, col_key = rows >> row_start & width, cols >> col_start & width
-            assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
-                k for k in range(i, j + 1) if (i, k) in zeroed
-            }
-            assert {i + x for x in range(j - i + 1) if col_key >> x & 1} == {
-                k for k in range(i, j + 1) if (k, j) in zeroed
-            }
-            checked += 1
+        by_n.setdefault(fn.n, []).append(fn)
+    checked = 0
+    for n, maps in by_n.items():
+        groups = _leibniz_groups(_zeroing(maps, n), n, len(maps))
+        for (i, j), cell in zip(iter_positions(n), groups):
+            group_of = {}
+            for group in cell:  # the groups partition the maps, lowest member first
+                members, first = group[3], group[4]
+                assert members >> first & 1 and not members & ((1 << first) - 1)
+                for index in range(len(maps)):
+                    if members >> index & 1:
+                        assert index not in group_of
+                        group_of[index] = group
+            assert sorted(group_of) == list(range(len(maps)))
+            assert [group[4] for group in cell] == sorted(group[4] for group in cell)
+            for index, fn in enumerate(maps):
+                if isinstance(fn, ZeroPattern):
+                    zeroed = fn.positions
+                else:  # a mask kills (r, c) iff all of r..c is in its zero set
+                    zeroed = {
+                        (r, c) for r, c in iter_positions(n)
+                        if all(x in fn.zero_set for x in range(r, c + 1))
+                    }
+                row_key, col_key, own = group_of[index][:3]
+                assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
+                    k for k in range(i, j + 1) if (i, k) in zeroed
+                }
+                assert {i + x for x in range(j - i + 1) if col_key >> x & 1} == {
+                    k for k in range(i, j + 1) if (k, j) in zeroed
+                }
+                assert row_key >> (j - i + 1) == col_key >> (j - i + 1) == 0
+                assert own == ((i, j) in zeroed)
+                checked += 1
     assert checked == sum(  # every cell of 2 + 8 + 64 patterns and 2^n masks per n
         (1 << n * (n + 1) // 2) * n * (n + 1) // 2 for n in range(1, 4)
     ) + sum((1 << n) * n * (n + 1) // 2 for n in range(1, 9))
+
+
+def test_trial_runner_without_maps():
+    assert first_failures([], 3, get_semiring("maxplus"), 5, 0) == []
 
 
 def test_verify_decompose(capsys):

@@ -51,6 +51,15 @@ def verify_commands():
             yield ("verify", kind, "--n", str(n), "--semiring", "boolean", "--exhaustive")
 
 
+def wide_verify_commands():
+    """The seeded runner at sizes where its grouping and memos carry the work."""
+    for kind, sizes in (("leibniz", (8, 10, 11)), ("theorem2", (8, 10))):
+        for n in sizes:
+            for carrier in CARRIERS:
+                yield ("verify", kind, "--n", str(n), "--semiring", carrier,
+                       "--trials", "3", "--seed", "0")
+
+
 def oracle_commands():
     for n in range(1, 4):
         yield ("oracle", "--n", str(n))
@@ -82,6 +91,8 @@ GROUPS = {
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 208,
                "52b4a4f939d6bafa1facee6d50fa2fabc74a9d8078e3af27fa40f65d52abf37c"),
+    "wide-verify": (wide_verify_commands, 25,
+                    "7469738d6ee5f5fe2c92d2d54ff13f22861665b81ed9655696cc42a384029b86"),
     "oracle": (oracle_commands, 3,
                "374c6fed638101135405a089ceb6af28dacec95510bbb5aef78fcc8788cbb4f1"),
     "enumerate": (enumerate_commands, 10,
