@@ -13,6 +13,7 @@ the :func:`~trideriv.oracle.matrix_bits` indices.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -247,7 +248,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: building costs
+    about 1 ms, and ``parse_args`` makes a fresh namespace on every reuse."""
     parser = argparse.ArgumentParser(
         prog="trideriv",
         description="Derivations of upper-triangular matrices over additively "

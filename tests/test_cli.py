@@ -161,6 +161,16 @@ def test_apply_requires_exactly_one_mask_option(matrix_file):
     assert excinfo.value.code == 2
 
 
+def test_a_usage_error_leaves_the_reused_parser_as_it_was(capsys, matrix_file):
+    argv = ["apply", "--matrix", matrix_file, "--zero-set", "2"]
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--pattern", "1,1"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == first
+
+
 def test_apply_bad_matrix_file(capsys, tmp_path):
     path = tmp_path / "bad.utm"
     path.write_text("utm n=2 semiring=maxplus\n1 1\n1 1\n")
@@ -653,6 +663,13 @@ def test_exhaustive_notes_that_it_ignores_trials_and_seed(capsys):
     assert run(capsys, *argv, "--seed", "5") == (
         0, out, "note: --exhaustive ignores --trials and --seed\n"
     )
+
+
+def test_a_trials_value_does_not_carry_into_the_next_call(capsys):
+    argv = ["verify", "leibniz", "--n", "2", "--semiring", "boolean", "--exhaustive"]
+    code, out, err = run(capsys, *argv, "--trials", "5")
+    assert (code, err) == (0, "note: --exhaustive ignores --trials and --seed\n")
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_verify_has_no_random_flag(capsys):

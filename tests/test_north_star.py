@@ -1,11 +1,13 @@
-"""Two standing rules of the package, read from its source with ``ast``:
-no runtime dependency outside the standard library, and a CLI that uses
-the library only through public names."""
+"""Three standing rules of the package: no runtime dependency outside the
+standard library and a CLI that uses the library only through public names,
+both read from its source with ``ast``, and one CLI parser per process."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+from trideriv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "trideriv"
@@ -42,3 +44,7 @@ def test_the_cli_imports_no_private_name():
         if any(part.startswith("_") for part in name.split(".")) and name != "__future__"
     ]
     assert private == []
+
+
+def test_the_cli_builds_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
