@@ -45,13 +45,13 @@ from .oracle import (
 from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
-AXIOM_TRIALS_LIMIT = 10**6  # about 32 s on fuzzy, the slowest carrier; 16-19 s on the others
+TRIALS_LIMIT = 10**6  # axioms: 16-32 s, fuzzy the slowest; seeded verify at n = 1..2: 24-61 s
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
-# Seeded ``verify`` runs cost about 0.006-1.3 us per unit of verify_work on a
-# 2-core VM (leibniz 0.006-0.012 at n = 12..17, leibniz and theorem2 below 0.06
-# for n >= 6; the high end is hereditary at n = 4), so this caps a run at about
-# 20-30 minutes.
+# Seeded ``verify`` runs cost 0.006-34 us per unit of verify_work on a 2-core
+# VM: 1.7-34 at n = 1..2, where TRIALS_LIMIT binds first, and under 1 from
+# n = 3.  Under both caps the slowest measured run (hereditary, n = 10, 10^6
+# trials) takes about 6 minutes.
 VERIFY_WORK_LIMIT = 10**9
 
 
@@ -63,8 +63,8 @@ def _witness_fields(semiring: Semiring, witness: Witness) -> str:
 
 def cmd_axioms(args: argparse.Namespace) -> int:
     semiring = get_semiring(args.semiring)
-    if args.trials > AXIOM_TRIALS_LIMIT:
-        raise CapacityError(f"axioms trials capped at {AXIOM_TRIALS_LIMIT}")
+    if args.trials > TRIALS_LIMIT:
+        raise CapacityError(f"axioms trials capped at {TRIALS_LIMIT}")
     v = check_axioms(semiring, args.trials, args.seed)
     if v is None:
         print(f"PASS axioms semiring={semiring.name} trials={args.trials} seed={args.seed}")
@@ -235,6 +235,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.kind == "leibniz":
         _check_family_cap(args.n)
+    if not args.exhaustive and args.trials > TRIALS_LIMIT:
+        raise CapacityError(f"verify trials capped at {TRIALS_LIMIT}")
     work = verify_work(args.kind, args.n, args.trials)
     if not args.exhaustive and work > VERIFY_WORK_LIMIT:
         raise CapacityError(

@@ -30,7 +30,6 @@ from typing import Any, Callable, Iterable, Iterator, Union
 
 from .matrices import (
     UTMatrix,
-    _fold_cell,
     _mul_plan,
     _offset,
     ensure_positive_dimension,
@@ -312,17 +311,28 @@ def _leibniz_groups(zeroing: list[int], n: int, count: int) -> list[list[tuple]]
     """Per cell (i, j), row-major: the ``count`` maps grouped by which cells of
     the row segment (i, i..j) and the column segment (i..j, j) they zero (key
     bit k - i for (i, k) or (k, j)), as (row key, column key, whether (i, j)
-    is zeroed, members as a bitset, lowest member), lowest member first."""
-    groups = []
-    for pairs in _mul_plan(n):
-        cell = [
-            (row_key, col_key, row_key >> (len(pairs) - 1) & 1, members,
-             (members & -members).bit_length() - 1)
+    is zeroed, members as a bitset).  A group's verdict depends on its keys
+    alone, so the groups of a cell come in no particular order."""
+    return [
+        [
+            (row_key, col_key, row_key >> (len(pairs) - 1) & 1, members)
             for row_key, part in _split((1 << count) - 1, [zeroing[p] for p, _ in pairs])
             for col_key, members in _split(part, [zeroing[q] for _, q in pairs])
         ]
-        groups.append(sorted(cell, key=lambda group: group[4]))
-    return groups
+        for pairs in _mul_plan(n)
+    ]
+
+
+def _masked_fold(carrier: Any, pairs: tuple, a: tuple, b: tuple, a_key: int, b_key: int) -> Any:
+    """One cell of f(A)B (``a_key`` the row key, ``b_key`` 0) or of Af(B) (0 and
+    the column key): the fold of ``UTMatrix.__mul__`` over ``pairs``, in its
+    order, reading operand k of ``a`` (``b``) as ``carrier.zero``, the object
+    f writes, where bit k of ``a_key`` (``b_key``) is set."""
+    add, mul, zero = carrier.add, carrier.mul, carrier.zero
+    acc = zero
+    for k, (p, q) in enumerate(pairs):
+        acc = add(acc, mul(zero if a_key >> k & 1 else a[p], zero if b_key >> k & 1 else b[q]))
+    return acc
 
 
 def first_failures(maps, n, semiring, trials, seed):
@@ -344,15 +354,16 @@ def first_failures(maps, n, semiring, trials, seed):
     verdict per group with a member still live; a differing group fails
     all its live members at that cell, which is the first difference the
     full matrices would show.  The folds are memoised per cell and side by
-    the side's key, the empty key holding AB's own cell; a miss runs the
-    product's own fold (:func:`~trideriv.matrices._fold_cell`) on f(A) or
-    f(B) of the group's lowest member.  Linearity needs two facts per
-    trial: the cells where A + B differs from add(a, b), which fail the
-    maps keeping them, and whether add(zero, zero) differs from zero,
-    which fails the maps zeroing them.  Every value is computed by the
-    same carrier calls on the same operand objects as f(AB), f(A)B + Af(B),
-    f(A + B) and f(A) + f(B) would be, so every verdict and witness equals
-    theirs, with no semiring axiom assumed.
+    the side's key, the empty key holding AB's own cell; a miss folds the
+    cell straight from A's and B's entries, with the operands the key names
+    read as zero (:func:`_masked_fold`), so no map is applied and f(A) and
+    f(B) are never built.  Linearity needs two facts per trial: the cells
+    where A + B differs from add(a, b), which fail the maps keeping them,
+    and whether add(zero, zero) differs from zero, which fails the maps
+    zeroing them.  Every value is computed by the same carrier calls on the
+    same operand objects as f(AB), f(A)B + Af(B), f(A + B) and f(A) + f(B)
+    would be, so every verdict and witness equals theirs, with no semiring
+    axiom assumed.
 
     Over a max/min carrier each trial runs on int keys of its drawn
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
@@ -369,8 +380,8 @@ def first_failures(maps, n, semiring, trials, seed):
             break
         a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
         carrier, entries, values = _ranked(semiring, a.entries + b.entries)
-        a = UTMatrix._trusted(n, carrier, entries[:size])
-        b = UTMatrix._trusted(n, carrier, entries[size:])
+        a_cells, b_cells = entries[:size], entries[size:]
+        a, b = UTMatrix._trusted(n, carrier, a_cells), UTMatrix._trusted(n, carrier, b_cells)
         add, zero = carrier.add, carrier.zero
         ab, a_plus_b = a * b, a + b
 
@@ -381,27 +392,21 @@ def first_failures(maps, n, semiring, trials, seed):
             for index in _members(hit):
                 failures[index] = failure
 
-        fa_of: dict[int, tuple] = {}  # f(A) and f(B) entries by map index,
-        fb_of: dict[int, tuple] = {}  # built for a fold miss only
         live = unfailed
         for position, cell_groups, pairs, ab_cell in zip(positions, groups, plan, ab.entries):
             left, right = {0: ab_cell}, {0: ab_cell}  # f(A)B and Af(B) folds by key
-            for row_key, col_key, own, members, first in cell_groups:
+            for row_key, col_key, own, members in cell_groups:
                 hit = members & live
                 if not hit:
                     continue
                 try:
                     x = left[row_key]
                 except KeyError:
-                    if first not in fa_of:
-                        fa_of[first] = maps[first](a).entries
-                    x = left[row_key] = _fold_cell(carrier, pairs, fa_of[first], b.entries)
+                    x = left[row_key] = _masked_fold(carrier, pairs, a_cells, b_cells, row_key, 0)
                 try:
                     y = right[col_key]
                 except KeyError:
-                    if first not in fb_of:
-                        fb_of[first] = maps[first](b).entries
-                    y = right[col_key] = _fold_cell(carrier, pairs, a.entries, fb_of[first])
+                    y = right[col_key] = _masked_fold(carrier, pairs, a_cells, b_cells, 0, col_key)
                 lhs, rhs = zero if own else ab_cell, add(x, y)
                 if lhs != rhs:
                     live ^= hit
@@ -411,7 +416,7 @@ def first_failures(maps, n, semiring, trials, seed):
 
         # f(A + B) against f(A) + f(B): (A + B)_t against add(a_t, b_t) at a
         # kept cell t, zero against add(zero, zero) at a zeroed one.
-        sums = tuple(map(add, a.entries, b.entries))
+        sums = tuple(map(add, a_cells, b_cells))
         zero_sum = add(zero, zero)
         zeroed_differ = zero_sum != zero
         for position, zeroed, x, y in zip(positions, zeroing, a_plus_b.entries, sums):

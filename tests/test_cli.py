@@ -10,6 +10,7 @@ import pytest
 from trideriv import (
     FUZZY,
     MINUS_INF,
+    MaskDerivation,
     ZeroPattern,
     d_m,
     delta_k,
@@ -24,8 +25,8 @@ from trideriv import (
 )
 from trideriv import cli
 from trideriv.cli import (
-    AXIOM_TRIALS_LIMIT,
     INTERVAL_ENUMERATION_LIMIT,
+    TRIALS_LIMIT,
     VERIFY_WORK_LIMIT,
     main,
     verify_work,
@@ -84,7 +85,7 @@ def test_axioms_trials_cap(capsys, monkeypatch):
         return None
 
     monkeypatch.setattr(cli, "check_axioms", fake_check_axioms)
-    limit = AXIOM_TRIALS_LIMIT
+    limit = TRIALS_LIMIT
     code, out, _ = run(capsys, "axioms", "--semiring", "fuzzy", "--trials", str(limit))
     assert code == 0
     assert out == f"PASS axioms semiring=fuzzy trials={limit} seed=0\n"
@@ -429,6 +430,26 @@ def witness_types(failures):
     return [None if f is None else (type(f[2].lhs), type(f[2].rhs)) for f in failures]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", ["maxplus", "fuzzy", "drifting-zero"])
+def test_trial_runner_never_applies_a_map(monkeypatch, name, n):
+    """The runner reads a map only through the cells it zeroes: with every
+    mask map's apply raising, it finds the per-map loop's failures (fuzzy
+    runs on ranks, drifting-zero fails both checks)."""
+    semiring = LAW_BREAKERS.get(name) or get_semiring(name)
+    maps = runner_maps(n)
+    expected = [reference_first_failure(f, n, semiring, 12, 0) for f in maps]
+
+    def refuse(fn, matrix):
+        raise AssertionError(f"the trial runner applied {fn!r}")
+
+    monkeypatch.setattr(MaskDerivation, "__call__", refuse)
+    monkeypatch.setattr(ZeroPattern, "__call__", refuse)
+    got = first_failures(maps, n, semiring, 12, 0)
+    assert got == expected
+    assert witness_types(got) == witness_types(expected)
+
+
 # A lambda add fails ``add is max``, so each twin runs its carrier without ranks.
 OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
 # Thirds, sevenths and twelfths: the rank keys need a common scale, not only a sort.
@@ -518,15 +539,14 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
         groups = _leibniz_groups(_zeroing(maps, n), n, len(maps))
         for (i, j), cell in zip(iter_positions(n), groups):
             group_of = {}
-            for group in cell:  # the groups partition the maps, lowest member first
-                members, first = group[3], group[4]
-                assert members >> first & 1 and not members & ((1 << first) - 1)
+            for group in cell:  # the groups partition the maps
+                members = group[3]
+                assert members
                 for index in range(len(maps)):
                     if members >> index & 1:
                         assert index not in group_of
                         group_of[index] = group
             assert sorted(group_of) == list(range(len(maps)))
-            assert [group[4] for group in cell] == sorted(group[4] for group in cell)
             for index, fn in enumerate(maps):
                 if isinstance(fn, ZeroPattern):
                     zeroed = fn.positions
@@ -535,7 +555,7 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
                         (r, c) for r, c in iter_positions(n)
                         if all(x in fn.zero_set for x in range(r, c + 1))
                     }
-                row_key, col_key, own = group_of[index][:3]
+                row_key, col_key, own, _ = group_of[index]
                 assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
                     k for k in range(i, j + 1) if (i, k) in zeroed
                 }
@@ -654,6 +674,26 @@ def test_verify_work_bound_exempts_exhaustive(capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 9
+
+
+def test_verify_trials_cap(capsys, monkeypatch):
+    """At n = 1 a trial is one unit of work, so the work bound alone would
+    let 10^9 trials through; the trials cap stops them first."""
+    assert verify_work("hereditary", 1, 10**9) <= VERIFY_WORK_LIMIT
+    calls = []
+
+    def fake_hereditary(args, semiring):
+        calls.append(args.trials)
+        return 0
+
+    monkeypatch.setitem(cli._VERIFY_KINDS, "hereditary", fake_hereditary)
+    argv = ["verify", "hereditary", "--n", "1", "--trials"]
+    assert run(capsys, *argv, str(TRIALS_LIMIT)) == (0, "", "")
+    for trials in (TRIALS_LIMIT + 1, 10**9):
+        assert run(capsys, *argv, str(trials)) == (
+            2, "", f"error: verify trials capped at {TRIALS_LIMIT}\n"
+        )
+    assert calls == [TRIALS_LIMIT]
 
 
 def test_exhaustive_notes_that_it_ignores_trials_and_seed(capsys):
