@@ -27,8 +27,6 @@ from .derivations import (
     enumerate_interval_derivations,
     first_failures,
     format_zero_set,
-    leibniz_check,
-    linearity_check,
     parse_pattern,
     parse_zero_set,
     theorem2_predicate,
@@ -45,13 +43,13 @@ from .oracle import (
 from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
-TRIALS_LIMIT = 10**6  # axioms: 16-32 s, fuzzy the slowest; seeded verify at n = 1..2: 24-61 s
+TRIALS_LIMIT = 10**6  # axioms: 13-17 s on every carrier; seeded verify at n = 1..2: 18-39 s
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
-# Seeded ``verify`` runs cost 0.006-34 us per unit of verify_work on a 2-core
-# VM: 1.7-34 at n = 1..2, where TRIALS_LIMIT binds first, and under 1 from
-# n = 3.  Under both caps the slowest measured run (hereditary, n = 10, 10^6
-# trials) takes about 6 minutes.
+# Seeded ``verify`` runs cost 0.006-36 us per unit of verify_work on a 2-core
+# VM: 1.0-36 at n = 1..2, where TRIALS_LIMIT binds first, and under 1 from
+# n = 3 (hereditary 0.45 at n = 6, 0.27 at n = 10).  Under both caps the
+# slowest measured run (hereditary, n = 10, 10^6 trials) takes about 4.5 minutes.
 VERIFY_WORK_LIMIT = 10**9
 
 
@@ -198,7 +196,7 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
     for trial, rng in seeded_trials(args.trials, args.seed):
         lifted = ShiftDerivation(MAXPLUS.sample(rng)).hereditary()
         a, b = random_matrix(args.n, semiring, rng), random_matrix(args.n, semiring, rng)
-        witness = leibniz_check(lifted, a, b) or linearity_check(lifted, a, b)
+        witness = lifted.first_witness(a, b)
         if witness is not None:
             x = MAXPLUS.format_element(lifted.shift.x)
             print(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator
 
@@ -86,13 +86,14 @@ def _parse_fuzzy(token: str) -> Fraction:
 
 def _format_element(value: Any) -> str:
     """The text of any element of the four shipped carriers."""
-    # Only floats can be infinite; a Fraction-to-float == is far slower than this test.
+    # Only floats can be infinite; an int or a Fraction is its own exact text.
     if isinstance(value, float):
         if value == MINUS_INF:
             return "-inf"
         if value == PLUS_INF:
             return "+inf"
-    return str(Fraction(value))
+        return str(Fraction(value))
+    return str(value)
 
 
 # --- carriers ----------------------------------------------------------------
@@ -114,12 +115,25 @@ def _in_fuzzy(value: Any) -> bool:
 # --- random elements ---------------------------------------------------------
 # Small ranges on purpose: collisions and idempotency effects should be common.
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, drawn the same way: ``getrandbits(n.bit_length())``
+    until the draw is below n, so seeded streams stay as they were."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_boolean(rng: random.Random) -> int:
-    return rng.randrange(2)
+    return _below(rng, 2)
+
+
+_SIXTEENTHS = tuple(Fraction(i, 16) for i in range(17))
 
 
 def _sample_fuzzy(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, 16), 16)
+    return _SIXTEENTHS[_below(rng, 17)]
 
 
 BOOLEAN = Semiring(
@@ -147,7 +161,7 @@ def _tropical(name: str, add: Callable[[Any, Any], Any], bottom: float) -> Semir
         contains=lambda value: _is_rational(value) or value == bottom,
         parse_element=lambda token: bottom if token == literal else _parse_rational(token),
         format_element=_format_element,
-        sample=lambda rng: bottom if rng.random() < 0.05 else rng.randint(-20, 20),
+        sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
     )
 
 
@@ -212,7 +226,8 @@ def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | 
     ratios = [v.as_integer_ratio() for v in every]
     scale = math.lcm(*{q for _, q in ratios})
     keys = [p * (scale // q) for p, q in ratios]
-    carrier = replace(semiring, zero=keys[0], one=keys[1])
+    carrier = object.__new__(Semiring)  # as UTMatrix._trusted: dataclasses.replace is slower
+    carrier.__dict__.update(semiring.__dict__, zero=keys[0], one=keys[1])
     return carrier, tuple(keys[2:]), dict(zip(keys, every))
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .matrices import MatrixMismatchError, UTMatrix
+from .derivations import Witness
+from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
 from .semirings import MAXPLUS, MINUS_INF
 
 
@@ -68,4 +69,32 @@ class HereditaryShift:
         # A max-plus product of carrier elements stays in the carrier.
         x = self.shift.x
         mul = MAXPLUS.mul
-        return UTMatrix._trusted(matrix.n, MAXPLUS, tuple(mul(v, x) for v in matrix.entries))
+        return UTMatrix._trusted(matrix.n, MAXPLUS, tuple([mul(v, x) for v in matrix.entries]))
+
+    def first_witness(self, a: UTMatrix, b: UTMatrix) -> Witness | None:
+        """``leibniz_check(self, a, b) or linearity_check(self, a, b)`` in one pass.
+
+        A and B are lifted once.  Each cell, row-major, folds AB, f(A)B and
+        Af(B) together in ``UTMatrix.__mul__``'s order and compares f(AB)'s
+        cell with the sum's; then f(A + B) is compared with f(A) + f(B) cell
+        by cell.  Every scalar call is one the two checks make, on the same
+        operand objects, so the first differing cell and its values are theirs.
+        """
+        ensure_compatible(a, b)
+        n, fa, fb = a.n, self(a).entries, self(b).entries
+        add, mul, zero, x = MAXPLUS.add, MAXPLUS.mul, MAXPLUS.zero, self.shift.x
+        a, b = a.entries, b.entries
+        for position, pairs in zip(iter_positions(n), _mul_plan(n)):
+            ab = left = right = zero
+            for p, q in pairs:
+                ab = add(ab, mul(a[p], b[q]))
+                left = add(left, mul(fa[p], b[q]))
+                right = add(right, mul(a[p], fb[q]))
+            lhs, rhs = mul(ab, x), add(left, right)
+            if lhs != rhs:
+                return Witness(position, lhs, rhs)
+        for position, u, v, fu, fv in zip(iter_positions(n), a, b, fa, fb):
+            lhs, rhs = mul(add(u, v), x), add(fu, fv)
+            if lhs != rhs:
+                return Witness(position, lhs, rhs)
+        return None

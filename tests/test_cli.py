@@ -10,6 +10,7 @@ import pytest
 from trideriv import (
     FUZZY,
     MINUS_INF,
+    HereditaryShift,
     MaskDerivation,
     ZeroPattern,
     d_m,
@@ -610,7 +611,7 @@ def test_verify_hereditary(capsys):
 
 def test_verify_hereditary_prints_a_witness(capsys, monkeypatch):
     witness = Witness((1, 2), MINUS_INF, Fraction(3, 2))
-    monkeypatch.setattr(cli, "leibniz_check", lambda f, a, b: witness)
+    monkeypatch.setattr(HereditaryShift, "first_witness", lambda f, a, b: witness)
     code, out, _ = run(
         capsys, "verify", "hereditary", "--n", "4", "--trials", "50", "--seed", "3"
     )

@@ -244,6 +244,27 @@ def test_seeded_trials_rejects_fewer_than_one(trials):
         seeded_trials(trials, seed=5)
 
 
+# The randrange and randint expressions whose streams the samplers must reproduce.
+REPLACED_SAMPLERS = {
+    "boolean": lambda rng: rng.randrange(2),
+    "fuzzy": lambda rng: Fraction(rng.randint(0, 16), 16),
+    "maxplus": lambda rng: MINUS_INF if rng.random() < 0.05 else rng.randint(-20, 20),
+    "minplus": lambda rng: PLUS_INF if rng.random() < 0.05 else rng.randint(-20, 20),
+}
+
+
+@pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
+def test_samplers_draw_the_randrange_stream(semiring):
+    replaced = REPLACED_SAMPLERS[semiring.name]
+    for seed in range(1000):
+        rng, twin = random.Random(seed), random.Random(seed)
+        drawn = [semiring.sample(rng) for _ in range(50)]
+        expected = [replaced(twin) for _ in range(50)]
+        assert drawn == expected, seed
+        assert list(map(type, drawn)) == list(map(type, expected)), seed
+        assert rng.getstate() == twin.getstate(), seed
+
+
 @pytest.mark.parametrize("seed", [0, 17, -4])
 def test_seeded_trials_stream(seed):
     trials = list(seeded_trials(4, seed))

@@ -2,6 +2,7 @@
 finite shifts, and the entrywise lift to matrices."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from trideriv import (
     pointwise_sum,
     random_matrix,
 )
+from trideriv import shifts
 
 
 def finite_shift(rng):
@@ -152,3 +154,71 @@ def test_sums_of_verified_derivations_stay_derivations():
 def test_hereditary_shift_dataclass_exposes_shift():
     lifted = HereditaryShift(ShiftDerivation(Fraction(5, 2)))
     assert lifted.shift.x == Fraction(5, 2)
+
+
+# --- the one-pass check ------------------------------------------------------------
+
+def _fields(witness):
+    """A witness with its value types, so a Fraction(3) never passes for a 3."""
+    if witness is None:
+        return None
+    return witness.position, witness.lhs, witness.rhs, type(witness.lhs), type(witness.rhs)
+
+
+def _first_witness_agrees(carrier, seed, draws):
+    """Compare ``first_witness`` with the two generic checks on ``draws`` seeded
+    pairs at n = 1..8 over ``carrier``; return how often each check fired."""
+    rng = random.Random(seed)
+    fired = {"leibniz": 0, "linearity": 0}
+    for draw in range(draws):
+        n = draw % 8 + 1
+        x = MINUS_INF if draw % 10 == 0 else MAXPLUS.sample(rng)
+        lifted = ShiftDerivation(x).hereditary()
+        a, b = random_matrix(n, carrier, rng), random_matrix(n, carrier, rng)
+        leibniz = leibniz_check(lifted, a, b)
+        expected = leibniz or linearity_check(lifted, a, b)
+        assert _fields(lifted.first_witness(a, b)) == _fields(expected), (draw, n, x)
+        if expected is not None:
+            fired["leibniz" if leibniz else "linearity"] += 1
+    return fired
+
+
+def test_first_witness_is_the_generic_checks_on_maxplus():
+    assert _first_witness_agrees(MAXPLUS, seed=23, draws=400) == {"leibniz": 0, "linearity": 0}
+
+
+def _swapping_mul(u, v):
+    """Max-plus ``mul`` plus one when u > v: not commutative."""
+    return u + v + (u > v)
+
+
+def _left_add(u, v):
+    """Max-plus ``add``, except that it keeps u when both are positive."""
+    return u if u > 0 and v > 0 else max(u, v)
+
+
+@pytest.mark.parametrize(
+    "broken,fires",
+    [
+        # f(AB) and f(A)B + Af(B) part at some cell.
+        ({"mul": _swapping_mul}, {"leibniz"}),
+        # Both branches fire.
+        ({"add": _left_add}, {"leibniz", "linearity"}),
+        # Now f(A)B and Af(B) differ, so the operand order of their sum shows.
+        ({"mul": _swapping_mul, "add": _left_add}, {"leibniz", "linearity"}),
+    ],
+    ids=["mul", "add", "mul-and-add"],
+)
+def test_first_witness_is_the_generic_checks_on_broken_carriers(monkeypatch, broken, fires):
+    carrier = replace(MAXPLUS, **broken)
+    monkeypatch.setattr(shifts, "MAXPLUS", carrier)
+    fired = _first_witness_agrees(carrier, seed=29, draws=400)
+    assert {check for check, count in fired.items() if count} == fires
+
+
+def test_first_witness_rejects_what_the_generic_checks_reject():
+    lifted = ShiftDerivation(1).hereditary()
+    with pytest.raises(MatrixMismatchError, match="dimension mismatch"):
+        lifted.first_witness(UTMatrix.zeros(2, MAXPLUS), UTMatrix.zeros(3, MAXPLUS))
+    with pytest.raises(MatrixMismatchError, match="act on maxplus"):
+        lifted.first_witness(UTMatrix.identity(2, BOOLEAN), UTMatrix.identity(2, BOOLEAN))
