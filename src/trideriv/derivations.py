@@ -20,6 +20,15 @@ by additivity Leibniz holds iff δ_il(ab) = δ_ik(a)b ⊕ aδ_kl(b) for all
 i ≤ k ≤ l and a, b in S.  So, for weights u_ij that commute with S (zero and
 one do; take a = b = one), A ↦ (a_ij ⊗ u_ij) is a derivation iff
 u(i,l) = u(i,k) ⊕ u(k,l) for all i ≤ k ≤ l; the 0/1 weights are the mask maps.
+
+A sum of δ_k/d_m terms (:class:`DecompositionExpr`) and a mask are the same
+map iff they agree on J, the all-one matrix.  Both act entrywise, each term
+writing one on J where it keeps a cell and zero elsewhere; with ⊕ idempotent,
+zero neutral and one ≠ zero, a cell of the sum on J is one iff some term keeps
+it, so J shows every cell either map keeps.  A sampled A hides every cell
+where its entry is already zero.  Over a carrier whose ⊕ is not idempotent,
+one ⊕ one may differ from one, and then the check fails at every cell two
+terms keep (:meth:`DecompositionExpr.acts_as`).
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from .matrices import (
     ensure_same_dimension,
     iter_positions,
     random_matrix,
+    triangle_size,
 )
-from .semirings import _ranked, seeded_trials
+from .semirings import Semiring, _ranked, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -275,13 +285,33 @@ def _zeroed(f: Any, n: int, caller: str) -> tuple[int, ...]:
 
 
 def _zeroing(maps: list, n: int) -> list[int]:
-    """Per cell, row-major: the bitset of the indices of the maps that zero it."""
-    cells = [bytearray(len(maps) // 8 + 1) for _ in range(len(_mul_plan(n)))]
+    """Per cell, row-major: the bitset of the indices of the maps that zero it.
+
+    A mask zeroes (r, c) iff its zero set holds every index of r..c, so the
+    masks that zero (r, c) are D_r & ... & D_c, with D_t the bitset of the
+    masks whose zero set holds t: one running AND per cell, and no mask's
+    offsets are built.  A :class:`ZeroPattern` sets its bits offset by offset.
+    """
+    width = len(maps) // 8 + 1
+    held = [bytearray(width) for _ in range(n + 1)]  # D_t at index t
+    cells = [bytearray(width) for _ in range(triangle_size(n))]
     for index, fn in enumerate(maps):
         byte, bit = index >> 3, 1 << (index & 7)
-        for t in _zeroed(fn, n, "trial runner"):
-            cells[t][byte] |= bit
-    return [int.from_bytes(cell, "little") for cell in cells]
+        if isinstance(fn, MaskDerivation):
+            ensure_same_dimension(fn.n, n)
+            for t in fn.zero_set:
+                held[t][byte] |= bit
+        else:
+            for t in _zeroed(fn, n, "trial runner"):
+                cells[t][byte] |= bit
+    held_bits = [int.from_bytes(d, "little") for d in held]
+    zeroing = []
+    for r in range(1, n + 1):
+        run = held_bits[r]
+        for c in range(r, n + 1):
+            run &= held_bits[c]
+            zeroing.append(run | int.from_bytes(cells[len(zeroing)], "little"))
+    return zeroing
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -506,6 +536,47 @@ class DecompositionExpr:
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         ensure_same_dimension(matrix.n, self.n)
         return pointwise_sum(*self.terms)(matrix)
+
+    def acts_as(self, mask: MaskDerivation, semiring: Semiring) -> bool:
+        """Whether ``self(J) == mask(J)``, J the all-``one`` matrix over
+        ``semiring``, without building J or any term's image.
+
+        On J each term writes ``one`` where it keeps a cell and ``zero``
+        elsewhere: term (k, m) keeps rows <= k and columns >= n - m + 1, an
+        omitted factor being delta_n or d_n.  So a cell of self(J) is the
+        fold of ``add`` over the terms, in ``pointwise_sum``'s order, of
+        ``one`` for the terms in the cell's key (the bitset of the terms
+        keeping it) and ``zero`` for the rest; it is folded once per
+        distinct key and compared with mask(J): ``zero`` where the mask
+        zeroes the cell, ``one`` elsewhere.
+        """
+        n = self.n
+        ensure_same_dimension(mask.n, n)
+        if not self.terms:
+            raise ValueError("need at least one map")
+        rows, cols = [0] * (n + 2), [0] * (n + 2)  # the terms keeping row r / column c
+        for index, term in enumerate(self.terms):
+            k = n if term.k is None else term.k
+            m = n if term.m is None else term.m
+            if k > n or m > n:
+                raise ValueError(f"term {term.ascii()} outside 0..{n}")
+            rows[k] |= 1 << index  # for now: the terms whose last kept row is k
+            cols[n - m + 1] |= 1 << index
+        for r in range(n - 1, 0, -1):
+            rows[r] |= rows[r + 1]
+        for c in range(2, n + 1):
+            cols[c] |= cols[c - 1]
+        keys = [rows[r] & cols[c] for r in range(1, n + 1) for c in range(r, n + 1)]
+        add, zero, one = semiring.add, semiring.zero, semiring.one
+        terms = range(len(self.terms))
+        folds = {
+            key: reduce(add, [one if key >> index & 1 else zero for index in terms])
+            for key in set(keys)
+        }
+        want = [one] * triangle_size(n)
+        for t in _mask_offsets(n, mask.zero_set):
+            want[t] = zero
+        return [folds[key] for key in keys] == want
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms)

@@ -12,8 +12,10 @@ from trideriv import (
     MINUS_INF,
     HereditaryShift,
     MaskDerivation,
+    UTMatrix,
     ZeroPattern,
     d_m,
+    decompose,
     delta_k,
     enumerate_family_derivations,
     enumerate_matrices,
@@ -21,6 +23,7 @@ from trideriv import (
     iter_positions,
     leibniz_check,
     linearity_check,
+    parse_zero_set,
     random_matrix,
     strip_diagonal,
 )
@@ -575,6 +578,7 @@ def test_trial_runner_without_maps():
     assert first_failures([], 3, get_semiring("maxplus"), 5, 0) == []
 
 
+
 def test_verify_decompose(capsys):
     code, out, _ = run(
         capsys, "verify", "decompose", "--n", "6", "--trials", "20", "--seed", "7"
@@ -599,6 +603,49 @@ def test_verify_decompose_pinned_stream(capsys):
         "PASS decompose n=5 trial=4 zero_set=2,4 expr=delta1 + delta3*d3 + d1\n"
         "PASS decompose n=5 trial=5 zero_set=1,2,3,4,5 expr=delta5*d0\n"
     )
+
+
+def one_more_column(mask):
+    """``decompose`` with every product term keeping one more column: wrong
+    wherever the true expression has a product term."""
+    expr = decompose(mask)
+    return replace(expr, terms=tuple(
+        replace(term, m=term.m + 1) if None not in (term.k, term.m) else term
+        for term in expr.terms
+    ))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("semiring", ["boolean", "maxplus", "fuzzy"])
+def test_verify_decompose_fails_every_wrong_expression(capsys, monkeypatch, semiring, n):
+    monkeypatch.setattr(cli, "decompose", one_more_column)
+    code, out, _ = run(capsys, "verify", "decompose", "--n", str(n), "--semiring", semiring,
+                       "--trials", "200", "--seed", "3")
+    ones = UTMatrix(n, get_semiring("boolean"), (1,) * (n * (n + 1) // 2))
+    wrong = []
+    for line in out.splitlines():
+        zero_set = parse_zero_set(line.split(" ")[4].removeprefix("zero_set="), n)
+        mask = MaskDerivation(n, zero_set)  # on J, a boolean mask map shows every cell
+        wrong.append(one_more_column(mask)(ones) != mask(ones))
+    verdicts = [line.split(" ")[0] for line in out.splitlines()]
+    assert len(verdicts) == 200 and 0 < sum(wrong) < 200
+    assert verdicts == ["FAIL" if w else "PASS" for w in wrong]
+    assert verdicts.index("FAIL") == wrong.index(True)
+    assert code == 1
+
+
+def test_verify_decompose_builds_each_expression_once(capsys, monkeypatch):
+    built = []
+
+    def counted(mask):
+        built.append(mask.zero_set)
+        return decompose(mask)
+
+    monkeypatch.setattr(cli, "decompose", counted)
+    code, out, _ = run(capsys, "verify", "decompose", "--n", "3", "--trials", "50")
+    zero_sets = [line.split(" ")[4] for line in out.splitlines()]
+    assert code == 0 and len(zero_sets) == 50
+    assert len(built) == len(set(built)) == len(set(zero_sets)) == 8
 
 
 def test_verify_hereditary(capsys):

@@ -90,7 +90,7 @@ GROUPS = {
     "axioms": (axioms_commands, 20,
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 208,
-               "52b4a4f939d6bafa1facee6d50fa2fabc74a9d8078e3af27fa40f65d52abf37c"),
+               "832bc592ed616a9235fa0d71580a1f280cb67739dd8dc2ee78b9c94f322473d5"),
     "wide-verify": (wide_verify_commands, 25,
                     "7469738d6ee5f5fe2c92d2d54ff13f22861665b81ed9655696cc42a384029b86"),
     "oracle": (oracle_commands, 3,

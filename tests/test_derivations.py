@@ -2,9 +2,11 @@
 and the rewriting into delta/d terms."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cli_bytes import NATURALS
 
 from trideriv import (
     BOOLEAN,
@@ -40,7 +42,7 @@ from trideriv import (
     theorem2_predicate,
     triangle_size,
 )
-from trideriv.derivations import first_difference
+from trideriv.derivations import _zeroing, first_difference, first_failures
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -361,6 +363,27 @@ def test_linearity_of_masks_and_patterns():
     assert linearity_check(strip_diagonal(4), a, b) is None
 
 
+# --- the trial runner's set-up -------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trial_runner_zeroing_from_diagonal_bitsets(n):
+    # Masks go through running ANDs of diagonal bitsets, patterns offset by
+    # offset; in a mixed list both must give each cell the maps zeroing it.
+    patterns = [delta_k(n, k).compose(d_m(n, m)) for k in range(n + 1) for m in range(n + 1)]
+    maps = [x for pair in zip(enumerate_family_derivations(n), patterns) for x in pair]
+    zeroed = [fn.pattern.positions if isinstance(fn, MaskDerivation) else fn.positions
+              for fn in maps]
+    assert _zeroing(maps, n) == [
+        sum(1 << index for index, cells in enumerate(zeroed) if position in cells)
+        for position in iter_positions(n)
+    ]
+
+
+def test_trial_runner_checks_each_masks_dimension():
+    with pytest.raises(MatrixMismatchError, match="^dimension mismatch: 2 vs 3$"):
+        first_failures([delta_k(3, 1), MaskDerivation(2, {1})], 3, MAXPLUS, 1, 0)
+
+
 # --- enumeration ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 6), (4, 10)])
@@ -474,6 +497,42 @@ def test_decompose_matches_mask_on_random_matrices():
             expr = decompose(mask)
             a = random_matrix(n, MAXPLUS, rng)
             assert expr(a) == mask(a)
+
+
+def near_expressions(expr):
+    """``expr``, and each spelling with one factor index moved by one."""
+    yield expr
+    for index, term in enumerate(expr.terms):
+        for field in ("k", "m"):
+            value = getattr(term, field)
+            for moved in (() if value is None else (value - 1, value + 1)):
+                if 0 <= moved <= expr.n:
+                    terms = list(expr.terms)
+                    terms[index] = replace(term, **{field: moved})
+                    yield replace(expr, terms=tuple(terms))
+
+
+@pytest.mark.parametrize("semiring", [*INSTANCES, NATURALS], ids=lambda s: s.name)
+def test_acts_as_compares_on_the_all_one_matrix(semiring):
+    verdicts = set()
+    for n in range(1, 8):
+        ones = UTMatrix(n, semiring, (semiring.one,) * triangle_size(n))
+        for mask in enumerate_family_derivations(n):
+            for expr in near_expressions(decompose(mask)):
+                verdict = expr.acts_as(mask, semiring)
+                assert verdict == (expr(ones) == mask(ones))
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_acts_as_rejects_what_evaluation_rejects():
+    mask = MaskDerivation(3, {2})
+    with pytest.raises(ValueError, match="outside 0..3"):
+        DecompositionExpr(3, (DecompositionTerm(k=4),)).acts_as(mask, BOOLEAN)
+    with pytest.raises(ValueError, match="at least one"):
+        DecompositionExpr(3, ()).acts_as(mask, BOOLEAN)
+    with pytest.raises(MatrixMismatchError):
+        decompose(mask).acts_as(MaskDerivation(4, {2}), BOOLEAN)
 
 
 @settings(max_examples=200, deadline=None)
