@@ -7,8 +7,10 @@ dense diagonal blocks and always yields a derivation.  A
 :class:`ZeroPattern` is an arbitrary set of upper positions; it is the
 right shape for compositions, whose patterns are usually not of the
 diagonal form, and being a derivation becomes a predicate
-(:meth:`ZeroPattern.is_derivation`) instead of a type guarantee.  The
-runner :func:`first_failures` tries many mask maps on shared seeded pairs.
+(:meth:`ZeroPattern.is_derivation`) instead of a type guarantee.  A mask
+applies, and names the cells it zeroes, through its pattern, one cached
+object per (n, zero set).  The runner :func:`first_failures` tries many
+mask maps on shared seeded pairs.
 
 Every derivation acts entrywise.  Let S be additively idempotent (so
 x ⊕ y = 0 forces x = y = 0) and f additive and Leibniz on UT_n(S).
@@ -40,7 +42,6 @@ from typing import Any, Callable, Iterable, Iterator, Union
 from .matrices import (
     UTMatrix,
     _mul_plan,
-    _offset,
     ensure_positive_dimension,
     ensure_same_dimension,
     iter_positions,
@@ -68,26 +69,14 @@ def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=256)
-def _mask_offsets(n: int, zero_set: frozenset) -> tuple[int, ...]:
-    """Row-major offsets of the entries (r, c) with every index of r..c in ``zero_set``:
-    row r of the run (s, e) loses (r, r..e)."""
-    return tuple(
-        t
-        for s, e in _runs(zero_set)
-        for r in range(s, e + 1)
-        for t in range(_offset(n, r, r), _offset(n, r, e) + 1)
+def _mask_pattern(n: int, zero_set: frozenset) -> "ZeroPattern":
+    """The cells (r, c) with every index of r..c in ``zero_set``: the upper
+    triangle s <= r <= c <= e of each run (s, e).  Shared by every mask of
+    this key, so fresh ``delta_k``/``d_m`` objects reuse its offsets."""
+    cells = (
+        (r, c) for s, e in _runs(zero_set) for r in range(s, e + 1) for c in range(r, e + 1)
     )
-
-
-def _apply_zeroed(n: int, offsets: tuple[int, ...], matrix: UTMatrix) -> UTMatrix:
-    """Send the entries at row-major ``offsets`` to zero: the one apply path of
-    :class:`MaskDerivation` and :class:`ZeroPattern`."""
-    ensure_same_dimension(matrix.n, n)
-    cells = list(matrix.entries)
-    zero = matrix.semiring.zero
-    for t in offsets:
-        cells[t] = zero
-    return UTMatrix._trusted(n, matrix.semiring, tuple(cells))
+    return ZeroPattern(n, frozenset(cells))
 
 
 @dataclass(frozen=True)
@@ -116,12 +105,11 @@ class MaskDerivation:
 
     @cached_property
     def pattern(self) -> "ZeroPattern":
-        positions = tuple(iter_positions(self.n))
-        zeroed = _mask_offsets(self.n, self.zero_set)
-        return ZeroPattern(self.n, frozenset(positions[t] for t in zeroed))
+        """The cells this mask zeroes, from the cache keyed by (n, zero_set)."""
+        return _mask_pattern(self.n, self.zero_set)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        return _apply_zeroed(self.n, _mask_offsets(self.n, self.zero_set), matrix)
+        return self.pattern(matrix)
 
     def __add__(self, other: "MaskDerivation") -> "MaskDerivation":
         """Pointwise sum of the two maps (an entry survives if either side keeps it)."""
@@ -157,11 +145,17 @@ class ZeroPattern:
 
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
+        """The row-major offsets of ``positions``."""
         pos = self.positions
         return tuple(t for t, p in enumerate(iter_positions(self.n)) if p in pos)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        return _apply_zeroed(self.n, self._zeroed, matrix)
+        ensure_same_dimension(matrix.n, self.n)
+        cells = list(matrix.entries)
+        zero = matrix.semiring.zero
+        for t in self._zeroed:
+            cells[t] = zero
+        return UTMatrix._trusted(self.n, matrix.semiring, tuple(cells))
 
     def __add__(self, other: "ZeroPattern") -> "ZeroPattern":
         """Pointwise sum of the mask maps: zero only where both sides zero."""
@@ -173,12 +167,11 @@ class ZeroPattern:
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions | other.positions)
 
-    def diagonal_zero_set(self) -> frozenset:
-        return frozenset(i for i in range(1, self.n + 1) if (i, i) in self.positions)
-
     def interval_form(self) -> MaskDerivation | None:
-        """The MaskDerivation with the same action, if one exists."""
-        mask = MaskDerivation(self.n, self.diagonal_zero_set())
+        """The MaskDerivation with the same action, if one exists: the one
+        zeroing this pattern's diagonal cells."""
+        diagonal = frozenset(i for i in range(1, self.n + 1) if (i, i) in self.positions)
+        mask = MaskDerivation(self.n, diagonal)
         return mask if mask.pattern == self else None
 
     def is_derivation(self) -> bool:
@@ -276,21 +269,13 @@ def pointwise_sum(*maps: MatrixMap) -> MatrixMap:
 
 # --- the seeded trial runner -------------------------------------------------------
 
-def _zeroed(f: Any, n: int, caller: str) -> tuple[int, ...]:
-    """The row-major offsets of the entries a mask map zeroes; any other map
-    raises TypeError, naming ``caller``."""
-    _check_mask_map(f, caller)
-    ensure_same_dimension(f.n, n)
-    return _mask_offsets(n, f.zero_set) if isinstance(f, MaskDerivation) else f._zeroed
-
-
 def _zeroing(maps: list, n: int) -> list[int]:
     """Per cell, row-major: the bitset of the indices of the maps that zero it.
 
     A mask zeroes (r, c) iff its zero set holds every index of r..c, so the
     masks that zero (r, c) are D_r & ... & D_c, with D_t the bitset of the
     masks whose zero set holds t: one running AND per cell, and no mask's
-    offsets are built.  A :class:`ZeroPattern` sets its bits offset by offset.
+    pattern is built.  A :class:`ZeroPattern` sets its bits offset by offset.
     """
     width = len(maps) // 8 + 1
     held = [bytearray(width) for _ in range(n + 1)]  # D_t at index t
@@ -302,7 +287,9 @@ def _zeroing(maps: list, n: int) -> list[int]:
             for t in fn.zero_set:
                 held[t][byte] |= bit
         else:
-            for t in _zeroed(fn, n, "trial runner"):
+            _check_mask_map(fn, "trial runner")
+            ensure_same_dimension(fn.n, n)
+            for t in fn._zeroed:
                 cells[t][byte] |= bit
     held_bits = [int.from_bytes(d, "little") for d in held]
     zeroing = []
@@ -574,7 +561,7 @@ class DecompositionExpr:
             for key in set(keys)
         }
         want = [one] * triangle_size(n)
-        for t in _mask_offsets(n, mask.zero_set):
+        for t in mask.pattern._zeroed:
             want[t] = zero
         return [folds[key] for key in keys] == want
 

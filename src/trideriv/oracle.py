@@ -31,7 +31,6 @@ from .derivations import (
     ZeroPattern,
     _as_pattern,
     _check_mask_map,
-    _zeroed,
     format_pattern,
     leibniz_check,
 )
@@ -109,11 +108,11 @@ def exhaustive_leibniz_witness(
     product table is re-checked with :func:`leibniz_check`; a
     disagreement raises RuntimeError.
     """
-    _check_mask_map(f, "exhaustive search")  # before f.n, and without building offsets
+    _check_mask_map(f, "exhaustive search")  # before f.n, and before any pattern or offset
     n = f.n
     _check_dimension(n)
-    zeroed = sum(1 << t for t in _zeroed(f, n, "exhaustive search"))  # distinct offsets
     pattern = _as_pattern(f)
+    zeroed = sum(1 << t for t in pattern._zeroed)  # distinct offsets
     mats, product = _table(n)
     found = _first_failure(product, zeroed, pattern)
     if found is None:

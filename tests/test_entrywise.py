@@ -4,7 +4,10 @@ carriers, and a search over all additive maps at tiny dimensions.
 The ``derivations`` module docstring carries the proof.  These tests check
 its two conclusions without it: weight maps obey Leibniz exactly when their
 weights satisfy u(i,l) = u(i,k) ⊕ u(k,l), and a search over every additive
-map of UT_n finds only entrywise maps among the derivations.
+map of UT_n finds only entrywise maps among the derivations.  A last
+section checks the Jordan rule f(A∘B) = f(A)∘B ⊕ A∘f(B) on zero patterns,
+and pins a map that obeys the square form f(A²) = f(A)A ⊕ Af(A) without
+being a derivation.
 """
 
 import itertools
@@ -20,13 +23,19 @@ from trideriv import (
     MAXPLUS,
     MINPLUS,
     UTMatrix,
+    ZeroPattern,
     brute_force_classify,
+    enumerate_matrices,
     iter_positions,
+    jordan,
     leibniz_check,
     linearity_check,
+    matrix_bits,
     matrix_unit,
     random_matrix,
 )
+from trideriv.derivations import Witness
+from trideriv.oracle import _table
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -177,3 +186,48 @@ def test_chain_derivations_are_entrywise_weight_maps():
             for b in everything:
                 assert leibniz_check(f, a, b) is None
                 assert linearity_check(f, a, b) is None
+
+
+# --- the Jordan rule ---------------------------------------------------------------------
+
+def test_jordan_rule_selects_the_derivation_patterns():
+    """Over all boolean pairs, the zero patterns f with f(A∘B) = f(A)∘B ⊕ A∘f(B),
+    A∘B = AB ⊕ BA, are exactly the derivation ones: 2, 5 and 13 for n = 1..3.
+    Matrices are the oracle's bitmask indices, so f(X) is ``X & keep``."""
+    for n, count in ((1, 2), (2, 5), (3, 13)):
+        mats, product = _table(n)
+        size = len(mats)
+        circ = [[ab | product[b][a] for b, ab in enumerate(row)] for a, row in enumerate(product)]
+        for a, row in enumerate(circ):
+            assert row == [matrix_bits(jordan(mats[a], m)) for m in mats]
+        positions = list(iter_positions(n))
+        obeying, derivations = set(), set()
+        for bits in range(size):  # one zero pattern per bitmask of its cells
+            keep = ~bits & (size - 1)
+            if all(
+                circ_ab & keep == circ[a & keep][b] | circ[a][b & keep]
+                for a, row in enumerate(circ)
+                for b, circ_ab in enumerate(row)
+            ):
+                obeying.add(bits)
+            pattern = ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
+            if pattern.is_derivation():
+                derivations.add(bits)
+        assert obeying == derivations
+        assert len(obeying) == count
+
+
+def test_square_form_admits_a_non_derivation():
+    """f(A) = a₁₁E₁₁ ⊕ (a₁₂ ∨ a₂₂)E₁₂ on UT_2(B) is additive and obeys the square
+    form on every matrix, yet breaks Leibniz at (E₁₁, E₂₂): with no cancellation,
+    the square form does not polarise to the bilinear rule."""
+    add = BOOLEAN.add
+
+    def f(a):
+        return UTMatrix.from_dict(2, BOOLEAN, {(1, 1): a[1, 1], (1, 2): add(a[1, 2], a[2, 2])})
+
+    mats = list(enumerate_matrices(2))
+    assert all(linearity_check(f, a, b) is None for a in mats for b in mats)
+    assert all(f(a * a) == f(a) * a + a * f(a) for a in mats)
+    e11, e22 = matrix_unit(2, 1, 1, BOOLEAN), matrix_unit(2, 2, 2, BOOLEAN)
+    assert leibniz_check(f, e11, e22) == Witness((1, 2), 0, 1)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from trideriv import oracle
+from trideriv import derivations, oracle
 from trideriv import (
     BOOLEAN,
     FUZZY,
@@ -234,6 +234,12 @@ def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
     with pytest.raises(CapacityError):
         exhaustive_leibniz_witness(f)
     assert "_zeroed" not in f.__dict__  # no scan of the n(n+1)/2 positions
+    mask = MaskDerivation(2000, frozenset(range(1, 1001)))
+    before = derivations._mask_pattern.cache_info()
+    with pytest.raises(CapacityError):
+        exhaustive_leibniz_witness(mask)
+    assert derivations._mask_pattern.cache_info() == before  # no pattern looked up or built
+    assert "pattern" not in mask.__dict__
 
 
 def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
