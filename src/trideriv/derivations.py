@@ -23,6 +23,24 @@ i ≤ k ≤ l and a, b in S.  So, for weights u_ij that commute with S (zero and
 one do; take a = b = one), A ↦ (a_ij ⊗ u_ij) is a derivation iff
 u(i,l) = u(i,k) ⊕ u(k,l) for all i ≤ k ≤ l; the 0/1 weights are the mask maps.
 
+Over a commutative S, additive maps obeying the Jordan rule
+f(A∘B) = f(A)∘B ⊕ A∘f(B), A∘B = AB ⊕ BA, are derivations (a Herstein-type
+theorem); every derivation obeys it by additivity.  0∘0 = 0 gives f(0) = 0.
+E_ii∘E_ii = E_ii puts f(E_ii) = f(E_ii)E_ii ⊕ E_ii f(E_ii) on row and column
+i, and for j ≠ i, E_ii∘E_jj = 0 makes each of the four terms vanish:
+f(E_ii)E_jj = E_jj f(E_ii) = 0, so f(E_ii) ∈ S·E_ii, and likewise
+f(λE_ii) ∈ S·E_ii.  For i < j, E_ii∘λE_ij = λE_ij = λE_ij∘E_jj puts
+f(λE_ij) on (row i ∪ column i) ∩ (row j ∪ column j) = {(i, j)}, so f acts
+entrywise.  ∘ is bi-additive, and on a pair (λE_ij, μE_kl) with j = k or
+l = i, but not i = j = k = l, the rule is the Leibniz condition above (on
+other pairs both sides are 0).  At i = j = k = l it reads
+δ(λμ ⊕ μλ) = δ(λ)μ ⊕ μδ(λ) ⊕ λδ(μ) ⊕ δ(μ)λ, which is Leibniz once λμ = μλ:
+only there is commutativity used, and all four shipped carriers are
+commutative.  The square form f(A²) = f(A)A ⊕ Af(A)
+is weaker, since ⊕ does not cancel: f(A) = a₁₁E₁₁ ⊕ (a₁₂ ∨ a₂₂)E₁₂ on
+UT_2(B) obeys it and breaks Leibniz at (E₁₁, E₂₂)
+(tests/test_entrywise.py pins it).
+
 A sum of δ_k/d_m terms (:class:`DecompositionExpr`) and a mask are the same
 map iff they agree on J, the all-one matrix.  Both act entrywise, each term
 writing one on J where it keeps a cell and zero elsewhere; with ⊕ idempotent,

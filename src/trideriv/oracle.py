@@ -10,13 +10,19 @@ pairs.
 Internally matrices are indexed by their entry bitmask (bit t of the
 index is the t-th row-major entry), so masking is ``index & keep`` and
 matrix addition is bitwise-or of indices; the product table is computed
-once per dimension and process with the real matrix multiplication.  One
-engine, :func:`_first_failure`, scans that table for both the witness
-search and the classification, and compares each verdict with the local
+once per dimension and process with the real matrix multiplication.
+:func:`_packed` turns each row a of the table into one int, with one
+field of N bits per entry t (N matrices), so a scan tests every B of the
+row with a few int operations.  Bit b of a field stands for the B of
+index b, and masking B becomes a shift: b & keep differs from b only in
+zeroed bits, so shifting the bits of the b ⊆ keep up by 2**u, once for
+each zeroed bit u, copies A·(B & keep) onto every b.  One engine,
+:func:`_first_failure`, scans the packed rows for both the witness search
+and the classification, and compares each verdict with the local
 characterization in both directions; a disagreement raises.  The witness
 search also re-checks a found pair with :func:`leibniz_check` on real
-matrices.  The encoding lemmas are re-checked exhaustively in the test
-suite.
+matrices.  The encoding lemmas and the packing are re-checked
+exhaustively in the test suite.
 """
 
 from __future__ import annotations
@@ -72,22 +78,60 @@ def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[tuple[int, ...], ...]]:
     return mats, tuple(tuple(matrix_bits(a * b) for b in mats) for a in mats)
 
 
+@functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT)
+def _packed(n: int) -> tuple[int, ...]:
+    """The product table with one int per row a: bit t·N + b is bit t of
+    the index of AB, N the number of matrices."""
+    product = _table(n)[1]
+    width = len(product)
+    # spread[x] puts bit t of the index x at bit t·N.
+    spread = [sum((x >> t & 1) << t * width for t in range(triangle_size(n))) for x in range(width)]
+    return tuple(sum(spread[ab] << b for b, ab in enumerate(row)) for row in product)
+
+
 def _first_failure(
-    product: tuple[tuple[int, ...], ...], zeroed: int, pattern: ZeroPattern
+    rows: tuple[int, ...], zeroed: int, pattern: ZeroPattern
 ) -> tuple[int, int] | None:
     """First (a, b) in bitmask order where ``pattern``, which zeroes the
     entries in the bitmask ``zeroed``, breaks Leibniz.  A verdict that
     disagrees with :meth:`ZeroPattern.is_derivation` raises RuntimeError.
+
+    ``rows`` is :func:`_packed`: row a holds AB for every b at once, one
+    N-bit field per entry t.  With keep the kept entries, f(A)B is the
+    packed row of a & keep, and f(AB) is the row with only the fields
+    t ∈ keep.  Af(B) needs, at each b, row a's bit at b & keep: take the
+    bits of the b ⊆ keep and, for each zeroed bit u, ``x |= x << 2**u``,
+    which copies each b onto b | 2**u with the same kept bits.  Such a b
+    lacks bit u, so b + 2**u stays inside its field.  The failing b's of
+    row a are the set bits of (f(A)B | Af(B)) ^ f(AB), OR-ed over the
+    fields; the lowest one is next in bitmask order.  (The lowest set bit
+    of the whole int is the lowest (t, b), which is not that order.)
     """
-    keep = ~zeroed & (len(product) - 1)
+    width = len(rows)
+    size = width.bit_length() - 1
+    keep = ~zeroed & (width - 1)
+    field = (1 << width) - 1
+    kept_t = 0  # the fields t ∈ keep
+    kept_b = sum(1 << t * width for t in range(size))  # b = 0 in every field,
+    shifts = []
+    for u in range(size):
+        if keep >> u & 1:
+            kept_t |= field << u * width
+            kept_b |= kept_b << (1 << u)  # then every b ⊆ keep
+        else:
+            shifts.append(1 << u)
     found = None
-    for a, row in enumerate(product):
-        kept_row = product[a & keep]
-        for b, ab in enumerate(row):
-            if kept_row[b] | row[b & keep] != ab & keep:
-                found = a, b
-                break
-        if found:
+    for a, row in enumerate(rows):
+        af_b = row & kept_b
+        for shift in shifts:
+            af_b |= af_b << shift
+        bad = (rows[a & keep] | af_b) ^ (row & kept_t)
+        if bad:
+            any_t = 0
+            while bad:
+                any_t |= bad & field
+                bad >>= width
+            found = a, (any_t & -any_t).bit_length() - 1
             break
     if (found is None) != pattern.is_derivation():
         raise RuntimeError(
@@ -113,8 +157,8 @@ def exhaustive_leibniz_witness(
     _check_dimension(n)
     pattern = _as_pattern(f)
     zeroed = sum(1 << t for t in pattern._zeroed)  # distinct offsets
-    mats, product = _table(n)
-    found = _first_failure(product, zeroed, pattern)
+    mats = _table(n)[0]
+    found = _first_failure(_packed(n), zeroed, pattern)
     if found is None:
         return None
     a, b = mats[found[0]], mats[found[1]]
@@ -158,8 +202,8 @@ def brute_force_classify(n: int) -> OracleReport:
     """
     _check_dimension(n)
     positions = list(iter_positions(n))
-    _, product = _table(n)
-    count = len(product)
+    rows = _packed(n)
+    count = len(rows)
 
     derivations = []
     for pattern_bits in range(count):
@@ -167,7 +211,7 @@ def brute_force_classify(n: int) -> OracleReport:
             n,
             frozenset(p for t, p in enumerate(positions) if pattern_bits >> t & 1),
         )
-        if _first_failure(product, pattern_bits, pattern) is None:
+        if _first_failure(rows, pattern_bits, pattern) is None:
             derivations.append(pattern)
     interval = sum(1 for p in derivations if p.interval_form() is not None)
     return OracleReport(n, count, tuple(derivations), interval)

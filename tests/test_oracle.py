@@ -217,6 +217,36 @@ def test_table_engine_matches_direct_sweep(f, n):
     assert exhaustive_leibniz_witness(f) == _direct_witness(f, n)
 
 
+def _scalar_first_failure(product, zeroed):
+    """Reference scan: each pair (a, b) of the product table in bitmask order."""
+    keep = ~zeroed & (len(product) - 1)
+    for a, row in enumerate(product):
+        for b, ab in enumerate(row):
+            if product[a & keep][b] | row[b & keep] != ab & keep:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_scan_matches_the_scalar_scan(n):
+    """Every zero pattern's first failing pair, and the packing itself."""
+    product = oracle._table(n)[1]
+    rows = oracle._packed(n)
+    width, size = len(product), triangle_size(n)
+    assert len(rows) == width
+    for row, products in zip(rows, product):
+        assert row >> (size * width) == 0
+        decoded = [
+            sum((row >> (t * width + b) & 1) << t for t in range(size)) for b in range(width)
+        ]
+        assert decoded == list(products)
+    positions = list(iter_positions(n))
+    for zeroed in range(width):
+        pattern = ZeroPattern(n, frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1))
+        found = oracle._first_failure(rows, zeroed, pattern)
+        assert found == _scalar_first_failure(product, zeroed), zeroed
+
+
 def test_exhaustive_witness_rejects_non_mask_maps():
     with pytest.raises(TypeError):
         exhaustive_leibniz_witness(lambda m: m)
