@@ -136,7 +136,7 @@ class MaskDerivation:
 
     def compose(self, other: Union["MaskDerivation", "ZeroPattern"]) -> "ZeroPattern":
         """Apply ``self`` then ``other``; the composed map zeroes the union."""
-        return self.pattern.compose(_as_pattern(other))
+        return self.pattern.compose(other)
 
     def __le__(self, other: "MaskDerivation") -> bool:
         """Natural order of idempotent addition: self <= other iff self + other = other."""
@@ -299,14 +299,13 @@ def _zeroing(maps: list, n: int) -> list[int]:
     held = [bytearray(width) for _ in range(n + 1)]  # D_t at index t
     cells = [bytearray(width) for _ in range(triangle_size(n))]
     for index, fn in enumerate(maps):
+        _check_mask_map(fn, "trial runner")
+        ensure_same_dimension(fn.n, n)
         byte, bit = index >> 3, 1 << (index & 7)
         if isinstance(fn, MaskDerivation):
-            ensure_same_dimension(fn.n, n)
             for t in fn.zero_set:
                 held[t][byte] |= bit
         else:
-            _check_mask_map(fn, "trial runner")
-            ensure_same_dimension(fn.n, n)
             for t in fn._zeroed:
                 cells[t][byte] |= bit
     held_bits = [int.from_bytes(d, "little") for d in held]

@@ -11,7 +11,7 @@ Internally matrices are indexed by their entry bitmask (bit t of the
 index is the t-th row-major entry), so masking is ``index & keep`` and
 matrix addition is bitwise-or of indices; the product table is computed
 once per dimension and process with the real matrix multiplication.
-:func:`_packed` turns each row a of the table into one int, with one
+:func:`_table` holds each row a of the table as one int, with one
 field of N bits per entry t (N matrices), so a scan tests every B of the
 row with a few int operations.  Bit b of a field stands for the B of
 index b, and masking B becomes a shift: b & keep differs from b only in
@@ -50,17 +50,13 @@ class CapacityError(ValueError):
     """Requested dimension exceeds the exhaustive-search budget."""
 
 
-def _check_dimension(n: int) -> None:
+def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
+    """Every boolean upper-triangular matrix exactly once, in bitmask order."""
     ensure_positive_dimension(n)
     if n > EXHAUSTIVE_LIMIT:
         raise CapacityError(
             f"n={n} too large for exhaustive search (limit {EXHAUSTIVE_LIMIT})"
         )
-
-
-def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
-    """Every boolean upper-triangular matrix exactly once, in bitmask order."""
-    _check_dimension(n)
     size = triangle_size(n)
     for bits in range(1 << size):
         yield UTMatrix._trusted(n, BOOLEAN, tuple(bits >> t & 1 for t in range(size)))
@@ -72,21 +68,17 @@ def matrix_bits(matrix: UTMatrix) -> int:
 
 
 @functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT)
-def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[tuple[int, ...], ...]]:
-    """All boolean matrices at dimension n and their product table by index."""
+def _table(n: int) -> tuple[tuple[UTMatrix, ...], tuple[int, ...]]:
+    """All boolean matrices at dimension n (refused outside 1..EXHAUSTIVE_LIMIT
+    by :func:`enumerate_matrices`), and the product table with one int per
+    row a: bit t·N + b is bit t of the index of AB, N the number of matrices."""
     mats = tuple(enumerate_matrices(n))
-    return mats, tuple(tuple(matrix_bits(a * b) for b in mats) for a in mats)
-
-
-@functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT)
-def _packed(n: int) -> tuple[int, ...]:
-    """The product table with one int per row a: bit t·N + b is bit t of
-    the index of AB, N the number of matrices."""
-    product = _table(n)[1]
-    width = len(product)
+    width = len(mats)
     # spread[x] puts bit t of the index x at bit t·N.
     spread = [sum((x >> t & 1) << t * width for t in range(triangle_size(n))) for x in range(width)]
-    return tuple(sum(spread[ab] << b for b, ab in enumerate(row)) for row in product)
+    return mats, tuple(
+        sum(spread[matrix_bits(a * m)] << b for b, m in enumerate(mats)) for a in mats
+    )
 
 
 def _first_failure(
@@ -96,7 +88,7 @@ def _first_failure(
     entries in the bitmask ``zeroed``, breaks Leibniz.  A verdict that
     disagrees with :meth:`ZeroPattern.is_derivation` raises RuntimeError.
 
-    ``rows`` is :func:`_packed`: row a holds AB for every b at once, one
+    ``rows`` is the packed :func:`_table`: row a holds AB for every b at once, one
     N-bit field per entry t.  With keep the kept entries, f(A)B is the
     packed row of a & keep, and f(AB) is the row with only the fields
     t ∈ keep.  Af(B) needs, at each b, row a's bit at b & keep: take the
@@ -153,12 +145,10 @@ def exhaustive_leibniz_witness(
     disagreement raises RuntimeError.
     """
     _check_mask_map(f, "exhaustive search")  # before f.n, and before any pattern or offset
-    n = f.n
-    _check_dimension(n)
+    mats, rows = _table(f.n)  # the cap, before any pattern or offset
     pattern = _as_pattern(f)
     zeroed = sum(1 << t for t in pattern._zeroed)  # distinct offsets
-    mats = _table(n)[0]
-    found = _first_failure(_packed(n), zeroed, pattern)
+    found = _first_failure(rows, zeroed, pattern)
     if found is None:
         return None
     a, b = mats[found[0]], mats[found[1]]
@@ -200,9 +190,8 @@ def brute_force_classify(n: int) -> OracleReport:
     failure; each verdict is also compared with the local characterization,
     and a disagreement (there should be none) raises RuntimeError.
     """
-    _check_dimension(n)
+    rows = _table(n)[1]
     positions = list(iter_positions(n))
-    rows = _packed(n)
     count = len(rows)
 
     derivations = []

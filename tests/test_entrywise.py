@@ -5,12 +5,13 @@ The ``derivations`` module docstring carries the proof.  These tests check
 its two conclusions without it: weight maps obey Leibniz exactly when their
 weights satisfy u(i,l) = u(i,k) ⊕ u(k,l), and a search over every additive
 map of UT_n finds only entrywise maps among the derivations.  A last
-section checks the Jordan rule f(A∘B) = f(A)∘B ⊕ A∘f(B) on zero patterns,
-and pins a map that obeys the square form f(A²) = f(A)A ⊕ Af(A) without
-being a derivation.
+section checks the Jordan rule f(A∘B) = f(A)∘B ⊕ A∘f(B) on zero patterns
+and in the same search, counts the additive maps that obey the square form
+f(A²) = f(A)A ⊕ Af(A), and pins one of them that is not a derivation.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -33,6 +34,7 @@ from trideriv import (
     matrix_bits,
     matrix_unit,
     random_matrix,
+    triangle_size,
 )
 from trideriv.derivations import Witness
 from trideriv.oracle import _table
@@ -103,33 +105,49 @@ def generators(n, semiring, scalars):
     return keys, [UTMatrix.from_dict(n, semiring, {p: lam}) for p, lam in keys]
 
 
-def derivations_by_search(n, semiring, scalars):
+def all_matrices(n, semiring, scalars):
+    """Every matrix of UT_n with entries in ``scalars``."""
+    cells = itertools.product(scalars, repeat=triangle_size(n))
+    return [UTMatrix(n, semiring, c) for c in cells]
+
+
+def additive_map(n, semiring, keys, images):
+    """The additive map with f(0) = 0 sending the generator ``keys[t]`` to
+    ``images[t]``: f(A) is the sum of the images of A's nonzero entries."""
+    index = {key: t for t, key in enumerate(keys)}
+    zero = UTMatrix.zeros(n, semiring)
+    return lambda a: sum(
+        (images[index[p, a[p]]] for p in iter_positions(n) if a[p] != semiring.zero), zero
+    )
+
+
+def derivations_by_search(n, semiring, scalars, op=operator.mul):
     """Every derivation of UT_n over the chain ``scalars`` (ascending from
-    ``zero``, closed under add and mul), as its tuple of generator images.
+    ``zero``, closed under add and mul) for the product ``op``, as its tuple
+    of generator images; ``op=None`` prunes nothing and gives every
+    additive map.
 
     An additive map with f(0) = 0 (Leibniz at A = B = 0 forces it) is fixed
     by its images of the generators λE_ij, monotone in λ, and every such
     choice extends additively, since A = ⊕ a_ij E_ij.  The search draws each
     image from all of UT_n, diagonal generators first (E_ij = E_ii·E_ij·E_jj),
-    and prunes by Leibniz on a generator pair once the images of both
-    factors and of their product are set.  A pruning condition is necessary,
-    never sufficient, so each caller confirms what survives on its own.
+    and prunes by the rule f(op(A, B)) = op(f(A), B) ⊕ op(A, f(B)) on a
+    generator pair once the images of both factors and of each generator in
+    op(A, B) are set.  A pruning condition is necessary, never sufficient,
+    so each caller confirms what survives on its own.
     """
     keys, units = generators(n, semiring, scalars)
     index = {key: t for t, key in enumerate(keys)}
     zero = UTMatrix.zeros(n, semiring)
-    candidates = [
-        UTMatrix(n, semiring, cells)
-        for cells in itertools.product(scalars, repeat=len(units[0].entries))
+    candidates = all_matrices(n, semiring, scalars)
+    smaller = [  # per generator t = μE: the generators λE with λ < μ
+        [index[p, x] for x in scalars[1:] if x < lam] for p, lam in keys
     ]
-    leibniz = [[] for _ in keys]  # per generator t: pairs (s, r, product) decided at t
-    smaller = [[] for _ in keys]  # per generator t = μE: the generators λE with λ < μ
-    for s, ((i, j), lam) in enumerate(keys):
-        smaller[s] = [index[(i, j), x] for x in scalars[1:] if x < lam]
-        for r, ((k, l), mu) in enumerate(keys):
-            scalar = semiring.mul(lam, mu)
-            product = index[(i, l), scalar] if j == k and scalar != scalars[0] else None
-            leibniz[max(s, r, -1 if product is None else product)].append((s, r, product))
+    rules = [[] for _ in keys]  # per generator t: pairs (s, r, terms of op) decided at t
+    for s, r in itertools.product(range(len(keys)), repeat=2) if op else ():
+        product = op(units[s], units[r])
+        terms = [index[p, product[p]] for p in iter_positions(n) if product[p] != scalars[0]]
+        rules[max(s, r, *terms)].append((s, r, terms))
 
     found = []
 
@@ -141,8 +159,9 @@ def derivations_by_search(n, semiring, scalars):
         for image in candidates:
             images.append(image)
             if all(images[x] + image == image for x in smaller[t]) and all(
-                (zero if p is None else images[p]) == images[s] * units[r] + units[s] * images[r]
-                for s, r, p in leibniz[t]
+                sum((images[p] for p in terms), zero)
+                == op(images[s], units[r]) + op(units[s], images[r])
+                for s, r, terms in rules[t]
             ):
                 extend(images)
             images.pop()
@@ -195,7 +214,8 @@ def test_jordan_rule_selects_the_derivation_patterns():
     A∘B = AB ⊕ BA, are exactly the derivation ones: 2, 5 and 13 for n = 1..3.
     Matrices are the oracle's bitmask indices, so f(X) is ``X & keep``."""
     for n, count in ((1, 2), (2, 5), (3, 13)):
-        mats, product = _table(n)
+        mats = _table(n)[0]
+        product = [[matrix_bits(a * b) for b in mats] for a in mats]
         size = len(mats)
         circ = [[ab | product[b][a] for b, ab in enumerate(row)] for a, row in enumerate(product)]
         for a, row in enumerate(circ):
@@ -215,6 +235,55 @@ def test_jordan_rule_selects_the_derivation_patterns():
                 derivations.add(bits)
         assert obeying == derivations
         assert len(obeying) == count
+
+
+def test_jordan_pruning_finds_exactly_the_derivations():
+    """Pruning by the Jordan rule on generator pairs, which suffices since ∘ is
+    bi-additive, keeps exactly the maps the Leibniz search keeps: 2, 5 and 13
+    for UT_n(B), n = 1..3, and 14 for UT_2 over {0, 1/2, 1}.  Over B they are
+    the maps of the oracle's derivation patterns, which obey the Jordan rule
+    on all pairs (``test_jordan_rule_selects_the_derivation_patterns``);
+    over the chain each survivor is checked on all pairs here."""
+    for n, count in ((1, 2), (2, 5), (3, 13)):
+        _, units = generators(n, BOOLEAN, (0, 1))
+        found = derivations_by_search(n, BOOLEAN, (0, 1), jordan)
+        patterns = brute_force_classify(n).derivation_patterns
+        assert len(found) == len(set(found)) == count
+        assert set(found) == set(derivations_by_search(n, BOOLEAN, (0, 1)))
+        assert set(found) == {tuple(map(p, units)) for p in patterns}
+    chain = (Fraction(0), Fraction(1, 2), Fraction(1))
+    found = derivations_by_search(2, FUZZY, chain, jordan)
+    assert len(found) == len(set(found)) == 14
+    assert set(found) == set(derivations_by_search(2, FUZZY, chain))
+    keys, _ = generators(2, FUZZY, chain)
+    everything = all_matrices(2, FUZZY, chain)
+    # The rule is symmetric in A and B, as ∘ is commutative.
+    circ = {(a, b): jordan(a, b) for a, b in itertools.combinations_with_replacement(everything, 2)}
+    for images in found:
+        f = dict(zip(everything, map(additive_map(2, FUZZY, keys, images), everything)))
+        assert all(f[ab] == jordan(f[a], b) + jordan(a, f[b]) for (a, b), ab in circ.items())
+
+
+def test_square_form_counts():
+    """Every additive map, then those obeying the square form
+    f(A²) = f(A)A ⊕ Af(A) on every A, then the derivations (Leibniz on every
+    pair): 512, 25 and 5 on UT_2(B), and 6, 5 and 3 on UT_1 over {0, 1/2, 1}."""
+    chain = (Fraction(0), Fraction(1, 2), Fraction(1))
+    cases = ((2, BOOLEAN, (0, 1), (512, 25, 5)), (1, FUZZY, chain, (6, 5, 3)))
+    for n, semiring, scalars, counts in cases:
+        keys, _ = generators(n, semiring, scalars)
+        everything = all_matrices(n, semiring, scalars)
+        maps = [
+            additive_map(n, semiring, keys, images)
+            for images in derivations_by_search(n, semiring, scalars, op=None)
+        ]
+        square = [f for f in maps if all(f(a * a) == f(a) * a + a * f(a) for a in everything)]
+        derivations = [
+            f for f in maps
+            if all(leibniz_check(f, a, b) is None for a in everything for b in everything)
+        ]
+        assert (len(maps), len(square), len(derivations)) == counts
+        assert set(derivations) <= set(square)
 
 
 def test_square_form_admits_a_non_derivation():

@@ -230,8 +230,8 @@ def _scalar_first_failure(product, zeroed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_packed_scan_matches_the_scalar_scan(n):
     """Every zero pattern's first failing pair, and the packing itself."""
-    product = oracle._table(n)[1]
-    rows = oracle._packed(n)
+    mats, rows = oracle._table(n)
+    product = [[matrix_bits(a * b) for b in mats] for a in mats]
     width, size = len(product), triangle_size(n)
     assert len(rows) == width
     for row, products in zip(rows, product):
