@@ -53,7 +53,6 @@ terms keep (:meth:`DecompositionExpr.acts_as`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Any, Callable, Iterable, Iterator, Union
 
@@ -66,7 +65,7 @@ from .matrices import (
     random_matrix,
     triangle_size,
 )
-from .semirings import Semiring, _ranked, seeded_trials
+from .semirings import Semiring, _Frozen, _ranked, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -97,8 +96,7 @@ def _mask_pattern(n: int, zero_set: frozenset) -> "ZeroPattern":
     return ZeroPattern(n, frozenset(cells))
 
 
-@dataclass(frozen=True)
-class MaskDerivation:
+class MaskDerivation(_Frozen):
     """Zero the dense diagonal blocks spanned by ``zero_set``.
 
     ``zero_set = {}`` is the identity map; ``zero_set = {1..n}`` the
@@ -106,15 +104,15 @@ class MaskDerivation:
     are derived on demand.
     """
 
-    n: int
-    zero_set: frozenset
+    _fields = ("n", "zero_set")
 
-    def __post_init__(self) -> None:
-        ensure_positive_dimension(self.n)
-        zs = frozenset(self.zero_set)
-        object.__setattr__(self, "zero_set", zs)
-        if not all(_is_index(i) and 1 <= i <= self.n for i in zs):
-            raise ValueError(f"zero set {sorted(zs)} outside 1..{self.n}")
+    def __init__(self, n: int, zero_set: frozenset) -> None:
+        ensure_positive_dimension(n)
+        zero_set = frozenset(zero_set)
+        if not all(_is_index(i) and 1 <= i <= n for i in zero_set):
+            raise ValueError(f"zero set {sorted(zero_set)} outside 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_set", zero_set)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -144,22 +142,31 @@ class MaskDerivation:
         return self.zero_set >= other.zero_set
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
+class ZeroPattern(_Frozen):
     """The linear map sending the entries at ``positions`` to zero."""
 
-    n: int
-    positions: frozenset
+    _fields = ("n", "positions")
 
-    def __post_init__(self) -> None:
-        ensure_positive_dimension(self.n)
-        pos = frozenset((i, j) for i, j in self.positions)
-        object.__setattr__(self, "positions", pos)
-        for i, j in pos:
+    def __init__(self, n: int, positions: frozenset) -> None:
+        ensure_positive_dimension(n)
+        positions = frozenset((i, j) for i, j in positions)
+        for i, j in positions:
             if not (_is_index(i) and _is_index(j)):
                 raise ValueError(f"position ({i!r}, {j!r}) must be a pair of ints")
-            if not (1 <= i <= j <= self.n):
-                raise ValueError(f"position ({i}, {j}) not upper-triangular in 1..{self.n}")
+            if not (1 <= i <= j <= n):
+                raise ValueError(f"position ({i}, {j}) not upper-triangular in 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "positions", positions)
+
+    # Written out, as UTMatrix's: the base class's attrgetter form takes 1.5-2x
+    # as long at two or three fields.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.positions) == (other.n, other.positions)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.positions))
 
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
@@ -244,13 +251,10 @@ def theorem2_predicate(n: int, k: int, m: int) -> bool:
 
 # --- executable law checks ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """First differing position of two matrices, with both entry values."""
 
-    position: tuple[int, int]
-    lhs: Any
-    rhs: Any
+    _fields = ("position", "lhs", "rhs")
 
 
 def first_difference(left: UTMatrix, right: UTMatrix) -> Witness | None:
@@ -492,23 +496,23 @@ def enumerate_family_derivations(n: int) -> list[MaskDerivation]:
 
 # --- decomposition into delta/d products ------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionTerm:
+class DecompositionTerm(_Frozen):
     """One summand: delta_k, d_m, or the product delta_k . d_m.
 
     ``k=0`` / ``m=0`` denote the constant-zero map, so ``delta_n . d_0``
     is a legitimate spelling of the zero map.
     """
 
-    k: int | None = None
-    m: int | None = None
+    _fields = ("k", "m")
 
-    def __post_init__(self) -> None:
-        if self.k is None and self.m is None:
+    def __init__(self, k: int | None = None, m: int | None = None) -> None:
+        if k is None and m is None:
             raise ValueError("term needs at least one factor")
-        for v in (self.k, self.m):
+        for v in (k, m):
             if v is not None and v < 0:
                 raise ValueError("factor indices must be >= 0")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         out = matrix
@@ -530,12 +534,10 @@ class DecompositionTerm:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class DecompositionExpr:
+class DecompositionExpr(_Frozen):
     """A sum of terms whose pointwise evaluation equals a mask derivation."""
 
-    n: int
-    terms: tuple[DecompositionTerm, ...]
+    _fields = ("n", "terms")
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         ensure_same_dimension(matrix.n, self.n)

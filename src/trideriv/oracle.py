@@ -28,7 +28,6 @@ exhaustively in the test suite.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .derivations import (
@@ -41,7 +40,7 @@ from .derivations import (
     leibniz_check,
 )
 from .matrices import UTMatrix, ensure_positive_dimension, iter_positions, triangle_size
-from .semirings import BOOLEAN
+from .semirings import BOOLEAN, _Frozen
 
 EXHAUSTIVE_LIMIT = 3
 
@@ -161,14 +160,10 @@ def exhaustive_leibniz_witness(
     return a, b, witness
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Frozen):
     """Classification of every zero pattern at dimension n."""
 
-    n: int
-    total_patterns: int
-    derivation_patterns: tuple[ZeroPattern, ...]
-    interval_form_count: int
+    _fields = ("n", "total_patterns", "derivation_patterns", "interval_form_count")
 
     @property
     def derivation_count(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator
 
@@ -24,8 +23,80 @@ class CarrierError(ValueError):
     """Raised when a value does not belong to a semiring's carrier."""
 
 
-@dataclass(frozen=True, repr=False)
-class Semiring:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``_fields``, in positional order.  The
+    base ``__init__`` takes them as positional or keyword arguments and
+    stores each with ``object.__setattr__``; on CPython 3.11+ this leaves
+    the values inline in the object, where attribute reads are fastest.  A
+    class that checks or normalises its input writes its own ``__init__``
+    and stores its fields the same way.  Objects also keep a ``__dict__``,
+    which ``functools.cached_property`` and the private no-check
+    constructors write directly.  Equality holds only between objects of
+    the same class, over the fields, so a cached value plays no part; the
+    hash is the hash of the field tuple, and ``repr`` shows ``name=value``
+    per field.  Assigning or deleting an attribute raises AttributeError.
+    A plain base, not a class decorator from the standard library, keeps
+    ``inspect`` and code generation out of start-up, which every CLI
+    process pays: about 20 ms of it.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = operator.attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple.
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        # Binding by name only when needed keeps the common all-positional
+        # call near the cost of a generated __init__.
+        if kwargs or len(args) != len(fields):
+            name = type(self).__qualname__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+            values = dict(zip(fields, args))
+            for key, value in kwargs.items():
+                if key not in fields:
+                    raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+                if key in values:
+                    raise TypeError(f"{name}() got multiple values for argument {key!r}")
+                values[key] = value
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+            args = [values[f] for f in fields]
+        for f, v in zip(fields, args):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes: Any) -> Any:
+        """A copy with ``changes`` to some fields, made (and checked) by ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
+
+
+class Semiring(_Frozen):
     """A named additively idempotent semiring.
 
     ``add`` must be associative, commutative, idempotent, with neutral
@@ -36,15 +107,10 @@ class Semiring:
     that way.
     """
 
-    name: str
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    zero: Any
-    one: Any
-    contains: Callable[[Any], bool]
-    parse_element: Callable[[str], Any]
-    format_element: Callable[[Any], str]
-    sample: Callable[[random.Random], Any]
+    _fields = (
+        "name", "add", "mul", "zero", "one", "contains", "parse_element", "format_element",
+        "sample",
+    )
 
     def __repr__(self) -> str:
         return f"Semiring({self.name!r})"
@@ -226,18 +292,17 @@ def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | 
     ratios = [v.as_integer_ratio() for v in every]
     scale = math.lcm(*{q for _, q in ratios})
     keys = [p * (scale // q) for p, q in ratios]
-    carrier = object.__new__(Semiring)  # as UTMatrix._trusted: dataclasses.replace is slower
+    # As UTMatrix._trusted: a __dict__ copy, about a third of what _replace,
+    # which goes through __init__, costs.
+    carrier = object.__new__(Semiring)
     carrier.__dict__.update(semiring.__dict__, zero=keys[0], one=keys[1])
     return carrier, tuple(keys[2:]), dict(zip(keys, every))
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(_Frozen):
     """First law broken during sampling, with the witnessing triple."""
 
-    law: str
-    trial: int
-    elements: tuple
+    _fields = ("law", "trial", "elements")
 
 
 def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomViolation | None:

@@ -14,22 +14,21 @@ shift x = 0 is the only compositionally idempotent one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from .derivations import Witness
 from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
-from .semirings import MAXPLUS, MINUS_INF
+from .semirings import MAXPLUS, MINUS_INF, _Frozen
 
 
-@dataclass(frozen=True)
-class ShiftDerivation:
+class ShiftDerivation(_Frozen):
     """The max-plus scalar map a -> a + x."""
 
-    x: Any
+    _fields = ("x",)
 
-    def __post_init__(self) -> None:
-        MAXPLUS.check(self.x)
+    def __init__(self, x: Any) -> None:
+        MAXPLUS.check(x)
+        object.__setattr__(self, "x", x)
 
     @property
     def is_identity(self) -> bool:
@@ -55,11 +54,10 @@ class ShiftDerivation:
         return HereditaryShift(self)
 
 
-@dataclass(frozen=True)
-class HereditaryShift:
+class HereditaryShift(_Frozen):
     """Entrywise lift of a scalar shift to max-plus upper-triangular matrices."""
 
-    shift: ShiftDerivation
+    _fields = ("shift",)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         if matrix.semiring is not MAXPLUS:

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -313,6 +312,21 @@ def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
     assert code == 2
 
 
+def test_verify_exhaustive_refuses_large_n_before_building_any_map(capsys, monkeypatch):
+    """The CLI's own n check runs first: without it, theorem2 at n = 2000 would
+    build 4·10⁶ compositions before the oracle's table refused the dimension."""
+
+    def refuse(*args):
+        raise AssertionError("delta_k called")
+
+    monkeypatch.setattr(cli, "delta_k", refuse)
+    code, out, err = run(
+        capsys, "verify", "theorem2", "--n", "2000", "--semiring", "boolean", "--exhaustive"
+    )
+    assert (code, out) == (2, "")
+    assert "n <= 3" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -455,10 +469,9 @@ def test_trial_runner_never_applies_a_map(monkeypatch, name, n):
 
 
 # A lambda add fails ``add is max``, so each twin runs its carrier without ranks.
-OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
+OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
 # Thirds, sevenths and twelfths: the rank keys need a common scale, not only a sort.
-MIXED_FUZZY = replace(
-    FUZZY,
+MIXED_FUZZY = FUZZY._replace(
     sample=lambda rng: Fraction(rng.randint(0, 21), 21)
     if rng.random() < 0.5 else Fraction(rng.randint(0, 12), 12),
 )
@@ -471,7 +484,7 @@ MIXED_FUZZY = replace(
     ids=["fuzzy", "off-bottom-zero", "mixed-denominators"],
 )
 def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
-    twin = replace(ranked, add=lambda a, b: max(a, b))
+    twin = ranked._replace(add=lambda a, b: max(a, b))
     assert _ranked(ranked, (Fraction(1, 4),))[2] is not None
     assert _ranked(twin, (Fraction(1, 4),))[2] is None
     maps = runner_maps(n)
@@ -486,8 +499,7 @@ def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():
     """A kept cell whose sum is a fresh NaN: (A + B)_t != add(a_t, b_t) even
     though both are the same call, so linearity fails there, as the per-map
     loop finds.  Only n = 1 keeps the NaN out of every product cell."""
-    poison = replace(
-        get_semiring("maxplus"),
+    poison = get_semiring("maxplus")._replace(
         add=lambda a, b: float("nan") if {a, b} == {2, 3} else max(a, b),
         mul=min,
         zero=0,
@@ -609,8 +621,8 @@ def one_more_column(mask):
     """``decompose`` with every product term keeping one more column: wrong
     wherever the true expression has a product term."""
     expr = decompose(mask)
-    return replace(expr, terms=tuple(
-        replace(term, m=term.m + 1) if None not in (term.k, term.m) else term
+    return expr._replace(terms=tuple(
+        term._replace(m=term.m + 1) if None not in (term.k, term.m) else term
         for term in expr.terms
     ))
 

@@ -2,7 +2,6 @@
 and the rewriting into delta/d terms."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,8 +507,8 @@ def near_expressions(expr):
             for moved in (() if value is None else (value - 1, value + 1)):
                 if 0 <= moved <= expr.n:
                     terms = list(expr.terms)
-                    terms[index] = replace(term, **{field: moved})
-                    yield replace(expr, terms=tuple(terms))
+                    terms[index] = term._replace(**{field: moved})
+                    yield expr._replace(terms=tuple(terms))
 
 
 @pytest.mark.parametrize("semiring", [*INSTANCES, NATURALS], ids=lambda s: s.name)

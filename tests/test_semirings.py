@@ -1,7 +1,6 @@
 """Semiring instances, literals, and the executable axiom check."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,7 +149,7 @@ def test_chain_passes_every_law():
 
 @pytest.mark.parametrize("law", LAW_BREAKERS)
 def test_check_axioms_names_each_broken_law(law):
-    violation = check_axioms(replace(CHAIN, **LAW_BREAKERS[law]), 200, seed=0)
+    violation = check_axioms(CHAIN._replace(**LAW_BREAKERS[law]), 200, seed=0)
     assert violation is not None and violation.law == law
 
 
@@ -166,10 +165,10 @@ def test_check_axioms_pinned_violation():
 
 
 # A lambda add fails ``add is max``, so each twin checks its carrier without ranks.
-OFF_BOTTOM_FUZZY = replace(FUZZY, zero=Fraction(1, 2))  # ranked, with zero above the bottom
+OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
 RANKED_TWINS = [
-    (FUZZY, replace(FUZZY, add=lambda a, b: max(a, b))),
-    (OFF_BOTTOM_FUZZY, replace(OFF_BOTTOM_FUZZY, add=lambda a, b: max(a, b))),
+    (FUZZY, FUZZY._replace(add=lambda a, b: max(a, b))),
+    (OFF_BOTTOM_FUZZY, OFF_BOTTOM_FUZZY._replace(add=lambda a, b: max(a, b))),
 ]
 
 
@@ -221,8 +220,7 @@ def test_ranks_only_for_int_and_fraction_not_all_int(semiring, values):
 
 
 # Thirds, fifths, sevenths and twelfths: the keys need a scale, not only a sort.
-MIXED_FUZZY = replace(
-    FUZZY,
+MIXED_FUZZY = FUZZY._replace(
     sample=lambda rng: Fraction(rng.randint(0, 105), 105)
     if rng.random() < 0.5 else Fraction(rng.randint(0, 12), 12),
 )
@@ -230,8 +228,8 @@ MIXED_FUZZY = replace(
 
 @pytest.mark.parametrize("zero", [Fraction(0), Fraction(2, 7)], ids=["fuzzy", "off-bottom-zero"])
 def test_check_axioms_on_mixed_denominators_matches_unranked_twin(zero):
-    ranked = replace(MIXED_FUZZY, zero=zero)
-    twin = replace(ranked, add=lambda a, b: max(a, b))
+    ranked = MIXED_FUZZY._replace(zero=zero)
+    twin = ranked._replace(add=lambda a, b: max(a, b))
     got, expected = check_axioms(ranked, 300, seed=5), check_axioms(twin, 300, seed=5)
     assert got == expected
     assert element_types(got) == element_types(expected)

@@ -2,7 +2,6 @@
 finite shifts, and the entrywise lift to matrices."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -210,7 +209,7 @@ def _left_add(u, v):
     ids=["mul", "add", "mul-and-add"],
 )
 def test_first_witness_is_the_generic_checks_on_broken_carriers(monkeypatch, broken, fires):
-    carrier = replace(MAXPLUS, **broken)
+    carrier = MAXPLUS._replace(**broken)
     monkeypatch.setattr(shifts, "MAXPLUS", carrier)
     fired = _first_witness_agrees(carrier, seed=29, draws=400)
     assert {check for check, count in fired.items() if count} == fires
