@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .derivations import (
     MaskDerivation,
@@ -75,7 +74,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    matrix = parse_matrix(Path(args.matrix).read_text())
+    with open(args.matrix) as fh:
+        matrix = parse_matrix(fh.read())
     n = matrix.n
     if args.zero_set is not None:
         fn = MaskDerivation(n, parse_zero_set(args.zero_set, n))

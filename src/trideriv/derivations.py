@@ -53,8 +53,8 @@ terms keep (:meth:`DecompositionExpr.acts_as`).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, lru_cache, reduce
-from typing import Any, Callable, Iterable, Iterator, Union
 
 from .matrices import (
     UTMatrix,
@@ -70,7 +70,7 @@ from .semirings import Semiring, _Frozen, _ranked, seeded_trials
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
 
-def _is_index(value: Any) -> bool:
+def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -132,7 +132,7 @@ class MaskDerivation(_Frozen):
         ensure_same_dimension(self.n, other.n)
         return MaskDerivation(self.n, self.zero_set & other.zero_set)
 
-    def compose(self, other: Union["MaskDerivation", "ZeroPattern"]) -> "ZeroPattern":
+    def compose(self, other: MaskDerivation | ZeroPattern) -> "ZeroPattern":
         """Apply ``self`` then ``other``; the composed map zeroes the union."""
         return self.pattern.compose(other)
 
@@ -158,16 +158,6 @@ class ZeroPattern(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", positions)
 
-    # Written out, as UTMatrix's: the base class's attrgetter form takes 1.5-2x
-    # as long at two or three fields.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.positions) == (other.n, other.positions)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.positions))
-
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
         """The row-major offsets of ``positions``."""
@@ -187,7 +177,7 @@ class ZeroPattern(_Frozen):
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions & other.positions)
 
-    def compose(self, other: Union["ZeroPattern", MaskDerivation]) -> "ZeroPattern":
+    def compose(self, other: ZeroPattern | MaskDerivation) -> "ZeroPattern":
         other = _as_pattern(other)
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions | other.positions)
@@ -211,11 +201,11 @@ class ZeroPattern(_Frozen):
         return True
 
 
-def _as_pattern(f: Union[MaskDerivation, ZeroPattern]) -> ZeroPattern:
+def _as_pattern(f: MaskDerivation | ZeroPattern) -> ZeroPattern:
     return f.pattern if isinstance(f, MaskDerivation) else f
 
 
-def _check_mask_map(f: Any, caller: str) -> None:
+def _check_mask_map(f: object, caller: str) -> None:
     """Raise TypeError, naming ``caller``, unless ``f`` is a mask map."""
     if not isinstance(f, (MaskDerivation, ZeroPattern)):
         raise TypeError(f"{caller} needs a mask map, got {type(f).__name__}")
@@ -361,7 +351,9 @@ def _leibniz_groups(zeroing: list[int], n: int, count: int) -> list[list[tuple]]
     ]
 
 
-def _masked_fold(carrier: Any, pairs: tuple, a: tuple, b: tuple, a_key: int, b_key: int) -> Any:
+def _masked_fold(
+    carrier: Semiring, pairs: tuple, a: tuple, b: tuple, a_key: int, b_key: int
+) -> object:
     """One cell of f(A)B (``a_key`` the row key, ``b_key`` 0) or of Af(B) (0 and
     the column key): the fold of ``UTMatrix.__mul__`` over ``pairs``, in its
     order, reading operand k of ``a`` (``b``) as ``carrier.zero``, the object
@@ -423,7 +415,7 @@ def first_failures(maps, n, semiring, trials, seed):
         add, zero = carrier.add, carrier.zero
         ab, a_plus_b = a * b, a + b
 
-        def fail(hit: int, check: str, position: tuple[int, int], lhs: Any, rhs: Any) -> None:
+        def fail(hit: int, check: str, position: tuple[int, int], lhs: object, rhs: object) -> None:
             if values is not None:
                 lhs, rhs = values[lhs], values[rhs]
             failure = trial, check, Witness(position, lhs, rhs)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping
 
 from .semirings import Semiring, _Frozen, get_semiring
 
@@ -73,16 +73,6 @@ class UTMatrix(_Frozen):
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "entries", entries)
 
-    # Written out, as ZeroPattern's: the base class's attrgetter form takes
-    # 1.5-2x as long at two or three fields.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.semiring, self.entries) == (other.n, other.semiring, other.entries)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.semiring, self.entries))
-
     # -- constructors
 
     @classmethod
@@ -106,7 +96,7 @@ class UTMatrix(_Frozen):
 
     @classmethod
     def from_dict(
-        cls, n: int, semiring: Semiring, values: Mapping[tuple[int, int], Any]
+        cls, n: int, semiring: Semiring, values: Mapping[tuple[int, int], object]
     ) -> "UTMatrix":
         """Build from a sparse {(i, j): value} mapping; missing entries are zero."""
         cells = [semiring.zero] * triangle_size(n)
@@ -116,11 +106,11 @@ class UTMatrix(_Frozen):
         return cls(n, semiring, tuple(cells))
 
     @classmethod
-    def from_rows(cls, semiring: Semiring, rows: Iterable[Iterable[Any]]) -> "UTMatrix":
+    def from_rows(cls, semiring: Semiring, rows: Iterable[Iterable[object]]) -> "UTMatrix":
         """Build from upper rows: row i lists a_ii .. a_in (so lengths n, n-1, .., 1)."""
         rows = [list(row) for row in rows]
         n = len(rows)
-        cells: list[Any] = []
+        cells: list[object] = []
         for i, row in enumerate(rows, start=1):
             if len(row) != n - i + 1:
                 raise ValueError(f"row {i}: expected {n - i + 1} entries, got {len(row)}")
@@ -129,7 +119,7 @@ class UTMatrix(_Frozen):
 
     # -- access
 
-    def __getitem__(self, pos: tuple[int, int]) -> Any:
+    def __getitem__(self, pos: tuple[int, int]) -> object:
         i, j = pos
         _check_position(self.n, i, j)
         return self.entries[_offset(self.n, i, j)]
@@ -256,7 +246,7 @@ def parse_matrix(text: str) -> UTMatrix:
     semiring = get_semiring(head[2][len("semiring="):])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    cells: list[Any] = []
+    cells: list[object] = []
     for i, line in enumerate(lines[1:], start=1):
         tokens = line.split()
         if len(tokens) != n:

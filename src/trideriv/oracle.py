@@ -28,7 +28,7 @@ exhaustively in the test suite.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .derivations import (
     MaskDerivation,

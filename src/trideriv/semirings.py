@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Any, Callable, Iterator
 
 MINUS_INF = float("-inf")
 PLUS_INF = float("inf")
@@ -51,7 +51,7 @@ class _Frozen:
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
         cls.__match_args__ = cls._fields
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
         # Binding by name only when needed keeps the common all-positional
         # call near the cost of a generated __init__.
@@ -73,7 +73,7 @@ class _Frozen:
         for f, v in zip(fields, args):
             object.__setattr__(self, f, v)
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -91,7 +91,7 @@ class _Frozen:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
-    def _replace(self, **changes: Any) -> Any:
+    def _replace(self, **changes: object) -> object:
         """A copy with ``changes`` to some fields, made (and checked) by ``__init__``."""
         return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
@@ -115,13 +115,13 @@ class Semiring(_Frozen):
     def __repr__(self) -> str:
         return f"Semiring({self.name!r})"
 
-    def check(self, value: Any) -> Any:
+    def check(self, value: object) -> object:
         if not self.contains(value):
             raise CarrierError(f"{value!r} is not an element of {self.name}")
         return value
 
 
-def natural_leq(semiring: Semiring, a: Any, b: Any) -> bool:
+def natural_leq(semiring: Semiring, a: object, b: object) -> bool:
     """The order induced by idempotent addition: a <= b iff a ⊕ b = b."""
     return semiring.add(a, b) == b
 
@@ -150,7 +150,7 @@ def _parse_fuzzy(token: str) -> Fraction:
     return value
 
 
-def _format_element(value: Any) -> str:
+def _format_element(value: object) -> str:
     """The text of any element of the four shipped carriers."""
     # Only floats can be infinite; an int or a Fraction is its own exact text.
     if isinstance(value, float):
@@ -166,15 +166,15 @@ def _format_element(value: Any) -> str:
 
 # ``bool`` is an ``int`` subclass, but True/False are not carrier elements.
 
-def _is_rational(value: Any) -> bool:
+def _is_rational(value: object) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def _in_boolean(value: Any) -> bool:
+def _in_boolean(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
 
 
-def _in_fuzzy(value: Any) -> bool:
+def _in_fuzzy(value: object) -> bool:
     return _is_rational(value) and 0 <= value <= 1
 
 
@@ -215,7 +215,7 @@ BOOLEAN = Semiring(
 )
 
 
-def _tropical(name: str, add: Callable[[Any, Any], Any], bottom: float) -> Semiring:
+def _tropical(name: str, add: Callable[[object, object], object], bottom: float) -> Semiring:
     """Max-plus or min-plus: the rationals under ``add`` and +, with ``bottom`` as zero."""
     literal = _format_element(bottom)
     return Semiring(

@@ -14,8 +14,6 @@ shift x = 0 is the only compositionally idempotent one.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .derivations import Witness
 from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
 from .semirings import MAXPLUS, MINUS_INF, _Frozen
@@ -26,7 +24,7 @@ class ShiftDerivation(_Frozen):
 
     _fields = ("x",)
 
-    def __init__(self, x: Any) -> None:
+    def __init__(self, x: object) -> None:
         MAXPLUS.check(x)
         object.__setattr__(self, "x", x)
 
@@ -34,7 +32,7 @@ class ShiftDerivation(_Frozen):
     def is_identity(self) -> bool:
         return self.x == 0
 
-    def __call__(self, a: Any) -> Any:
+    def __call__(self, a: object) -> object:
         return MAXPLUS.mul(MAXPLUS.check(a), self.x)
 
     def compose(self, other: "ShiftDerivation") -> "ShiftDerivation":

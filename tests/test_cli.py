@@ -880,3 +880,56 @@ def test_identical_invocations_produce_identical_bytes(capsys, argv):
     second = capsys.readouterr()
     assert first_code == second_code
     assert first.out == second.out
+
+
+# --- pinned runs ------------------------------------------------------------------
+
+PINNED_MATRIX = (
+    "utm n=4 semiring=maxplus\n"
+    "0 1 -inf 2\n"
+    ". 3 -1 4\n"
+    ". . 5 0\n"
+    ". . . 6\n"
+)
+
+PINNED_RUNS = [
+    # 4096 maps, so each cell's bitset of maps in the trial runner is a 4096-bit int.
+    ("verify leibniz --n 12 --semiring boolean --trials 2", 0, 4096),
+    # The one-pass hereditary check over the max-plus sampler's stream.
+    ("verify hereditary --n 6 --trials 400 --seed 5", 0,
+     "PASS hereditary n=6 trials=400 seed=5\n"),
+    # The exact decompose check, over the carrier where a sampled matrix hid
+    # the most wrong expressions.
+    ("verify decompose --n 6 --semiring boolean --trials 200 --seed 7", 0, 200),
+    ("verify theorem2 --n 6 --semiring minplus --trials 30", 0, 36),
+    # Ranked folds on both sides; the witnesses map back to the drawn values.
+    ("verify theorem2 --n 8 --semiring fuzzy --trials 28", 0, 64),
+    ("verify leibniz --n 5 --semiring fuzzy --trials 5", 0, 32),
+    ("axioms --semiring boolean --trials 2000", 0, 1),
+    # A mask applies through its zero pattern: the same bytes as its literal zeroed cells.
+    ("apply --matrix m.utm --zero-set 2,3", 0,
+     ("apply --matrix m.utm --pattern 2,2;2,3;3,3",)),
+    ("apply --matrix m.utm --delta-k 1", 0,
+     ("apply --matrix m.utm --pattern 2,2;2,3;2,4;3,3;3,4;4,4",)),
+    # At n = 1 a trial is one unit of work; the trials cap, not the work cap, stops this.
+    ("verify hereditary --n 1 --trials 1000001", 2, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_pinned_runs(capsys, tmp_path, monkeypatch, argv, code, expected):
+    """A command's exit code, and its stdout: that many lines, all ``PASS``
+    (an int), these exact bytes (a string), or the bytes of the command in
+    a 1-tuple."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.utm").write_text(PINNED_MATRIX)
+    got, out, _ = run(capsys, *argv.split())
+    assert got == code
+    if isinstance(expected, int):
+        lines = out.splitlines()
+        assert len(lines) == expected
+        assert all(line.startswith("PASS ") for line in lines)
+    elif isinstance(expected, tuple):
+        assert run(capsys, *expected[0].split()) == (0, out, "")
+    else:
+        assert out == expected
