@@ -91,14 +91,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_family_cap(n: int) -> None:
-    if n > FAMILY_ENUMERATION_LIMIT:
-        raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.cls == "families":
-        _check_family_cap(args.n)
+        if args.n > FAMILY_ENUMERATION_LIMIT:
+            raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
         masks = enumerate_family_derivations(args.n)
     elif args.n > INTERVAL_ENUMERATION_LIMIT:
         raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
@@ -236,8 +232,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"
         )
-    if args.kind == "leibniz":
-        _check_family_cap(args.n)
     if not args.exhaustive and args.trials > TRIALS_LIMIT:
         raise CapacityError(f"verify trials capped at {TRIALS_LIMIT}")
     work = verify_work(args.kind, args.n, args.trials)

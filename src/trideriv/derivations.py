@@ -1,15 +1,15 @@
 """Derivations of upper-triangular matrices by zeroing, and their trial runner.
 
-Two representations coexist.  A :class:`MaskDerivation` is canonically a
-set of diagonal indices forced to zero: entry (r, c) dies iff every
-diagonal index in r..c belongs to the set, which zeroes a family of
-dense diagonal blocks and always yields a derivation.  A
-:class:`ZeroPattern` is an arbitrary set of upper positions; it is the
-right shape for compositions, whose patterns are usually not of the
-diagonal form, and being a derivation becomes a predicate
-(:meth:`ZeroPattern.is_derivation`) instead of a type guarantee.  A mask
-applies, and names the cells it zeroes, through its pattern, one cached
-object per (n, zero set).  The runner :func:`first_failures` tries many
+One representation serves every mask map.  A :class:`ZeroPattern` is an
+arbitrary set of upper positions sent to zero; it is the right shape for
+compositions, whose patterns are usually not of the diagonal form, and
+being a derivation is a predicate (:meth:`ZeroPattern.is_derivation`)
+instead of a type guarantee.  A :class:`MaskDerivation` is the zero
+pattern named by a set of diagonal indices: entry (r, c) dies iff every
+index in r..c belongs to the set, which zeroes a family of dense diagonal
+blocks and always yields a derivation.  It applies, sums, composes and
+answers the predicate as a pattern, with its cells and their offsets
+shared per (n, zero set).  The runner :func:`first_failures` tries many
 mask maps on shared seeded pairs.
 
 Every derivation acts entrywise.  Let S be additively idempotent (so
@@ -85,65 +85,9 @@ def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
     return tuple((s, e) for s, e in runs)
 
 
-@lru_cache(maxsize=256)
-def _mask_pattern(n: int, zero_set: frozenset) -> "ZeroPattern":
-    """The cells (r, c) with every index of r..c in ``zero_set``: the upper
-    triangle s <= r <= c <= e of each run (s, e).  Shared by every mask of
-    this key, so fresh ``delta_k``/``d_m`` objects reuse its offsets."""
-    cells = (
-        (r, c) for s, e in _runs(zero_set) for r in range(s, e + 1) for c in range(r, e + 1)
-    )
-    return ZeroPattern(n, frozenset(cells))
-
-
-class MaskDerivation(_Frozen):
-    """Zero the dense diagonal blocks spanned by ``zero_set``.
-
-    ``zero_set = {}`` is the identity map; ``zero_set = {1..n}`` the
-    constant-zero map.  The blocks (maximal runs of consecutive indices)
-    are derived on demand.
-    """
-
-    _fields = ("n", "zero_set")
-
-    def __init__(self, n: int, zero_set: frozenset) -> None:
-        ensure_positive_dimension(n)
-        zero_set = frozenset(zero_set)
-        if not all(_is_index(i) and 1 <= i <= n for i in zero_set):
-            raise ValueError(f"zero set {sorted(zero_set)} outside 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "zero_set", zero_set)
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """Maximal runs of consecutive zeroed indices, as (start, end) pairs."""
-        return _runs(self.zero_set)
-
-    @cached_property
-    def pattern(self) -> "ZeroPattern":
-        """The cells this mask zeroes, from the cache keyed by (n, zero_set)."""
-        return _mask_pattern(self.n, self.zero_set)
-
-    def __call__(self, matrix: UTMatrix) -> UTMatrix:
-        return self.pattern(matrix)
-
-    def __add__(self, other: "MaskDerivation") -> "MaskDerivation":
-        """Pointwise sum of the two maps (an entry survives if either side keeps it)."""
-        ensure_same_dimension(self.n, other.n)
-        return MaskDerivation(self.n, self.zero_set & other.zero_set)
-
-    def compose(self, other: MaskDerivation | ZeroPattern) -> "ZeroPattern":
-        """Apply ``self`` then ``other``; the composed map zeroes the union."""
-        return self.pattern.compose(other)
-
-    def __le__(self, other: "MaskDerivation") -> bool:
-        """Natural order of idempotent addition: self <= other iff self + other = other."""
-        ensure_same_dimension(self.n, other.n)
-        return self.zero_set >= other.zero_set
-
-
 class ZeroPattern(_Frozen):
-    """The linear map sending the entries at ``positions`` to zero."""
+    """The linear map sending the entries at ``positions`` to zero: a mask
+    map.  It is a derivation iff :meth:`is_derivation`."""
 
     _fields = ("n", "positions")
 
@@ -177,8 +121,8 @@ class ZeroPattern(_Frozen):
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions & other.positions)
 
-    def compose(self, other: ZeroPattern | MaskDerivation) -> "ZeroPattern":
-        other = _as_pattern(other)
+    def compose(self, other: ZeroPattern) -> "ZeroPattern":
+        """Apply ``self`` then ``other``; the composed map zeroes the union."""
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions | other.positions)
 
@@ -187,7 +131,7 @@ class ZeroPattern(_Frozen):
         zeroing this pattern's diagonal cells."""
         diagonal = frozenset(i for i in range(1, self.n + 1) if (i, i) in self.positions)
         mask = MaskDerivation(self.n, diagonal)
-        return mask if mask.pattern == self else None
+        return mask if mask.positions == self.positions else None
 
     def is_derivation(self) -> bool:
         """Local characterization of Leibniz for mask maps, the module's weight
@@ -201,13 +145,69 @@ class ZeroPattern(_Frozen):
         return True
 
 
-def _as_pattern(f: MaskDerivation | ZeroPattern) -> ZeroPattern:
-    return f.pattern if isinstance(f, MaskDerivation) else f
+@lru_cache(maxsize=256)
+def _mask_cells(n: int, zero_set: frozenset) -> tuple[frozenset, tuple[int, ...]]:
+    """The cells (r, c) with every index of r..c in ``zero_set`` (the upper
+    triangle s <= r <= c <= e of each run (s, e)) and their offsets.  Shared
+    by every mask of this key, so fresh ``delta_k``/``d_m`` objects reuse them."""
+    cells = frozenset(
+        (r, c) for s, e in _runs(zero_set) for r in range(s, e + 1) for c in range(r, e + 1)
+    )
+    return cells, tuple(t for t, p in enumerate(iter_positions(n)) if p in cells)
+
+
+class MaskDerivation(ZeroPattern):
+    """The zero pattern of the dense diagonal blocks spanned by ``zero_set``.
+
+    ``zero_set = {}`` is the identity map; ``zero_set = {1..n}`` the
+    constant-zero map.  The blocks (maximal runs of consecutive indices),
+    ``positions`` and their offsets are derived on demand.  Equality and
+    hash read ``(n, zero_set)`` alone, and a mask is never equal to a
+    plain :class:`ZeroPattern`.
+    """
+
+    _fields = ("n", "zero_set")
+
+    def __init__(self, n: int, zero_set: frozenset) -> None:
+        ensure_positive_dimension(n)
+        zero_set = frozenset(zero_set)
+        if not all(_is_index(i) and 1 <= i <= n for i in zero_set):
+            raise ValueError(f"zero set {sorted(zero_set)} outside 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "zero_set", zero_set)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """Maximal runs of consecutive zeroed indices, as (start, end) pairs."""
+        return _runs(self.zero_set)
+
+    @cached_property
+    def positions(self) -> frozenset:
+        """The cells this mask zeroes, from the cache keyed by (n, zero_set)."""
+        return _mask_cells(self.n, self.zero_set)[0]
+
+    @cached_property
+    def _zeroed(self) -> tuple[int, ...]:
+        """The row-major offsets of ``positions``, from the same cache."""
+        return _mask_cells(self.n, self.zero_set)[1]
+
+    def __add__(self, other: ZeroPattern) -> ZeroPattern:
+        """Pointwise sum of the two maps (an entry survives if either side
+        keeps it); a mask again when both sides are masks."""
+        if not isinstance(other, MaskDerivation):
+            return super().__add__(other)
+        ensure_same_dimension(self.n, other.n)
+        return MaskDerivation(self.n, self.zero_set & other.zero_set)
+
+    def __le__(self, other: "MaskDerivation") -> bool:
+        """Natural order of idempotent addition: self <= other iff self + other = other."""
+        ensure_same_dimension(self.n, other.n)
+        return self.zero_set >= other.zero_set
 
 
 def _check_mask_map(f: object, caller: str) -> None:
     """Raise TypeError, naming ``caller``, unless ``f`` is a mask map."""
-    if not isinstance(f, (MaskDerivation, ZeroPattern)):
+    if not isinstance(f, ZeroPattern):
         raise TypeError(f"{caller} needs a mask map, got {type(f).__name__}")
 
 
@@ -287,7 +287,7 @@ def _zeroing(maps: list, n: int) -> list[int]:
     A mask zeroes (r, c) iff its zero set holds every index of r..c, so the
     masks that zero (r, c) are D_r & ... & D_c, with D_t the bitset of the
     masks whose zero set holds t: one running AND per cell, and no mask's
-    pattern is built.  A :class:`ZeroPattern` sets its bits offset by offset.
+    cells are built.  Any other :class:`ZeroPattern` sets its bits offset by offset.
     """
     width = len(maps) // 8 + 1
     held = [bytearray(width) for _ in range(n + 1)]  # D_t at index t
@@ -572,7 +572,7 @@ class DecompositionExpr(_Frozen):
             for key in set(keys)
         }
         want = [one] * triangle_size(n)
-        for t in mask.pattern._zeroed:
+        for t in mask._zeroed:
             want[t] = zero
         return [folds[key] for key in keys] == want
 

@@ -31,10 +31,8 @@ import functools
 from collections.abc import Iterator
 
 from .derivations import (
-    MaskDerivation,
     Witness,
     ZeroPattern,
-    _as_pattern,
     _check_mask_map,
     format_pattern,
     leibniz_check,
@@ -132,9 +130,7 @@ def _first_failure(
     return found
 
 
-def exhaustive_leibniz_witness(
-    f: MaskDerivation | ZeroPattern,
-) -> tuple[UTMatrix, UTMatrix, Witness] | None:
+def exhaustive_leibniz_witness(f: ZeroPattern) -> tuple[UTMatrix, UTMatrix, Witness] | None:
     """First (A, B, witness) violating the Leibniz rule over all boolean
     pairs at the map's dimension.
 
@@ -143,11 +139,10 @@ def exhaustive_leibniz_witness(
     product table is re-checked with :func:`leibniz_check`; a
     disagreement raises RuntimeError.
     """
-    _check_mask_map(f, "exhaustive search")  # before f.n, and before any pattern or offset
-    mats, rows = _table(f.n)  # the cap, before any pattern or offset
-    pattern = _as_pattern(f)
-    zeroed = sum(1 << t for t in pattern._zeroed)  # distinct offsets
-    found = _first_failure(rows, zeroed, pattern)
+    _check_mask_map(f, "exhaustive search")  # before f.n, and before any cell or offset
+    mats, rows = _table(f.n)  # the cap, before f's cells or offsets
+    zeroed = sum(1 << t for t in f._zeroed)  # distinct offsets
+    found = _first_failure(rows, zeroed, f)
     if found is None:
         return None
     a, b = mats[found[0]], mats[found[1]]
@@ -155,7 +150,7 @@ def exhaustive_leibniz_witness(
     if witness is None:
         raise RuntimeError(
             f"product table flags pair {found} for pattern "
-            f"{format_pattern(pattern)!r}, but the matrices satisfy Leibniz"
+            f"{format_pattern(f)!r}, but the matrices satisfy Leibniz"
         )
     return a, b, witness
 

@@ -277,7 +277,7 @@ def test_exhaustive_fail_line_replays_from_its_pair(capsys, monkeypatch):
     """An exhaustive FAIL line names its pair by enumeration index: rebuilding
     the pair from that line alone gives the printed witness."""
     def broken(mask):  # zeroing (1, n) as well breaks Leibniz unless all is zeroed
-        return ZeroPattern(mask.n, mask.pattern.positions | {(1, mask.n)})
+        return ZeroPattern(mask.n, mask.positions | {(1, mask.n)})
 
     real = cli.exhaustive_leibniz_witness
     monkeypatch.setattr(cli, "exhaustive_leibniz_witness", lambda f: real(broken(f)))
@@ -564,13 +564,14 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
                         group_of[index] = group
             assert sorted(group_of) == list(range(len(maps)))
             for index, fn in enumerate(maps):
-                if isinstance(fn, ZeroPattern):
-                    zeroed = fn.positions
-                else:  # a mask kills (r, c) iff all of r..c is in its zero set
+                if isinstance(fn, MaskDerivation):  # first: a mask is a ZeroPattern too
+                    # A mask kills (r, c) iff all of r..c is in its zero set.
                     zeroed = {
                         (r, c) for r, c in iter_positions(n)
                         if all(x in fn.zero_set for x in range(r, c + 1))
                     }
+                else:
+                    zeroed = fn.positions
                 row_key, col_key, own, _ = group_of[index]
                 assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
                     k for k in range(i, j + 1) if (i, k) in zeroed
@@ -696,10 +697,12 @@ def test_verify_rejects_trials_below_one(capsys, kind, trials):
 
 
 def test_verify_leibniz_family_cap(capsys):
+    # 2^21 masks x 1 trial x 21^3 is over the work cap, which refuses every
+    # seeded leibniz run from n = 18 on, before the family cap (n > 20) would.
     code, out, err = run(capsys, "verify", "leibniz", "--n", "21", "--trials", "1")
     assert code == 2
     assert out == ""
-    assert "capped" in err
+    assert err.startswith("error: verify work capped")
 
 
 @pytest.mark.parametrize(

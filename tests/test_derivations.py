@@ -150,7 +150,7 @@ def test_mask_application_matches_definition(case, semiring):
     for r, c in iter_positions(n):
         dies = all(t in zero_set for t in range(r, c + 1))
         assert result[r, c] == (semiring.zero if dies else a[r, c])
-    assert mask.pattern(a) == result
+    assert ZeroPattern(n, mask.positions)(a) == result
 
 
 def test_blocks_are_maximal_runs():
@@ -197,6 +197,30 @@ def test_sum_is_pointwise_sum():
         assert (d1 + d2)(a) == d1(a) + d2(a)
 
 
+def test_mixed_sums_are_the_patterns_of_the_pointwise_sums():
+    """pattern + mask and mask + pattern are the pattern zeroing what both
+    sides zero, and act as pointwise_sum in the same order; mask + mask
+    stays a mask."""
+    n = 2
+    positions = list(iter_positions(n))
+    patterns = [ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
+                for bits in range(1 << len(positions))]
+    masks = enumerate_family_derivations(n)
+    rng = random.Random(41)
+    samples = [random_matrix(n, semiring, rng) for semiring in INSTANCES for _ in range(8)]
+    for p in patterns:
+        for m in masks:
+            for left, right in ((p, m), (m, p)):
+                total = left + right
+                assert type(total) is ZeroPattern
+                assert total == ZeroPattern(n, p.positions & m.positions)
+                for a in samples:
+                    assert total(a) == pointwise_sum(left, right)(a)
+    for m in masks:
+        for other in masks:
+            assert type(m + other) is MaskDerivation
+
+
 def test_pointwise_sum_needs_a_map():
     with pytest.raises(ValueError, match=r"^need at least one map$"):
         pointwise_sum()
@@ -209,8 +233,8 @@ def test_delta_chain_sum_and_composition():
             assert delta_k(n, k) + delta_k(n, l) == delta_k(n, max(k, l))
             assert d_m(n, k) + d_m(n, l) == d_m(n, max(k, l))
             composed = delta_k(n, k).compose(delta_k(n, l))
-            assert composed == delta_k(n, min(k, l)).pattern
-            assert d_m(n, k).compose(d_m(n, l)) == d_m(n, min(k, l)).pattern
+            assert composed == ZeroPattern(n, delta_k(n, min(k, l)).positions)
+            assert d_m(n, k).compose(d_m(n, l)) == ZeroPattern(n, d_m(n, min(k, l)).positions)
 
 
 def test_compose_example_all_but_corner():
@@ -282,7 +306,17 @@ def test_delta_chain_extremes():
 def test_interval_masks_are_derivation_patterns():
     for n in range(1, 6):
         for mask in enumerate_family_derivations(n):
-            assert mask.pattern.is_derivation()
+            assert mask.is_derivation()
+            assert ZeroPattern(n, mask.positions).is_derivation()
+
+
+def test_a_mask_is_the_zero_pattern_of_its_zero_set():
+    assert issubclass(MaskDerivation, ZeroPattern)
+    assert not {"__call__", "compose", "pattern"} & set(vars(MaskDerivation))
+    for n in range(1, 6):
+        for mask in enumerate_family_derivations(n):
+            form = mask.interval_form()
+            assert form == mask and type(form) is MaskDerivation
 
 
 def test_lone_offdiagonal_zero_is_not_a_derivation():
@@ -370,8 +404,11 @@ def test_trial_runner_zeroing_from_diagonal_bitsets(n):
     # offset; in a mixed list both must give each cell the maps zeroing it.
     patterns = [delta_k(n, k).compose(d_m(n, m)) for k in range(n + 1) for m in range(n + 1)]
     maps = [x for pair in zip(enumerate_family_derivations(n), patterns) for x in pair]
-    zeroed = [fn.pattern.positions if isinstance(fn, MaskDerivation) else fn.positions
-              for fn in maps]
+    zeroed = [  # a mask kills (r, c) iff all of r..c is in its zero set
+        {(r, c) for r, c in iter_positions(n) if all(x in fn.zero_set for x in range(r, c + 1))}
+        if isinstance(fn, MaskDerivation) else fn.positions
+        for fn in maps
+    ]
     assert _zeroing(maps, n) == [
         sum(1 << index for index, cells in enumerate(zeroed) if position in cells)
         for position in iter_positions(n)

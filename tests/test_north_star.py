@@ -1,10 +1,12 @@
-"""Four standing rules of the package: no runtime dependency outside the
+"""Five standing rules of the package: no runtime dependency outside the
 standard library and a CLI that uses the library only through public names,
-both read from its source with ``ast``, one CLI parser per process, and a
+both read from its source with ``ast``, one CLI parser per process, a
 start-up that loads none of ``typing``, ``pathlib``, ``dataclasses`` and
-``inspect`` in a clean interpreter (``python -S``)."""
+``inspect`` in a clean interpreter (``python -S``), and a callable behind
+every span target of the traced benchmark."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -85,3 +87,20 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     ]
     assert "trideriv.oracle" in imported
     assert unused.isdisjoint(imported)
+
+
+def test_every_bench_span_target_resolves_to_a_callable():
+    """``bench/spans.py`` wraps each (module, dotted path) of ``TARGETS`` in the
+    traced bench pass only, so a path that stops resolving (a method moved to
+    a base class, say) would fail nothing else.  The file is compiled from
+    its text, which writes no bytecode next to it."""
+    path = ROOT / "bench" / "spans.py"
+    namespace = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    assert targets
+    for span, module, dotted, _, _ in targets:
+        owner = importlib.import_module(module)
+        for part in dotted.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (span, module, dotted)

@@ -122,7 +122,7 @@ def test_classify_dimension_three():
     assert found == local_derivations(3)
     for mask in (MaskDerivation(3, frozenset({i + 1 for i in range(3) if b >> i & 1}))
                  for b in range(8)):
-        assert mask.pattern.positions in found
+        assert mask.positions in found
     assert strip_diagonal(3).positions in found
     # both verification routes agreed on all 64 patterns; freeze the totals
     assert report.counts == (13, 8, 5)
@@ -265,11 +265,11 @@ def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
         exhaustive_leibniz_witness(f)
     assert "_zeroed" not in f.__dict__  # no scan of the n(n+1)/2 positions
     mask = MaskDerivation(2000, frozenset(range(1, 1001)))
-    before = derivations._mask_pattern.cache_info()
+    before = derivations._mask_cells.cache_info()
     with pytest.raises(CapacityError):
         exhaustive_leibniz_witness(mask)
-    assert derivations._mask_pattern.cache_info() == before  # no pattern looked up or built
-    assert "pattern" not in mask.__dict__
+    assert derivations._mask_cells.cache_info() == before  # no cells looked up or built
+    assert "positions" not in mask.__dict__ and "_zeroed" not in mask.__dict__
 
 
 def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):

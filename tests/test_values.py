@@ -139,9 +139,12 @@ def test_a_filled_cached_property_changes_neither_equality_nor_hash():
     mask, twin = MaskDerivation(4, frozenset({1, 2, 4})), MaskDerivation(4, frozenset({1, 2, 4}))
     before = hash(mask)
     assert mask.blocks == ((1, 2), (4, 4))
-    pattern = mask.pattern
-    assert {"blocks", "pattern"} <= set(vars(mask))
+    assert mask.positions == {(1, 1), (1, 2), (2, 2), (4, 4)}
+    assert mask._zeroed == (0, 1, 4, 9)
+    assert {"blocks", "positions", "_zeroed"} <= set(vars(mask))
+    assert not {"blocks", "positions", "_zeroed"} & set(vars(twin))
     assert mask == twin and twin == mask and hash(mask) == hash(twin) == before
+    pattern = ZeroPattern(mask.n, mask.positions)
     fresh = ZeroPattern(pattern.n, pattern.positions)
     before = hash(pattern)
     assert pattern._zeroed == (0, 1, 4, 9)
@@ -161,11 +164,11 @@ def test_replace_copies_through_the_constructor(cls, fields, args, text):
 
 def test_replace_checks_the_new_fields_and_drops_cached_values():
     mask = MaskDerivation(3, frozenset({1}))
-    assert mask.pattern.positions == {(1, 1)}
+    assert mask.positions == {(1, 1)}
     moved = mask._replace(zero_set={2, 3})
     assert moved == MaskDerivation(3, frozenset({2, 3}))
-    assert "pattern" not in vars(moved)
-    assert moved.pattern.positions == {(2, 2), (2, 3), (3, 3)}
+    assert "positions" not in vars(moved)
+    assert moved.positions == {(2, 2), (2, 3), (3, 3)}
     with pytest.raises(ValueError, match="outside 1..3"):
         mask._replace(zero_set={4})
     with pytest.raises(ValueError, match="at least one factor"):
