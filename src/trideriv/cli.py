@@ -91,10 +91,14 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_family_cap(n: int) -> None:
+    if n > FAMILY_ENUMERATION_LIMIT:
+        raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.cls == "families":
-        if args.n > FAMILY_ENUMERATION_LIMIT:
-            raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
+        _check_family_cap(args.n)
         masks = enumerate_family_derivations(args.n)
     elif args.n > INTERVAL_ENUMERATION_LIMIT:
         raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
@@ -232,6 +236,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"
         )
+    if args.kind == "leibniz":  # before verify_work builds 2^n from an unbounded --n
+        _check_family_cap(args.n)
     if not args.exhaustive and args.trials > TRIALS_LIMIT:
         raise CapacityError(f"verify trials capped at {TRIALS_LIMIT}")
     work = verify_work(args.kind, args.n, args.trials)

@@ -85,9 +85,13 @@ def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
     return tuple((s, e) for s, e in runs)
 
 
+def _offsets(n: int, cells: frozenset) -> tuple[int, ...]:
+    """The row-major offsets of ``cells`` among the upper positions of order n."""
+    return tuple(t for t, p in enumerate(iter_positions(n)) if p in cells)
+
+
 class ZeroPattern(_Frozen):
-    """The linear map sending the entries at ``positions`` to zero: a mask
-    map.  It is a derivation iff :meth:`is_derivation`."""
+    """A mask map: the linear map sending the entries at ``positions`` to zero."""
 
     _fields = ("n", "positions")
 
@@ -105,8 +109,7 @@ class ZeroPattern(_Frozen):
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
         """The row-major offsets of ``positions``."""
-        pos = self.positions
-        return tuple(t for t, p in enumerate(iter_positions(self.n)) if p in pos)
+        return _offsets(self.n, self.positions)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         ensure_same_dimension(matrix.n, self.n)
@@ -125,6 +128,11 @@ class ZeroPattern(_Frozen):
         """Apply ``self`` then ``other``; the composed map zeroes the union."""
         ensure_same_dimension(self.n, other.n)
         return ZeroPattern(self.n, self.positions | other.positions)
+
+    def __le__(self, other: ZeroPattern) -> bool:
+        """Natural order of idempotent addition: self <= other iff self + other = other."""
+        ensure_same_dimension(self.n, other.n)
+        return self.positions >= other.positions
 
     def interval_form(self) -> MaskDerivation | None:
         """The MaskDerivation with the same action, if one exists: the one
@@ -147,13 +155,12 @@ class ZeroPattern(_Frozen):
 
 @lru_cache(maxsize=256)
 def _mask_cells(n: int, zero_set: frozenset) -> tuple[frozenset, tuple[int, ...]]:
-    """The cells (r, c) with every index of r..c in ``zero_set`` (the upper
-    triangle s <= r <= c <= e of each run (s, e)) and their offsets.  Shared
-    by every mask of this key, so fresh ``delta_k``/``d_m`` objects reuse them."""
+    """The cells (r, c) with every index of r..c in ``zero_set``, and their offsets:
+    shared by every mask of this key, so fresh ``delta_k``/``d_m`` objects reuse them."""
     cells = frozenset(
         (r, c) for s, e in _runs(zero_set) for r in range(s, e + 1) for c in range(r, e + 1)
     )
-    return cells, tuple(t for t, p in enumerate(iter_positions(n)) if p in cells)
+    return cells, _offsets(n, cells)
 
 
 class MaskDerivation(ZeroPattern):
@@ -161,9 +168,8 @@ class MaskDerivation(ZeroPattern):
 
     ``zero_set = {}`` is the identity map; ``zero_set = {1..n}`` the
     constant-zero map.  The blocks (maximal runs of consecutive indices),
-    ``positions`` and their offsets are derived on demand.  Equality and
-    hash read ``(n, zero_set)`` alone, and a mask is never equal to a
-    plain :class:`ZeroPattern`.
+    ``positions`` and their offsets are derived on demand; equality and hash
+    read ``(n, zero_set)`` alone, and a mask never equals a plain pattern.
     """
 
     _fields = ("n", "zero_set")
@@ -192,17 +198,11 @@ class MaskDerivation(ZeroPattern):
         return _mask_cells(self.n, self.zero_set)[1]
 
     def __add__(self, other: ZeroPattern) -> ZeroPattern:
-        """Pointwise sum of the two maps (an entry survives if either side
-        keeps it); a mask again when both sides are masks."""
+        """Pointwise sum (an entry survives if either side keeps it): a mask if both are."""
         if not isinstance(other, MaskDerivation):
             return super().__add__(other)
         ensure_same_dimension(self.n, other.n)
         return MaskDerivation(self.n, self.zero_set & other.zero_set)
-
-    def __le__(self, other: "MaskDerivation") -> bool:
-        """Natural order of idempotent addition: self <= other iff self + other = other."""
-        ensure_same_dimension(self.n, other.n)
-        return self.zero_set >= other.zero_set
 
 
 def _check_mask_map(f: object, caller: str) -> None:

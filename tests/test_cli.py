@@ -697,12 +697,20 @@ def test_verify_rejects_trials_below_one(capsys, kind, trials):
 
 
 def test_verify_leibniz_family_cap(capsys):
-    # 2^21 masks x 1 trial x 21^3 is over the work cap, which refuses every
-    # seeded leibniz run from n = 18 on, before the family cap (n > 20) would.
     code, out, err = run(capsys, "verify", "leibniz", "--n", "21", "--trials", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: verify work capped")
+    assert err == "error: family enumeration capped at n=20\n"
+
+
+@pytest.mark.parametrize("n", ["100000", str(10**10), "9" * 1600])
+def test_verify_leibniz_family_cap_comes_before_the_work_count(capsys, n):
+    """verify_work counts 2^n masks; the family cap must refuse a large --n
+    first, or the count alone builds a huge int (or fails to print it)."""
+    code, out, err = run(capsys, "verify", "leibniz", "--n", n, "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: family enumeration capped at n=20\n"
 
 
 @pytest.mark.parametrize(

@@ -221,6 +221,23 @@ def test_mixed_sums_are_the_patterns_of_the_pointwise_sums():
             assert type(m + other) is MaskDerivation
 
 
+def test_order_compares_masks_and_patterns_in_both_orders():
+    """<= is the natural order of + on every pair of mask maps at n = 2,
+    masks and plain patterns mixed either way round."""
+    n = 2
+    positions = list(iter_positions(n))
+    patterns = [ZeroPattern(n, {p for t, p in enumerate(positions) if bits >> t & 1})
+                for bits in range(1 << len(positions))]
+    maps = patterns + enumerate_family_derivations(n)
+    for left in maps:
+        for right in maps:
+            assert (left <= right) == ((left + right).positions == right.positions)
+            assert (left <= right) == (right >= left)
+    assert MaskDerivation(2, {1}) <= ZeroPattern(2, {(1, 1)})
+    assert ZeroPattern(2, {(1, 1)}) >= MaskDerivation(2, {1})
+    assert not ZeroPattern(2, {(1, 1)}) <= MaskDerivation(2, {1, 2})
+
+
 def test_pointwise_sum_needs_a_map():
     with pytest.raises(ValueError, match=r"^need at least one map$"):
         pointwise_sum()
