@@ -91,14 +91,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_family_cap(n: int) -> None:
-    if n > FAMILY_ENUMERATION_LIMIT:
-        raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.cls == "families":
-        _check_family_cap(args.n)
+        if args.n > FAMILY_ENUMERATION_LIMIT:
+            raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
         masks = enumerate_family_derivations(args.n)
     elif args.n > INTERVAL_ENUMERATION_LIMIT:
         raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
@@ -230,24 +226,25 @@ _VERIFY_KINDS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     semiring = get_semiring(args.semiring)
-    if args.exhaustive and args.kind not in ("leibniz", "theorem2"):
-        raise ValueError("exhaustive mode applies only to leibniz and theorem2")
-    if args.exhaustive and (semiring.name != "boolean" or args.n > EXHAUSTIVE_LIMIT):
-        raise CapacityError(
-            f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"
-        )
-    if args.kind == "leibniz":  # before verify_work builds 2^n from an unbounded --n
-        _check_family_cap(args.n)
-    if not args.exhaustive and args.trials > TRIALS_LIMIT:
-        raise CapacityError(f"verify trials capped at {TRIALS_LIMIT}")
-    work = verify_work(args.kind, args.n, args.trials)
-    if not args.exhaustive and work > VERIFY_WORK_LIMIT:
-        raise CapacityError(
-            f"verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3); "
-            f"this run needs {work}"
-        )
-    if args.exhaustive and (args.trials, args.seed) != (1000, 0):
-        print("note: --exhaustive ignores --trials and --seed", file=sys.stderr)
+    if args.exhaustive:
+        if args.kind not in ("leibniz", "theorem2"):
+            raise ValueError("exhaustive mode applies only to leibniz and theorem2")
+        if semiring.name != "boolean" or args.n > EXHAUSTIVE_LIMIT:
+            raise CapacityError(
+                f"exhaustive mode needs --semiring boolean and n <= {EXHAUSTIVE_LIMIT}"
+            )
+        if (args.trials, args.seed) != (1000, 0):
+            print("note: --exhaustive ignores --trials and --seed", file=sys.stderr)
+    else:
+        if args.trials > TRIALS_LIMIT:
+            raise CapacityError(f"verify trials capped at {TRIALS_LIMIT}")
+        cap = f"verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3)"
+        # n^3 divides every kind's count: refuse before 2^n or its digits are built.
+        if args.n**3 > VERIFY_WORK_LIMIT:
+            raise CapacityError(f"{cap}; n^3 alone exceeds it")
+        work = verify_work(args.kind, args.n, args.trials)
+        if work > VERIFY_WORK_LIMIT:
+            raise CapacityError(f"{cap}; this run needs {work}")
     return _VERIFY_KINDS[args.kind](args, semiring)
 
 

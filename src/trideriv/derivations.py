@@ -36,7 +36,10 @@ l = i, but not i = j = k = l, the rule is the Leibniz condition above (on
 other pairs both sides are 0).  At i = j = k = l it reads
 δ(λμ ⊕ μλ) = δ(λ)μ ⊕ μδ(λ) ⊕ λδ(μ) ⊕ δ(μ)λ, which is Leibniz once λμ = μλ:
 only there is commutativity used, and all four shipped carriers are
-commutative.  The square form f(A²) = f(A)A ⊕ Af(A)
+commutative.  It cannot be dropped: over the power set of {e, p, q}, e the
+identity and p, q left zeros, δ(x) = {p, q} if q ∈ x else ∅ obeys the Jordan
+rule on UT_1 but breaks Leibniz at ({p}, {q}) (tests/test_entrywise.py pins
+it).  The square form f(A²) = f(A)A ⊕ Af(A)
 is weaker, since ⊕ does not cancel: f(A) = a₁₁E₁₁ ⊕ (a₁₂ ∨ a₂₂)E₁₂ on
 UT_2(B) obeys it and breaks Leibniz at (E₁₁, E₂₂)
 (tests/test_entrywise.py pins it).
@@ -215,15 +218,15 @@ def _check_mask_map(f: object, caller: str) -> None:
 
 def delta_k(n: int, k: int) -> MaskDerivation:
     """Keep the first k rows, zero the rest; k = n is the identity, k = 0 the zero map."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
+    if not (_is_index(k) and 0 <= k <= n):
+        raise ValueError(f"k={k!r} outside 0..{n}")
     return MaskDerivation(n, frozenset(range(k + 1, n + 1)))
 
 
 def d_m(n: int, m: int) -> MaskDerivation:
     """Keep the last m columns, zero the rest; m = n is the identity, m = 0 the zero map."""
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} outside 0..{n}")
+    if not (_is_index(m) and 0 <= m <= n):
+        raise ValueError(f"m={m!r} outside 0..{n}")
     return MaskDerivation(n, frozenset(range(1, n - m + 1)))
 
 
@@ -248,10 +251,9 @@ class Witness(_Frozen):
 
 
 def first_difference(left: UTMatrix, right: UTMatrix) -> Witness | None:
-    """Lexicographically first (row-major) position where the matrices differ."""
+    """Lexicographically first (row-major) position where the matrices differ,
+    compared cell by cell: a tuple ``==`` would pass one shared NaN."""
     ensure_same_dimension(left.n, right.n)
-    if left.entries == right.entries:
-        return None
     for pos, a, b in zip(iter_positions(left.n), left.entries, right.entries):
         if a != b:
             return Witness(pos, a, b)
@@ -501,8 +503,8 @@ class DecompositionTerm(_Frozen):
         if k is None and m is None:
             raise ValueError("term needs at least one factor")
         for v in (k, m):
-            if v is not None and v < 0:
-                raise ValueError("factor indices must be >= 0")
+            if v is not None and not (_is_index(v) and v >= 0):
+                raise ValueError(f"factor index {v!r} is not an int >= 0")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
 

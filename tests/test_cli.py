@@ -496,22 +496,25 @@ def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
 
 
 def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():
-    """A kept cell whose sum is a fresh NaN: (A + B)_t != add(a_t, b_t) even
-    though both are the same call, so linearity fails there, as the per-map
-    loop finds.  Only n = 1 keeps the NaN out of every product cell."""
-    poison = get_semiring("maxplus")._replace(
-        add=lambda a, b: float("nan") if {a, b} == {2, 3} else max(a, b),
-        mul=min,
-        zero=0,
-        sample=lambda rng: rng.randint(2, 3),
-    )
-    maps = [delta_k(1, 1), delta_k(1, 0)]  # keep the cell, zero it
-    got = first_failures(maps, 1, poison, 12, 0)
-    expected = [reference_first_failure(f, 1, poison, 12, 0) for f in maps]
-    assert got[1] is None is expected[1]
-    (trial, check, witness), (trial0, check0, witness0) = got[0], expected[0]
-    assert (trial, check, witness.position) == (trial0, check0, witness0.position)
-    assert check == "linearity" and math.isnan(witness.lhs) and math.isnan(witness.rhs)
+    """A kept cell whose sum is a NaN: (A + B)_t != add(a_t, b_t) even though
+    both are the same call, so linearity fails there, as the per-map loop
+    finds, whether each sum is a fresh NaN or one shared object (which a
+    tuple ``==`` would pass).  Only n = 1 keeps the NaN out of every product cell."""
+    shared = float("nan")
+    for nan in (lambda: float("nan"), lambda: shared):
+        poison = get_semiring("maxplus")._replace(
+            add=lambda a, b, nan=nan: nan() if {a, b} == {2, 3} else max(a, b),
+            mul=min,
+            zero=0,
+            sample=lambda rng: rng.randint(2, 3),
+        )
+        maps = [delta_k(1, 1), delta_k(1, 0)]  # keep the cell, zero it
+        got = first_failures(maps, 1, poison, 12, 0)
+        expected = [reference_first_failure(f, 1, poison, 12, 0) for f in maps]
+        assert got[1] is None is expected[1]
+        (trial, check, witness), (trial0, check0, witness0) = got[0], expected[0]
+        assert (trial, check, witness.position) == (trial0, check0, witness0.position)
+        assert check == "linearity" and math.isnan(witness.lhs) and math.isnan(witness.rhs)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -696,21 +699,27 @@ def test_verify_rejects_trials_below_one(capsys, kind, trials):
     assert err.startswith("error:") and "--trials" in err
 
 
+WORK_CAP = f"error: verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3); "
+N_CUBED_CAP = WORK_CAP + "n^3 alone exceeds it\n"
+
+
 def test_verify_leibniz_family_cap(capsys):
+    """Past the family cap of ``enumerate``, a seeded leibniz run meets the
+    work cap alone."""
     code, out, err = run(capsys, "verify", "leibniz", "--n", "21", "--trials", "1")
     assert code == 2
     assert out == ""
-    assert err == "error: family enumeration capped at n=20\n"
+    assert err == WORK_CAP + "this run needs 19421724672\n"
 
 
 @pytest.mark.parametrize("n", ["100000", str(10**10), "9" * 1600])
 def test_verify_leibniz_family_cap_comes_before_the_work_count(capsys, n):
-    """verify_work counts 2^n masks; the family cap must refuse a large --n
+    """verify_work counts 2^n masks; the n^3 bound must refuse a large --n
     first, or the count alone builds a huge int (or fails to print it)."""
     code, out, err = run(capsys, "verify", "leibniz", "--n", n, "--trials", "1")
     assert code == 2
     assert out == ""
-    assert err == "error: family enumeration capped at n=20\n"
+    assert err == N_CUBED_CAP
 
 
 @pytest.mark.parametrize(
@@ -720,13 +729,22 @@ def test_verify_leibniz_family_cap_comes_before_the_work_count(capsys, n):
         ("theorem2", "--n", "300", "--trials", "1"),
         ("decompose", "--n", "101"),
         ("hereditary", "--n", "1001", "--trials", "1"),
+    ]
+    + [
+        (kind, "--n", n, "--trials", "1")
+        for kind in ("leibniz", "theorem2", "decompose", "hereditary")
+        for n in ("1001", str(10**10), "9" * 1600)
     ],
 )
 def test_verify_work_bound_rejects(capsys, argv):
+    """Every kind refuses a dimension whose n^3 alone passes the cap before
+    it counts anything, so no count is built or printed."""
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "verify work capped" in err
+    assert err.startswith(WORK_CAP)
+    if int(argv[2]) ** 3 > VERIFY_WORK_LIMIT:
+        assert err == N_CUBED_CAP
 
 
 def test_verify_work_bound_boundary():

@@ -8,6 +8,7 @@ map of UT_n finds only entrywise maps among the derivations.  A last
 section checks the Jordan rule f(A∘B) = f(A)∘B ⊕ A∘f(B) on zero patterns
 and in the same search, counts the additive maps that obey the square form
 f(A²) = f(A)A ⊕ Af(A), and pins one of them that is not a derivation.
+The last shows that the Jordan theorem needs a commutative carrier.
 """
 
 import itertools
@@ -24,8 +25,10 @@ from trideriv import (
     MAXPLUS,
     MINPLUS,
     UTMatrix,
+    Semiring,
     ZeroPattern,
     brute_force_classify,
+    check_axioms,
     enumerate_matrices,
     iter_positions,
     jordan,
@@ -300,3 +303,63 @@ def test_square_form_admits_a_non_derivation():
     assert all(f(a * a) == f(a) * a + a * f(a) for a in mats)
     e11, e22 = matrix_unit(2, 1, 1, BOOLEAN), matrix_unit(2, 2, 2, BOOLEAN)
     assert leibniz_check(f, e11, e22) == Witness((1, 2), 0, 1)
+
+
+# --- commutativity is needed ---------------------------------------------------------
+
+# T = {e, p, q}: e is the identity and p, q are left zeros (px = p, qx = q).
+T_PRODUCT = {(s, t): t if s == "e" else s for s in "epq" for t in "epq"}
+SUBSETS = [frozenset(c) for r in range(4) for c in itertools.combinations("epq", r)]
+
+
+def setwise(x, y):
+    return frozenset(T_PRODUCT[s, t] for s in x for t in y)
+
+
+# S = P(T): union as ⊕, the setwise product as ⊗; unital, additively
+# idempotent, and not commutative.
+POWER_SET = Semiring(
+    name="P(T)",
+    add=operator.or_,
+    mul=setwise,
+    zero=frozenset(),
+    one=frozenset("e"),
+    contains=SUBSETS.__contains__,
+    parse_element=frozenset,
+    format_element=lambda x: "".join(sorted(x)),
+    sample=lambda rng: rng.choice(SUBSETS),
+)
+
+
+def test_jordan_rule_without_commutativity_admits_a_non_derivation():
+    """Over S = P(T) the Jordan rule does not force Leibniz.  S is free on its
+    atoms {e}, {p}, {q}, so an additive map is fixed by their images: 8³ = 512
+    maps of UT_1(S) = S.  21 obey the Jordan rule on all 64 pairs and 19 are
+    derivations, all among the 21.  δ(x) = {p, q} when q ∈ x, else ∅, is one of
+    the other two: δ({p}{q}) = ∅, but δ({p}){q} ⊕ {p}δ({q}) = {p}."""
+    p, q = frozenset("p"), frozenset("q")
+    assert check_axioms(POWER_SET, 2000, 0) is None
+    assert (setwise(p, q), setwise(q, p)) == (p, q)
+    mats = {x: UTMatrix(1, POWER_SET, (x,)) for x in SUBSETS}
+
+    def additive(images):
+        """The map sending each atom {t} to ``images[t]``, extended by unions."""
+        table = {
+            x: frozenset().union(*(image for t, image in zip("epq", images) if t in x))
+            for x in SUBSETS
+        }
+        return lambda a: mats[table[a.entries[0]]]
+
+    pairs = list(itertools.product(mats.values(), repeat=2))
+    jordan_maps, derivations = set(), set()
+    for images in itertools.product(SUBSETS, repeat=3):
+        f = additive(images)
+        if all(f(jordan(a, b)) == jordan(f(a), b) + jordan(a, f(b)) for a, b in pairs):
+            jordan_maps.add(images)
+        if all(leibniz_check(f, a, b) is None for a, b in pairs):
+            derivations.add(images)
+    assert (len(jordan_maps), len(derivations)) == (21, 19)
+    assert derivations < jordan_maps
+    delta = (frozenset(), frozenset(), frozenset("pq"))  # the images of e, p, q
+    assert delta in jordan_maps - derivations
+    assert leibniz_check(additive(delta), mats[p], mats[q]) == Witness((1, 1), frozenset(), p)

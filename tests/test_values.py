@@ -19,6 +19,8 @@ from trideriv import (
     ShiftDerivation,
     UTMatrix,
     ZeroPattern,
+    d_m,
+    delta_k,
 )
 from trideriv.derivations import Witness
 from trideriv.oracle import OracleReport
@@ -173,6 +175,15 @@ def test_replace_checks_the_new_fields_and_drops_cached_values():
         mask._replace(zero_set={4})
     with pytest.raises(ValueError, match="at least one factor"):
         DecompositionTerm(k=1)._replace(k=None)
+    for bad in (True, 1.5, -1):  # the index rule of MaskDerivation's zero set
+        with pytest.raises(ValueError, match="not an int >= 0"):
+            DecompositionTerm(k=bad)
+        with pytest.raises(ValueError, match="not an int >= 0"):
+            DecompositionTerm(k=1)._replace(m=bad)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            delta_k(3, bad)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            d_m(3, bad)
     assert DecompositionTerm(k=1)._replace(m=2) == DecompositionTerm(1, 2)
 
 
