@@ -737,8 +737,9 @@ def test_verify_leibniz_family_cap_comes_before_the_work_count(capsys, n):
     ],
 )
 def test_verify_work_bound_rejects(capsys, argv):
-    """Every kind refuses a dimension whose n^3 alone passes the cap before
-    it counts anything, so no count is built or printed."""
+    """A run over the work cap exits 2 with the cap message.  One whose n^3
+    alone passes the cap is refused before anything is counted, so no
+    count is built or printed, whatever the kind."""
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
