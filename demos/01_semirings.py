@@ -14,10 +14,11 @@ from trideriv import (
     check_axioms,
     natural_leq,
 )
+from trideriv.semirings import format_element
 
 print("=== the four shipped instances ===")
 for s in (BOOLEAN, MAXPLUS, MINPLUS, FUZZY):
-    print(f"{s.name:8s} zero={s.format_element(s.zero):5s} one={s.format_element(s.one)}")
+    print(f"{s.name:8s} zero={format_element(s.zero):5s} one={format_element(s.one)}")
 
 print()
 print("=== max-plus arithmetic: addition is max, multiplication is + ===")
@@ -43,7 +44,6 @@ naturals = Semiring(
     one=1,
     contains=lambda v: isinstance(v, int) and v >= 0,
     parse_element=int,
-    format_element=str,
     sample=lambda rng: rng.randint(0, 9),
 )
 v = check_axioms(naturals, 10, seed=1)
@@ -55,5 +55,5 @@ print("=== idempotent addition induces a partial order: a <= b iff a (+) b = b =
 rng = random.Random(3)
 pairs = [(MAXPLUS.sample(rng), MAXPLUS.sample(rng)) for _ in range(4)]
 for a, b in pairs:
-    fa, fb = MAXPLUS.format_element(a), MAXPLUS.format_element(b)
+    fa, fb = format_element(a), format_element(b)
     print(f"{fa:5s} <= {fb:5s} ? {natural_leq(MAXPLUS, a, b)}")

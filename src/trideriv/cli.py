@@ -39,7 +39,7 @@ from .oracle import (
     format_report,
     matrix_bits,
 )
-from .semirings import MAXPLUS, Semiring, check_axioms, get_semiring, seeded_trials
+from .semirings import MAXPLUS, Semiring, check_axioms, format_element, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
 TRIALS_LIMIT = 10**6  # axioms: 13-17 s on every carrier; seeded verify at n = 1..2: 18-39 s
@@ -52,10 +52,9 @@ INTERVAL_ENUMERATION_LIMIT = 200
 VERIFY_WORK_LIMIT = 10**9
 
 
-def _witness_fields(semiring: Semiring, witness: Witness) -> str:
+def _witness_fields(witness: Witness) -> str:
     i, j = witness.position
-    fmt = semiring.format_element
-    return f"position={i},{j} lhs={fmt(witness.lhs)} rhs={fmt(witness.rhs)}"
+    return f"position={i},{j} lhs={format_element(witness.lhs)} rhs={format_element(witness.rhs)}"
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
@@ -66,9 +65,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     if v is None:
         print(f"PASS axioms semiring={semiring.name} trials={args.trials} seed={args.seed}")
         return 0
-    elems = " ".join(
-        f"{name}={semiring.format_element(x)}" for name, x in zip("abc", v.elements)
-    )
+    elems = " ".join(f"{name}={format_element(x)}" for name, x in zip("abc", v.elements))
     print(f"FAIL axioms semiring={semiring.name} law={v.law} trial={v.trial} {elems}")
     return 1
 
@@ -145,7 +142,7 @@ def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
             where, check, witness = failure
             print(
                 f"FAIL {check} n={args.n} semiring={semiring.name} zero_set={zs} "
-                f"{where} {_witness_fields(semiring, witness)}"
+                f"{where} {_witness_fields(witness)}"
             )
             failures += 1
     return 1 if failures else 0
@@ -199,10 +196,10 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
         a, b = random_matrix(args.n, semiring, rng), random_matrix(args.n, semiring, rng)
         witness = lifted.first_witness(a, b)
         if witness is not None:
-            x = MAXPLUS.format_element(lifted.shift.x)
+            x = format_element(lifted.shift.x)
             print(
                 f"FAIL hereditary n={args.n} trial={trial} shift={x} "
-                f"{_witness_fields(semiring, witness)}"
+                f"{_witness_fields(witness)}"
             )
             return 1
     print(f"PASS hereditary n={args.n} trials={args.trials} seed={args.seed}")

@@ -68,13 +68,9 @@ from .matrices import (
     random_matrix,
     triangle_size,
 )
-from .semirings import Semiring, _Frozen, _ranked, seeded_trials
+from .semirings import Semiring, _Frozen, _is_index, _ranked, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
-
-
-def _is_index(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
@@ -102,10 +98,8 @@ class ZeroPattern(_Frozen):
         ensure_positive_dimension(n)
         positions = frozenset((i, j) for i, j in positions)
         for i, j in positions:
-            if not (_is_index(i) and _is_index(j)):
-                raise ValueError(f"position ({i!r}, {j!r}) must be a pair of ints")
-            if not (1 <= i <= j <= n):
-                raise ValueError(f"position ({i}, {j}) not upper-triangular in 1..{n}")
+            if not (_is_index(i) and _is_index(j) and 1 <= i <= j <= n):
+                raise ValueError(f"position ({i!r}, {j!r}) not upper-triangular in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "positions", positions)
 
@@ -237,7 +231,7 @@ def strip_diagonal(n: int) -> ZeroPattern:
 
 def theorem2_predicate(n: int, k: int, m: int) -> bool:
     """Whether the composition of delta_k and d_m is a derivation: k + m >= n."""
-    if not (1 <= k <= n and 1 <= m <= n):
+    if not (all(map(_is_index, (n, k, m))) and 1 <= k <= n and 1 <= m <= n):
         raise ValueError(f"(k, m)=({k}, {m}) outside 1..{n}")
     return k + m >= n
 

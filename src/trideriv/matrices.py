@@ -12,7 +12,7 @@ import random
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
 
-from .semirings import Semiring, _Frozen, get_semiring
+from .semirings import Semiring, _Frozen, _is_index, format_element, get_semiring
 
 
 class TriangularityError(ValueError):
@@ -99,6 +99,7 @@ class UTMatrix(_Frozen):
         cls, n: int, semiring: Semiring, values: Mapping[tuple[int, int], object]
     ) -> "UTMatrix":
         """Build from a sparse {(i, j): value} mapping; missing entries are zero."""
+        ensure_positive_dimension(n)
         cells = [semiring.zero] * triangle_size(n)
         for (i, j), value in values.items():
             _check_position(n, i, j)
@@ -148,8 +149,8 @@ class UTMatrix(_Frozen):
 
 
 def ensure_positive_dimension(n: int) -> None:
-    """The one positivity rule for a dimension."""
-    if n < 1:
+    """The one positivity rule for a dimension: an int (not a bool) >= 1."""
+    if not (_is_index(n) and n >= 1):
         raise ValueError("dimension must be >= 1")
 
 
@@ -168,7 +169,7 @@ def ensure_compatible(a: UTMatrix, b: UTMatrix) -> None:
 
 
 def _check_position(n: int, i: int, j: int) -> None:
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not (_is_index(i) and _is_index(j) and 1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"position ({i}, {j}) outside 1..{n}")
     if i > j:
         raise TriangularityError(f"position ({i}, {j}) is below the diagonal")
@@ -189,14 +190,14 @@ def matrix_unit(n: int, i: int, j: int, semiring: Semiring) -> UTMatrix:
 
 def diag_head(n: int, k: int, semiring: Semiring) -> UTMatrix:
     """Diagonal (0,1)-matrix with ones at positions 1..k."""
-    if not 1 <= k <= n:
+    if not (_is_index(k) and 1 <= k <= n):
         raise ValueError(f"k={k} outside 1..{n}")
     return UTMatrix.from_dict(n, semiring, {(i, i): semiring.one for i in range(1, k + 1)})
 
 
 def diag_tail(n: int, m: int, semiring: Semiring) -> UTMatrix:
     """Diagonal (0,1)-matrix with ones at positions n-m+1..n."""
-    if not 1 <= m <= n:
+    if not (_is_index(m) and 1 <= m <= n):
         raise ValueError(f"m={m} outside 1..{n}")
     return UTMatrix.from_dict(
         n, semiring, {(i, i): semiring.one for i in range(n - m + 1, n + 1)}
@@ -215,7 +216,7 @@ def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
 
 def format_matrix(matrix: UTMatrix) -> str:
     n = matrix.n
-    cells = map(matrix.semiring.format_element, matrix.entries)  # row-major
+    cells = map(format_element, matrix.entries)  # row-major
     lines = [f"utm n={n} semiring={matrix.semiring.name}"]
     for i in range(n):
         lines.append(" ".join(["."] * i + list(islice(cells, n - i))))

@@ -23,6 +23,12 @@ class CarrierError(ValueError):
     """Raised when a value does not belong to a semiring's carrier."""
 
 
+def _is_index(value: object) -> bool:
+    """The package's one integer rule, for every dimension, position, index
+    and count: an ``int`` that is not a ``bool`` (a subclass of ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Frozen:
     """Base of the package's immutable value classes.
 
@@ -107,10 +113,7 @@ class Semiring(_Frozen):
     that way.
     """
 
-    _fields = (
-        "name", "add", "mul", "zero", "one", "contains", "parse_element", "format_element",
-        "sample",
-    )
+    _fields = ("name", "add", "mul", "zero", "one", "contains", "parse_element", "sample")
 
     def __repr__(self) -> str:
         return f"Semiring({self.name!r})"
@@ -150,7 +153,7 @@ def _parse_fuzzy(token: str) -> Fraction:
     return value
 
 
-def _format_element(value: object) -> str:
+def format_element(value: object) -> str:
     """The text of any element of the four shipped carriers."""
     # Only floats can be infinite; an int or a Fraction is its own exact text.
     if isinstance(value, float):
@@ -164,14 +167,14 @@ def _format_element(value: object) -> str:
 
 # --- carriers ----------------------------------------------------------------
 
-# ``bool`` is an ``int`` subclass, but True/False are not carrier elements.
+# True and False are not carrier elements.
 
 def _is_rational(value: object) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return _is_index(value) or isinstance(value, Fraction)
 
 
 def _in_boolean(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value in (0, 1)
+    return _is_index(value) and value in (0, 1)
 
 
 def _in_fuzzy(value: object) -> bool:
@@ -210,14 +213,13 @@ BOOLEAN = Semiring(
     one=1,
     contains=_in_boolean,
     parse_element=_parse_boolean,
-    format_element=_format_element,
     sample=_sample_boolean,
 )
 
 
 def _tropical(name: str, add: Callable[[object, object], object], bottom: float) -> Semiring:
     """Max-plus or min-plus: the rationals under ``add`` and +, with ``bottom`` as zero."""
-    literal = _format_element(bottom)
+    literal = format_element(bottom)
     return Semiring(
         name=name,
         add=add,
@@ -226,8 +228,7 @@ def _tropical(name: str, add: Callable[[object, object], object], bottom: float)
         one=Fraction(0),
         contains=lambda value: _is_rational(value) or value == bottom,
         parse_element=lambda token: bottom if token == literal else _parse_rational(token),
-        format_element=_format_element,
-        sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
+            sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
     )
 
 
@@ -242,7 +243,6 @@ FUZZY = Semiring(
     one=Fraction(1),
     contains=_in_fuzzy,
     parse_element=_parse_fuzzy,
-    format_element=_format_element,
     sample=_sample_fuzzy,
 )
 
@@ -262,7 +262,7 @@ def get_semiring(name: str) -> Semiring:
 def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]:
     """``(t, rng)`` for t = 0 .. trials-1 with ``rng`` seeded by seed + t: every
     seeded check draws from it, so a reported trial index replays on its own."""
-    if trials < 1:
+    if not (_is_index(trials) and trials >= 1):
         raise ValueError("trials must be >= 1")
     return ((t, random.Random(seed + t)) for t in range(trials))
 

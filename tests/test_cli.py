@@ -376,7 +376,6 @@ NATURALS = Semiring(  # ordinary (N, +, *): add is not idempotent, Leibniz fails
     one=1,
     contains=lambda v: isinstance(v, int) and v >= 0,
     parse_element=int,
-    format_element=str,
     sample=lambda rng: rng.randint(0, 3),
 )
 
@@ -397,7 +396,6 @@ DRIFTING_ZERO = Semiring(
     one=5,
     contains=lambda v: v in range(6),
     parse_element=int,
-    format_element=str,
     sample=lambda rng: 0 if rng.random() < 0.02 else rng.randint(2, 5),
 )
 

@@ -27,7 +27,6 @@ NATURALS = Semiring(
     one=1,
     contains=lambda v: isinstance(v, int) and v >= 0,
     parse_element=int,
-    format_element=str,
     sample=lambda rng: rng.randint(0, 9),
 )
 

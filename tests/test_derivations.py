@@ -362,6 +362,9 @@ def test_theorem2_predicate_examples():
     assert theorem2_predicate(5, 5, 5) is True
     with pytest.raises(ValueError):
         theorem2_predicate(3, 0, 1)
+    for n, k, m in [(3, True, 2), (3, 1.5, 2), (2.5, 1, 2)]:
+        with pytest.raises(ValueError, match=rf"^\(k, m\)=\({k}, {m}\) outside 1\.\.{n}$"):
+            theorem2_predicate(n, k, m)
 
 
 def test_theorem2_predicate_matches_pattern_condition():
@@ -673,7 +676,7 @@ def test_every_dimension_check_reports_alike(site):
         site()
 
 
-@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("n", [0, -2, True, 2.5])
 @pytest.mark.parametrize(
     "build",
     [
@@ -690,3 +693,12 @@ def test_every_dimension_positivity_check_reports_alike(build, n):
     with pytest.raises(ValueError, match=r"^dimension must be >= 1$") as caught:
         build(n)
     assert type(caught.value) is ValueError
+
+
+def test_a_bool_dimension_is_refused_past_a_cache_and_an_index_check():
+    """``oracle._table``'s lru_cache keys True as 1, and ``delta_k``'s range
+    check reads True as 1: the dimension rule of the first mask refuses both."""
+    brute_force_classify(1)
+    for build in (brute_force_classify, lambda n: delta_k(n, 1), strip_diagonal):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+            build(True)

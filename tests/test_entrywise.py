@@ -326,7 +326,6 @@ POWER_SET = Semiring(
     one=frozenset("e"),
     contains=SUBSETS.__contains__,
     parse_element=frozenset,
-    format_element=lambda x: "".join(sorted(x)),
     sample=lambda rng: rng.choice(SUBSETS),
 )
 
@@ -363,3 +362,33 @@ def test_jordan_rule_without_commutativity_admits_a_non_derivation():
     delta = (frozenset(), frozenset(), frozenset("pq"))  # the images of e, p, q
     assert delta in jordan_maps - derivations
     assert leibniz_check(additive(delta), mats[p], mats[q]) == Witness((1, 1), frozenset(), p)
+
+
+def test_the_non_derivation_lifts_to_ut2():
+    """On UT_2(S) the entrywise map δ₁₁ = δ, δ₁₂(x) = x ⊕ {p}x, δ₂₂ = 0 is
+    additive, since each δ_ij is, and obeys the Jordan rule: both sides of
+    f(A∘B) = f(A)∘B ⊕ A∘f(B) are additive in A and in B, and every matrix is a
+    union of generators λE_ij with λ an atom, so the 81 pairs of generators
+    carry the rule to every pair.  Leibniz fails at (pE₁₁, qE₁₁), as on UT_1."""
+    p, pq = frozenset("p"), frozenset("pq")
+    entry_maps = (  # row-major: (1, 1), (1, 2), (2, 2)
+        lambda x: pq if "q" in x else frozenset(),
+        lambda x: x | setwise(p, x),
+        lambda x: frozenset(),
+    )
+    for g in entry_maps:
+        assert all(g(x | y) == g(x) | g(y) for x in SUBSETS for y in SUBSETS)
+
+    def f(a):
+        return UTMatrix(2, POWER_SET, tuple(g(x) for g, x in zip(entry_maps, a.entries)))
+
+    def unit(position, value):
+        return UTMatrix.from_dict(2, POWER_SET, {position: value})
+
+    generators = [unit(pos, frozenset(t)) for pos in iter_positions(2) for t in "epq"]
+    pairs = list(itertools.product(generators, repeat=2))
+    assert len(pairs) == 81
+    assert all(f(jordan(a, b)) == jordan(f(a), b) + jordan(a, f(b)) for a, b in pairs)
+    assert leibniz_check(f, unit((1, 1), p), unit((1, 1), frozenset("q"))) == Witness(
+        (1, 1), frozenset(), p
+    )

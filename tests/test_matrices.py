@@ -68,6 +68,20 @@ def test_matrix_unit_rejects_subdiagonal():
         matrix_unit(3, 1, 4, BOOLEAN)
 
 
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda: matrix_unit(2, True, 2, BOOLEAN),
+        lambda: UTMatrix.from_dict(2, BOOLEAN, {(True, 2): 1}),
+        lambda: UTMatrix.identity(2, BOOLEAN)[1, True],
+    ],
+    ids=["unit", "from-dict", "getitem"],
+)
+def test_a_bool_position_is_out_of_range(site):
+    with pytest.raises(IndexError, match=r"^position \((True, 2|1, True)\) outside 1\.\.2$"):
+        site()
+
+
 def test_diag_head():
     assert diag_head(3, 3, BOOLEAN) == UTMatrix.identity(3, BOOLEAN)
     assert diag_head(3, 1, BOOLEAN) == matrix_unit(3, 1, 1, BOOLEAN)
@@ -77,6 +91,8 @@ def test_diag_head():
         diag_head(3, 0, BOOLEAN)
     with pytest.raises(ValueError):
         diag_head(3, 4, BOOLEAN)
+    with pytest.raises(ValueError, match=r"^k=True outside 1\.\.3$"):
+        diag_head(3, True, BOOLEAN)
 
 
 def test_diag_tail():
@@ -87,6 +103,8 @@ def test_diag_tail():
     assert diag_tail(4, 2, BOOLEAN) == e33 + e44
     with pytest.raises(ValueError):
         diag_tail(4, 5, BOOLEAN)
+    with pytest.raises(ValueError, match=r"^m=2\.0 outside 1\.\.3$"):
+        diag_tail(3, 2.0, BOOLEAN)
 
 
 def test_head_plus_tail_is_identity_iff_k_plus_m_covers():

@@ -1,9 +1,10 @@
-"""Five standing rules of the package: no runtime dependency outside the
-standard library and a CLI that uses the library only through public names,
-both read from its source with ``ast``, one CLI parser per process, a
-start-up that loads none of ``typing``, ``pathlib``, ``dataclasses`` and
-``inspect`` in a clean interpreter (``python -S``), and a callable behind
-every span target of the traced benchmark."""
+"""Six standing rules of the package: no runtime dependency outside the
+standard library, a CLI that uses the library only through public names,
+and one function that tells an int from a bool, all three read from its
+source with ``ast``, one CLI parser per process, a start-up that loads
+none of ``typing``, ``pathlib``, ``dataclasses`` and ``inspect`` in a clean
+interpreter (``python -S``), and a callable behind every span target of
+the traced benchmark."""
 
 import ast
 import importlib
@@ -50,6 +51,36 @@ def test_the_cli_imports_no_private_name():
         if any(part.startswith("_") for part in name.split(".")) and name != "__future__"
     ]
     assert private == []
+
+
+def bool_tests(tree):
+    """The ``isinstance`` calls in ``tree`` whose class argument names ``bool``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        ):
+            yield node
+
+
+def test_the_integer_rule_is_spelled_once():
+    """Every dimension, position, index, count and int carrier element is an
+    ``int`` that is not a ``bool``; only ``semirings._is_index`` says so."""
+    total, functions = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        total += len(list(bool_tests(tree)))
+        functions += [
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for _ in bool_tests(node)
+        ]
+    assert total == 1
+    assert functions == [("semirings.py", "_is_index")]
 
 
 def test_the_cli_builds_one_parser_per_process():

@@ -26,9 +26,7 @@ from trideriv.derivations import Witness
 from trideriv.oracle import OracleReport
 from trideriv.semirings import AxiomViolation
 
-SEMIRING_FIELDS = (
-    "name", "add", "mul", "zero", "one", "contains", "parse_element", "format_element", "sample",
-)
+SEMIRING_FIELDS = ("name", "add", "mul", "zero", "one", "contains", "parse_element", "sample")
 
 # (class, field names, positional arguments, the exact repr)
 CASES = [
