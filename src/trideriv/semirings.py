@@ -228,7 +228,7 @@ def _tropical(name: str, add: Callable[[object, object], object], bottom: float)
         one=Fraction(0),
         contains=lambda value: _is_rational(value) or value == bottom,
         parse_element=lambda token: bottom if token == literal else _parse_rational(token),
-            sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
+        sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
     )
 
 
