@@ -8,9 +8,9 @@ instead of a type guarantee.  A :class:`MaskDerivation` is the zero
 pattern named by a set of diagonal indices: entry (r, c) dies iff every
 index in r..c belongs to the set, which zeroes a family of dense diagonal
 blocks and always yields a derivation.  It applies, sums, composes and
-answers the predicate as a pattern, with its cells and their offsets
-shared per (n, zero set).  The runner :func:`first_failures` tries many
-mask maps on shared seeded pairs.
+answers the predicate as a pattern: its cells are cached per zero set, and
+its offsets come from the one :attr:`ZeroPattern._zeroed`.  The runner
+:func:`first_failures` tries many mask maps on shared seeded pairs.
 
 Every derivation acts entrywise.  Let S be additively idempotent (so
 x ⊕ y = 0 forces x = y = 0) and f additive and Leibniz on UT_n(S).
@@ -62,6 +62,7 @@ from functools import cached_property, lru_cache, reduce
 from .matrices import (
     UTMatrix,
     _mul_plan,
+    _offset,
     ensure_positive_dimension,
     ensure_same_dimension,
     iter_positions,
@@ -84,11 +85,6 @@ def _runs(zero_set: frozenset) -> tuple[tuple[int, int], ...]:
     return tuple((s, e) for s, e in runs)
 
 
-def _offsets(n: int, cells: frozenset) -> tuple[int, ...]:
-    """The row-major offsets of ``cells`` among the upper positions of order n."""
-    return tuple(t for t, p in enumerate(iter_positions(n)) if p in cells)
-
-
 class ZeroPattern(_Frozen):
     """A mask map: the linear map sending the entries at ``positions`` to zero."""
 
@@ -105,8 +101,8 @@ class ZeroPattern(_Frozen):
 
     @cached_property
     def _zeroed(self) -> tuple[int, ...]:
-        """The row-major offsets of ``positions``."""
-        return _offsets(self.n, self.positions)
+        """The row-major offsets of ``positions``, ascending."""
+        return tuple(sorted([_offset(self.n, i, j) for i, j in self.positions]))
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         ensure_same_dimension(matrix.n, self.n)
@@ -151,13 +147,12 @@ class ZeroPattern(_Frozen):
 
 
 @lru_cache(maxsize=256)
-def _mask_cells(n: int, zero_set: frozenset) -> tuple[frozenset, tuple[int, ...]]:
-    """The cells (r, c) with every index of r..c in ``zero_set``, and their offsets:
-    shared by every mask of this key, so fresh ``delta_k``/``d_m`` objects reuse them."""
-    cells = frozenset(
+def _mask_cells(zero_set: frozenset) -> frozenset:
+    """The cells (r, c) with every index of r..c in ``zero_set``: they do not
+    depend on n, so fresh ``delta_k``/``d_m`` objects of any order share them."""
+    return frozenset(
         (r, c) for s, e in _runs(zero_set) for r in range(s, e + 1) for c in range(r, e + 1)
     )
-    return cells, _offsets(n, cells)
 
 
 class MaskDerivation(ZeroPattern):
@@ -186,13 +181,8 @@ class MaskDerivation(ZeroPattern):
 
     @cached_property
     def positions(self) -> frozenset:
-        """The cells this mask zeroes, from the cache keyed by (n, zero_set)."""
-        return _mask_cells(self.n, self.zero_set)[0]
-
-    @cached_property
-    def _zeroed(self) -> tuple[int, ...]:
-        """The row-major offsets of ``positions``, from the same cache."""
-        return _mask_cells(self.n, self.zero_set)[1]
+        """The cells this mask zeroes, from the cache keyed by the zero set."""
+        return _mask_cells(self.zero_set)
 
     def __add__(self, other: ZeroPattern) -> ZeroPattern:
         """Pointwise sum (an entry survives if either side keeps it): a mask if both are."""
@@ -226,6 +216,7 @@ def d_m(n: int, m: int) -> MaskDerivation:
 
 def strip_diagonal(n: int) -> ZeroPattern:
     """Replace every diagonal entry by zero; the sum of all complementary products."""
+    ensure_positive_dimension(n)
     return ZeroPattern(n, frozenset((i, i) for i in range(1, n + 1)))
 
 
@@ -299,12 +290,10 @@ def _zeroing(maps: list, n: int) -> list[int]:
             for t in fn._zeroed:
                 cells[t][byte] |= bit
     held_bits = [int.from_bytes(d, "little") for d in held]
-    zeroing = []
-    for r in range(1, n + 1):
-        run = held_bits[r]
-        for c in range(r, n + 1):
-            run &= held_bits[c]
-            zeroing.append(run | int.from_bytes(cells[len(zeroing)], "little"))
+    zeroing, run = [], 0
+    for (r, c), extra in zip(iter_positions(n), cells):
+        run = held_bits[c] if r == c else run & held_bits[c]
+        zeroing.append(run | int.from_bytes(extra, "little"))
     return zeroing
 
 
@@ -527,13 +516,18 @@ class DecompositionExpr(_Frozen):
 
     _fields = ("n", "terms")
 
+    def __init__(self, n: int, terms: tuple) -> None:
+        ensure_positive_dimension(n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
+
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         ensure_same_dimension(matrix.n, self.n)
         return pointwise_sum(*self.terms)(matrix)
 
     def acts_as(self, mask: MaskDerivation, semiring: Semiring) -> bool:
         """Whether ``self(J) == mask(J)``, J the all-``one`` matrix over
-        ``semiring``, without building J or any term's image.
+        ``semiring``, without building any term's image.
 
         On J each term writes ``one`` where it keeps a cell and ``zero``
         elsewhere: term (k, m) keeps rows <= k and columns >= n - m + 1, an
@@ -541,8 +535,8 @@ class DecompositionExpr(_Frozen):
         fold of ``add`` over the terms, in ``pointwise_sum``'s order, of
         ``one`` for the terms in the cell's key (the bitset of the terms
         keeping it) and ``zero`` for the rest; it is folded once per
-        distinct key and compared with mask(J): ``zero`` where the mask
-        zeroes the cell, ``one`` elsewhere.
+        distinct key and compared with mask(J), which the mask's own apply
+        loop (:meth:`ZeroPattern.__call__`) writes.
         """
         n = self.n
         ensure_same_dimension(mask.n, n)
@@ -560,17 +554,15 @@ class DecompositionExpr(_Frozen):
             rows[r] |= rows[r + 1]
         for c in range(2, n + 1):
             cols[c] |= cols[c - 1]
-        keys = [rows[r] & cols[c] for r in range(1, n + 1) for c in range(r, n + 1)]
+        keys = [rows[r] & cols[c] for r, c in iter_positions(n)]
         add, zero, one = semiring.add, semiring.zero, semiring.one
         terms = range(len(self.terms))
         folds = {
             key: reduce(add, [one if key >> index & 1 else zero for index in terms])
             for key in set(keys)
         }
-        want = [one] * triangle_size(n)
-        for t in mask._zeroed:
-            want[t] = zero
-        return [folds[key] for key in keys] == want
+        ones = UTMatrix._trusted(n, semiring, (one,) * triangle_size(n))
+        return tuple([folds[key] for key in keys]) == mask(ones).entries
 
     def __str__(self) -> str:
         return " + ".join(str(t) for t in self.terms)

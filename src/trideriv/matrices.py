@@ -206,6 +206,7 @@ def diag_tail(n: int, m: int, semiring: Semiring) -> UTMatrix:
 
 def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
     """Matrix with every stored entry drawn from the semiring's sampler."""
+    ensure_positive_dimension(n)
     sample = semiring.sample
     return UTMatrix._trusted(n, semiring, tuple([sample(rng) for _ in range(triangle_size(n))]))
 

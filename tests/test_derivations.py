@@ -165,6 +165,28 @@ def test_blocks_are_maximal_runs():
             assert all(end + 1 < start for (_, end), (start, _) in zip(blocks, blocks[1:]))
 
 
+def reference_offsets(pattern):
+    """The row-major offsets of the pattern's cells, by a scan of every position."""
+    return tuple(t for t, p in enumerate(iter_positions(pattern.n)) if p in pattern.positions)
+
+
+def test_zeroed_offsets_match_a_scan_of_the_positions():
+    for n in range(1, 4):
+        cells = list(iter_positions(n))
+        for bits in range(1 << len(cells)):
+            pattern = ZeroPattern(n, {p for t, p in enumerate(cells) if bits >> t & 1})
+            assert pattern._zeroed == reference_offsets(pattern)
+    for n in range(1, 9):
+        for mask in enumerate_family_derivations(n):
+            assert mask._zeroed == reference_offsets(mask)
+
+
+def test_masks_of_one_zero_set_share_their_cells_across_dimensions():
+    small, large = MaskDerivation(3, {1, 2}), MaskDerivation(6, {1, 2})
+    assert small.positions is large.positions
+    assert small._zeroed == (0, 1, 3) and large._zeroed == (0, 1, 6)
+
+
 # --- agreement with the Jordan-product definition ---------------------------------
 
 @pytest.mark.parametrize("semiring", INSTANCES, ids=lambda s: s.name)
@@ -591,6 +613,20 @@ def test_acts_as_rejects_what_evaluation_rejects():
         decompose(mask).acts_as(MaskDerivation(4, {2}), BOOLEAN)
 
 
+def test_acts_as_applies_the_mask_once_through_the_one_apply_loop(monkeypatch):
+    applied = []
+    apply = ZeroPattern.__call__
+
+    def counted(self, matrix):
+        applied.append((self, matrix))
+        return apply(self, matrix)
+
+    monkeypatch.setattr(ZeroPattern, "__call__", counted)
+    mask = MaskDerivation(4, {2, 3})
+    assert decompose(mask).acts_as(mask, MAXPLUS)
+    assert [(f, m.entries) for f, m in applied] == [(mask, (MAXPLUS.one,) * triangle_size(4))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 7).flatmap(
@@ -686,8 +722,14 @@ def test_every_dimension_check_reports_alike(site):
         enumerate_interval_derivations,
         enumerate_family_derivations,
         brute_force_classify,
+        lambda n: random_matrix(n, BOOLEAN, random.Random(0)),
+        lambda n: DecompositionExpr(n, (DecompositionTerm(k=1),)),
+        strip_diagonal,
     ],
-    ids=["matrix", "mask", "pattern", "intervals", "families", "oracle"],
+    ids=[
+        "matrix", "mask", "pattern", "intervals", "families", "oracle",
+        "random-matrix", "decomposition", "strip-diagonal",
+    ],
 )
 def test_every_dimension_positivity_check_reports_alike(build, n):
     with pytest.raises(ValueError, match=r"^dimension must be >= 1$") as caught:
