@@ -50,6 +50,10 @@ INTERVAL_ENUMERATION_LIMIT = 200
 # n = 3 (hereditary 0.45 at n = 6, 0.27 at n = 10).  Under both caps the
 # slowest measured run (hereditary, n = 10, 10^6 trials) takes about 4.5 minutes.
 VERIFY_WORK_LIMIT = 10**9
+# A hereditary trial folds through matrices._mul_plan(n), n(n+1)(n+2)/6 index
+# pairs of about 128 bytes each: 73 MB at n = 150 by tracemalloc, and about
+# 21 GB at n = 1000, which the work cap alone admits with one trial.
+_HEREDITARY_LIMIT = 150
 
 
 def _witness_fields(witness: Witness) -> str:
@@ -191,6 +195,8 @@ def _verify_decompose(args: argparse.Namespace, semiring: Semiring) -> int:
 def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
     if semiring.name != "maxplus":
         raise ValueError("hereditary verification runs over the maxplus semiring")
+    if args.n > _HEREDITARY_LIMIT:
+        raise CapacityError(f"hereditary verification capped at n={_HEREDITARY_LIMIT}")
     for trial, rng in seeded_trials(args.trials, args.seed):
         lifted = ShiftDerivation(MAXPLUS.sample(rng)).hereditary()
         a, b = random_matrix(args.n, semiring, rng), random_matrix(args.n, semiring, rng)

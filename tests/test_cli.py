@@ -26,7 +26,7 @@ from trideriv import (
     random_matrix,
     strip_diagonal,
 )
-from trideriv import cli
+from trideriv import cli, oracle, shifts
 from trideriv.cli import (
     INTERVAL_ENUMERATION_LIMIT,
     TRIALS_LIMIT,
@@ -254,6 +254,40 @@ def test_verify_theorem2_exhaustive(capsys):
     assert "PASS theorem2 n=3 k=1 m=1 expected=witness empirical=witness" in lines
 
 
+@pytest.mark.parametrize("kind, count", [("leibniz", 16), ("theorem2", 16)])
+def test_verify_exhaustive_at_n4(capsys, kind, count):
+    """The cap is n = 4: every family mask and composition is checked on all
+    1024² boolean pairs, and each verdict is PASS."""
+    code, out, err = run(
+        capsys, "verify", kind, "--n", "4", "--semiring", "boolean", "--exhaustive"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == count
+    assert all(line.startswith(f"PASS {kind} n=4 ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--n", "5"),
+        ("verify", "theorem2", "--n", "5", "--semiring", "boolean", "--exhaustive"),
+    ],
+)
+def test_exhaustive_n5_is_refused_before_any_column(capsys, monkeypatch, argv):
+    """Past the cap nothing is enumerated: the table's columns read
+    triangle_size(n) and its rows the product plan, and neither is reached."""
+
+    def refuse(*args):
+        raise AssertionError("table building started")
+
+    monkeypatch.setattr(oracle, "triangle_size", refuse)
+    monkeypatch.setattr(oracle, "_mul_plan", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_leibniz_random(capsys):
     code, out, _ = run(
         capsys, "verify", "leibniz", "--n", "3", "--semiring", "maxplus",
@@ -307,7 +341,7 @@ def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
     assert code == 2
     assert "boolean" in err
     code, _, err = run(
-        capsys, "verify", "leibniz", "--n", "4", "--semiring", "boolean", "--exhaustive"
+        capsys, "verify", "leibniz", "--n", "5", "--semiring", "boolean", "--exhaustive"
     )
     assert code == 2
 
@@ -324,7 +358,7 @@ def test_verify_exhaustive_refuses_large_n_before_building_any_map(capsys, monke
         capsys, "verify", "theorem2", "--n", "2000", "--semiring", "boolean", "--exhaustive"
     )
     assert (code, out) == (2, "")
-    assert "n <= 3" in err
+    assert "n <= 4" in err
 
 
 @pytest.mark.parametrize(
@@ -688,6 +722,29 @@ def test_verify_hereditary_requires_maxplus(capsys):
     assert code == 2
 
 
+class PlanReached(Exception):
+    pass
+
+
+def test_verify_hereditary_refuses_a_plan_past_its_cap(capsys, monkeypatch):
+    """At n = 1000 one trial passes the work cap, but its product plan would
+    take about 21 GB: the run is refused before the plan is built or a
+    trial is drawn.  At the cap the run reaches the plan."""
+
+    def plan(n):
+        raise PlanReached(n)
+
+    monkeypatch.setattr(shifts, "_mul_plan", plan)
+    limit = cli._HEREDITARY_LIMIT
+    assert verify_work("hereditary", 1000, 1) <= VERIFY_WORK_LIMIT
+    for n in (limit + 1, 1000):
+        assert run(capsys, "verify", "hereditary", "--n", str(n), "--trials", "1") == (
+            2, "", f"error: hereditary verification capped at n={limit}\n"
+        )
+    with pytest.raises(PlanReached):
+        main(["verify", "hereditary", "--n", str(limit), "--trials", "1"])
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 @pytest.mark.parametrize("kind", ["leibniz", "theorem2", "decompose", "hereditary"])
 def test_verify_rejects_trials_below_one(capsys, kind, trials):
@@ -845,7 +902,7 @@ def test_oracle_n3_interval_count(capsys):
 
 
 def test_oracle_capacity(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "4")
+    code, _, err = run(capsys, "oracle", "--n", "5")
     assert code == 2
     assert "too large" in err
 

@@ -46,7 +46,7 @@ def verify_commands():
                     yield ("verify", kind, "--n", str(n), "--semiring", carrier,
                            "--trials", "25", "--seed", seed)
     for kind in ("leibniz", "theorem2"):
-        for n in range(1, 5):
+        for n in range(1, 6):
             yield ("verify", kind, "--n", str(n), "--semiring", "boolean", "--exhaustive")
 
 
@@ -88,8 +88,8 @@ def apply_commands():
 GROUPS = {
     "axioms": (axioms_commands, 20,
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
-    "verify": (verify_commands, 208,
-               "832bc592ed616a9235fa0d71580a1f280cb67739dd8dc2ee78b9c94f322473d5"),
+    "verify": (verify_commands, 210,
+               "3e4537c5b106ab63665affca8f645c79373809faea2ff6c22f4fd5678ed16cca"),
     "wide-verify": (wide_verify_commands, 25,
                     "7469738d6ee5f5fe2c92d2d54ff13f22861665b81ed9655696cc42a384029b86"),
     "oracle": (oracle_commands, 3,

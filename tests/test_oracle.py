@@ -14,6 +14,7 @@ from trideriv import (
     CapacityError,
     MaskDerivation,
     ShiftDerivation,
+    UTMatrix,
     ZeroPattern,
     brute_force_classify,
     d_m,
@@ -139,7 +140,16 @@ def test_classify_contains_empty_and_full():
 
 def test_classify_capacity():
     with pytest.raises(CapacityError):
-        brute_force_classify(4)
+        brute_force_classify(5)
+
+
+def test_classify_dimension_four():
+    """The sweep's n = 4 verdicts are the local characterization's, with
+    34 = F(9) derivation patterns."""
+    report = brute_force_classify(4)
+    assert report.total_patterns == 1024
+    assert {p.positions for p in report.derivation_patterns} == local_derivations(4)
+    assert report.counts == (34, 16, 18)
 
 
 def test_classify_matches_direct_leibniz_sweep_at_n2():
@@ -247,6 +257,28 @@ def test_packed_scan_matches_the_scalar_scan(n):
         assert found == _scalar_first_failure(product, zeroed), zeroed
 
 
+def test_table_matches_real_products_on_a_sample_at_n4():
+    """At n = 4 the full real-product table took 10.6-12.2 s; a seeded sample
+    of its pairs keeps UTMatrix.__mul__ as the reference."""
+    mats, rows = oracle._table(4)
+    width, size = len(mats), triangle_size(4)
+    rng = random.Random(26)
+    for _ in range(2000):
+        a, b = rng.randrange(width), rng.randrange(width)
+        decoded = sum((rows[a] >> (t * width + b) & 1) << t for t in range(size))
+        assert decoded == matrix_bits(mats[a] * mats[b]), (a, b)
+
+
+def test_table_builds_without_a_matrix_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("UTMatrix.__mul__ called")
+
+    oracle._table.cache_clear()
+    monkeypatch.setattr(UTMatrix, "__mul__", refuse)
+    for n in range(1, oracle.EXHAUSTIVE_LIMIT + 1):
+        assert len(oracle._table(n)[1]) == 1 << triangle_size(n)
+
+
 def test_exhaustive_witness_rejects_non_mask_maps():
     with pytest.raises(TypeError):
         exhaustive_leibniz_witness(lambda m: m)
@@ -256,7 +288,7 @@ def test_exhaustive_witness_rejects_non_mask_maps():
 
 def test_exhaustive_witness_capacity():
     with pytest.raises(CapacityError):
-        exhaustive_leibniz_witness(MaskDerivation(4, frozenset()))
+        exhaustive_leibniz_witness(MaskDerivation(5, frozenset()))
 
 
 def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
