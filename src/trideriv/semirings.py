@@ -2,7 +2,8 @@
 
 A semiring here is a small bag of callables over exact scalar values:
 ints and :class:`~fractions.Fraction` for the finite part, plus the IEEE
-infinities as the bottom elements of the max-plus and min-plus carriers.
+infinities as the bottom elements of the max-plus and min-plus carriers,
+whose one is the int 0, so ``a + one`` keeps the type of ``a``.
 Exactness matters because every law in this package is checked with
 plain ``==``; nothing is ever compared approximately.
 """
@@ -218,17 +219,26 @@ BOOLEAN = Semiring(
 
 
 def _tropical(name: str, add: Callable[[object, object], object], bottom: float) -> Semiring:
-    """Max-plus or min-plus: the rationals under ``add`` and +, with ``bottom`` as zero."""
+    """Max-plus or min-plus: the rationals under ``add`` and +, zero ``bottom`` and one
+    the int 0; ``sample`` is ``bottom`` 1 time in 20, else ``_below(rng, 41) - 20``."""
     literal = format_element(bottom)
+
+    def sample(rng: random.Random) -> object:
+        if rng.random() < 0.05:
+            return bottom
+        while (r := rng.getrandbits(6)) >= 41:
+            pass
+        return r - 20
+
     return Semiring(
         name=name,
         add=add,
         mul=operator.add,
         zero=bottom,
-        one=Fraction(0),
+        one=0,
         contains=lambda value: _is_rational(value) or value == bottom,
         parse_element=lambda token: bottom if token == literal else _parse_rational(token),
-        sample=lambda rng: bottom if rng.random() < 0.05 else _below(rng, 41) - 20,
+        sample=sample,
     )
 
 

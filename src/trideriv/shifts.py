@@ -15,7 +15,7 @@ shift x = 0 is the only compositionally idempotent one.
 from __future__ import annotations
 
 from .derivations import Witness
-from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
+from .matrices import MatrixMismatchError, UTMatrix, _cell_plan, ensure_compatible
 from .semirings import MAXPLUS, MINUS_INF, _Frozen
 
 
@@ -70,26 +70,27 @@ class HereditaryShift(_Frozen):
     def first_witness(self, a: UTMatrix, b: UTMatrix) -> Witness | None:
         """``leibniz_check(self, a, b) or linearity_check(self, a, b)`` in one pass.
 
-        A and B are lifted once.  Each cell, row-major, folds AB, f(A)B and
-        Af(B) together in ``UTMatrix.__mul__``'s order and compares f(AB)'s
-        cell with the sum's; then f(A + B) is compared with f(A) + f(B) cell
-        by cell.  Every scalar call is one the two checks make, on the same
-        operand objects, so the first differing cell and its values are theirs.
+        A and B are lifted once.  Each cell of ``_cell_plan(n)`` reads a_ik and b_kj
+        once per k, folds AB, f(A)B and Af(B) together in ``UTMatrix.__mul__``'s
+        order and compares f(AB)'s cell with the sum's; then f(A + B) is compared
+        with f(A) + f(B) cell by cell.  Every scalar call is one the two checks make,
+        on the same operand objects, so the first differing cell and its values are theirs.
         """
         ensure_compatible(a, b)
-        n, fa, fb = a.n, self(a).entries, self(b).entries
+        fa, fb, plan = self(a).entries, self(b).entries, _cell_plan(a.n)
         add, mul, zero, x = MAXPLUS.add, MAXPLUS.mul, MAXPLUS.zero, self.shift.x
         a, b = a.entries, b.entries
-        for position, pairs in zip(iter_positions(n), _mul_plan(n)):
+        for position, pairs in plan:
             ab = left = right = zero
             for p, q in pairs:
-                ab = add(ab, mul(a[p], b[q]))
-                left = add(left, mul(fa[p], b[q]))
-                right = add(right, mul(a[p], fb[q]))
+                u, v = a[p], b[q]
+                ab = add(ab, mul(u, v))
+                left = add(left, mul(fa[p], v))
+                right = add(right, mul(u, fb[q]))
             lhs, rhs = mul(ab, x), add(left, right)
             if lhs != rhs:
                 return Witness(position, lhs, rhs)
-        for position, u, v, fu, fv in zip(iter_positions(n), a, b, fa, fb):
+        for (position, _), u, v, fu, fv in zip(plan, a, b, fa, fb):
             lhs, rhs = mul(add(u, v), x), add(fu, fv)
             if lhs != rhs:
                 return Witness(position, lhs, rhs)
