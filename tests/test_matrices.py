@@ -339,9 +339,12 @@ def test_product_matches_triple_loop_in_value_and_type(semiring, n):
     rng = random.Random(n)
     mats = [random_matrix(n, semiring, rng) for _ in range(3)]
     mats += [UTMatrix.identity(n, semiring), UTMatrix.zeros(n, semiring), diag_head(n, 1, semiring)]
-    # Sums with the identity mix Fraction(0) into int entries, so the fold meets
-    # equal values of different types.
     mats += [mats[0] + mats[3], mats[1] + mats[5]]
+    if semiring in (MAXPLUS, MINPLUS):
+        # Every other int entry as a Fraction: the fold meets equal values of
+        # different types.
+        mixed = (Fraction(v) if type(v) is int and t % 2 else v for t, v in enumerate(mats[0].entries))
+        mats.append(UTMatrix(n, semiring, tuple(mixed)))
     for x in mats:
         for y in mats:
             got, want = list((x * y).entries), reference_mul(x, y)

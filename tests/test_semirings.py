@@ -15,9 +15,11 @@ from trideriv import (
     PLUS_INF,
     CarrierError,
     Semiring,
+    UTMatrix,
     check_axioms,
     get_semiring,
     natural_leq,
+    random_matrix,
 )
 from trideriv.semirings import AxiomViolation, _ranked, format_element, seeded_trials
 
@@ -232,6 +234,72 @@ def test_check_axioms_on_mixed_denominators_matches_unranked_twin(zero):
     assert got == expected
     assert element_types(got) == element_types(expected)
     assert (got is None) == (zero == 0)
+
+
+# --- the tropical one --------------------------------------------------------------
+
+TROPICAL = [MAXPLUS, MINPLUS]
+
+
+@pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
+def test_tropical_one_is_the_int_zero(semiring):
+    assert type(semiring.one) is int and semiring.one == 0
+    assert format_element(semiring.one) == "0" == format_element(Fraction(0))
+
+
+def _quarter(value):
+    """A finite value v as the Fraction v/4; the bottom is kept."""
+    return value if isinstance(value, float) else Fraction(value, 4)
+
+
+@pytest.mark.parametrize("semiring", TROPICAL, ids=lambda s: s.name)
+def test_identity_keeps_entry_types(semiring):
+    """A * I and I * A are A, entry types included: an int entry plus the one
+    stays an int, where a Fraction one made it a Fraction."""
+    rng = random.Random(37)
+    for draw in range(200):
+        n = draw % 6 + 1
+        a = random_matrix(n, semiring, rng)
+        if draw % 2:  # Fraction entries (and, where v/4 is whole, equal to an int)
+            a = UTMatrix(n, semiring, tuple(map(_quarter, a.entries)))
+        identity = UTMatrix.identity(n, semiring)
+        for product in (a * identity, identity * a):
+            assert product == a
+            assert list(map(type, product.entries)) == list(map(type, a.entries)), draw
+
+
+def _swapping_mul(u, v):
+    """Tropical ``mul`` plus one when u > v: neither commutative nor associative."""
+    return u + v + (u > v)
+
+
+def _left_add(u, v):
+    """Max-plus ``add``, except that it keeps u when both are positive."""
+    return u if u > 0 and v > 0 else max(u, v)
+
+
+# Each tropical carrier as shipped and with one or two laws broken.
+TROPICAL_VARIANTS = [
+    *((s.name, s) for s in TROPICAL),
+    *((f"{s.name}-swapping-mul", s._replace(mul=_swapping_mul)) for s in TROPICAL),
+    ("maxplus-left-add", MAXPLUS._replace(add=_left_add)),
+    ("maxplus-mul-and-add", MAXPLUS._replace(mul=_swapping_mul, add=_left_add)),
+    ("minplus-zero-off-top", MINPLUS._replace(zero=20)),
+]
+
+
+@pytest.mark.parametrize(
+    "carrier", [c for _, c in TROPICAL_VARIANTS], ids=[name for name, _ in TROPICAL_VARIANTS]
+)
+def test_check_axioms_with_the_int_one_matches_the_fraction_one(carrier):
+    twin = carrier._replace(one=Fraction(0))
+    laws = set()
+    for seed in range(300):
+        got, expected = check_axioms(carrier, 10, seed), check_axioms(twin, 10, seed)
+        assert got == expected, seed
+        assert element_types(got) == element_types(expected), seed
+        laws.add(None if got is None else got.law)
+    assert (laws == {None}) == (carrier in TROPICAL), laws
 
 
 @pytest.mark.parametrize("trials", [0, -3, True, 2.5])

@@ -164,16 +164,37 @@ def _fields(witness):
     return witness.position, witness.lhs, witness.rhs, type(witness.lhs), type(witness.rhs)
 
 
-def _first_witness_agrees(carrier, seed, draws):
+def _quarter(value):
+    """A finite value v as the Fraction v/4; the bottom is kept."""
+    return value if isinstance(value, float) else Fraction(value, 4)
+
+
+def _first_witness_agrees(carrier, seed, draws, quarters=False):
     """Compare ``first_witness`` with the two generic checks on ``draws`` seeded
-    pairs at n = 1..8 over ``carrier``; return how often each check fired."""
+    pairs at n = 1..8 over ``carrier``; return how often each check fired.
+
+    With ``quarters``, finite entries of A and B become the Fractions v/4:
+    all of them on even draws, those at even offsets on odd draws, where the
+    rest stay ints, so that the folds meet equal ints and Fractions.  The
+    shift is 3/4, as in ``apply --shift=3/4``, every third draw, else a
+    quarter on even draws and the drawn int on odd ones.
+    """
     rng = random.Random(seed)
     fired = {"leibniz": 0, "linearity": 0}
     for draw in range(draws):
         n = draw % 8 + 1
         x = MINUS_INF if draw % 10 == 0 else MAXPLUS.sample(rng)
-        lifted = ShiftDerivation(x).hereditary()
         a, b = random_matrix(n, carrier, rng), random_matrix(n, carrier, rng)
+        if quarters:
+            mixed = draw % 2
+            x = Fraction(3, 4) if draw % 3 == 1 else x if mixed else _quarter(x)
+            a, b = (
+                UTMatrix(n, carrier, tuple(
+                    v if mixed and t % 2 else _quarter(v) for t, v in enumerate(m.entries)
+                ))
+                for m in (a, b)
+            )
+        lifted = ShiftDerivation(x).hereditary()
         leibniz = leibniz_check(lifted, a, b)
         expected = leibniz or linearity_check(lifted, a, b)
         assert _fields(lifted.first_witness(a, b)) == _fields(expected), (draw, n, x)
@@ -196,22 +217,33 @@ def _left_add(u, v):
     return u if u > 0 and v > 0 else max(u, v)
 
 
-@pytest.mark.parametrize(
-    "broken,fires",
-    [
-        # f(AB) and f(A)B + Af(B) part at some cell.
-        ({"mul": _swapping_mul}, {"leibniz"}),
-        # Both branches fire.
-        ({"add": _left_add}, {"leibniz", "linearity"}),
-        # Now f(A)B and Af(B) differ, so the operand order of their sum shows.
-        ({"mul": _swapping_mul, "add": _left_add}, {"leibniz", "linearity"}),
-    ],
-    ids=["mul", "add", "mul-and-add"],
-)
+BROKEN_CARRIERS = [
+    # f(AB) and f(A)B + Af(B) part at some cell.
+    pytest.param({"mul": _swapping_mul}, {"leibniz"}, id="mul"),
+    # Both branches fire.
+    pytest.param({"add": _left_add}, {"leibniz", "linearity"}, id="add"),
+    # Now f(A)B and Af(B) differ, so the operand order of their sum shows.
+    pytest.param(
+        {"mul": _swapping_mul, "add": _left_add}, {"leibniz", "linearity"}, id="mul-and-add"
+    ),
+]
+
+
+@pytest.mark.parametrize("broken,fires", BROKEN_CARRIERS)
 def test_first_witness_is_the_generic_checks_on_broken_carriers(monkeypatch, broken, fires):
     carrier = MAXPLUS._replace(**broken)
     monkeypatch.setattr(shifts, "MAXPLUS", carrier)
     fired = _first_witness_agrees(carrier, seed=29, draws=400)
+    assert {check for check, count in fired.items() if count} == fires
+
+
+@pytest.mark.parametrize(
+    "broken,fires", [pytest.param({}, set(), id="maxplus"), *BROKEN_CARRIERS]
+)
+def test_first_witness_is_the_generic_checks_on_quarters(monkeypatch, broken, fires):
+    carrier = MAXPLUS._replace(**broken)
+    monkeypatch.setattr(shifts, "MAXPLUS", carrier)
+    fired = _first_witness_agrees(carrier, seed=37, draws=400, quarters=True)
     assert {check for check, count in fired.items() if count} == fires
 
 
