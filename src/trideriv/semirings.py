@@ -6,6 +6,17 @@ infinities as the bottom elements of the max-plus and min-plus carriers,
 whose one is the int 0, so ``a + one`` keeps the type of ``a``.
 Exactness matters because every law in this package is checked with
 plain ``==``; nothing is ever compared approximately.
+
+Every carrier's join is ``_max`` (``_min`` on min-plus), and boolean and
+fuzzy multiply by ``_min``.  Before Python 3.13, ``_max(a, b)`` is
+``b if b > a else a``, because the builtin ``max`` packs its arguments
+into a tuple and costs about three times as much per call; from 3.13 on,
+``_max`` and ``_min`` are the builtins, which are cheaper there.  Either
+way ``_max(a, b)`` is the very object ``max(a, b)`` is.  A check ranks
+its values to int keys (:func:`_ranked`) only over a carrier whose
+``add is _max and mul is _min``, so before 3.13 a hand-built
+``Semiring(add=max, mul=min)`` runs without keys: the same verdicts and
+witnesses, only slower.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
@@ -168,6 +180,21 @@ def format_element(value: object) -> str:
 
 # --- carriers ----------------------------------------------------------------
 
+# The carriers' join and meet (see the module docstring).  max(a, b) takes
+# 133 ns on 3.11.7 against 40 ns for _max; on 3.13 the builtin is cheaper.
+# Each returns the builtin's object: a tie keeps a, a NaN on either side
+# gives what the builtin gives, and incomparable operands raise its TypeError.
+if sys.version_info >= (3, 13):
+    _max, _min = max, min
+else:
+
+    def _max(a: object, b: object) -> object:
+        return b if b > a else a
+
+    def _min(a: object, b: object) -> object:
+        return b if b < a else a
+
+
 # True and False are not carrier elements.
 
 def _is_rational(value: object) -> bool:
@@ -208,8 +235,8 @@ def _sample_fuzzy(rng: random.Random) -> Fraction:
 
 BOOLEAN = Semiring(
     name="boolean",
-    add=max,
-    mul=min,
+    add=_max,
+    mul=_min,
     zero=0,
     one=1,
     contains=_in_boolean,
@@ -242,13 +269,13 @@ def _tropical(name: str, add: Callable[[object, object], object], bottom: float)
     )
 
 
-MAXPLUS = _tropical("maxplus", max, MINUS_INF)
-MINPLUS = _tropical("minplus", min, PLUS_INF)
+MAXPLUS = _tropical("maxplus", _max, MINUS_INF)
+MINPLUS = _tropical("minplus", _min, PLUS_INF)
 
 FUZZY = Semiring(
     name="fuzzy",
-    add=max,
-    mul=min,
+    add=_max,
+    mul=_min,
     zero=Fraction(0),
     one=Fraction(1),
     contains=_in_fuzzy,
@@ -280,10 +307,13 @@ def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]
 def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | None]:
     """The carrier a check computes on, ``values`` in it, and key -> value.
 
-    A max/min carrier's ``values``, ``zero`` and ``one`` become int keys:
+    A lattice carrier's ``values``, ``zero`` and ``one`` become int keys:
     each p/q is scaled to p·(L/q), with L the lcm of the denominators.
-    This is an order embedding, and ``max`` and ``min`` commute with every
-    order embedding, so a check whose every value is built from these by
+    The rank rule is ``add is _max and mul is _min``, so before 3.13 a
+    hand-built ``Semiring(add=max, mul=min)`` gets no keys and runs as it
+    is: the same verdicts and witnesses, only slower.  Scaling is an order
+    embedding, and ``max`` and ``min`` commute with every order
+    embedding, so a check whose every value is built from these by
     ``add`` and ``mul`` gives the same verdicts on the keys, and its
     witnesses map back through the key -> value dict.  ``zero`` and ``one``
     are scaled like any other value, so no semiring law is assumed.
@@ -293,7 +323,7 @@ def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | 
     mapped-back value has the type the check would have produced.  Any
     other carrier or values give ``(semiring, values, None)``.
     """
-    if semiring.add is not max or semiring.mul is not min:
+    if semiring.add is not _max or semiring.mul is not _min:
         return semiring, values, None
     every = (semiring.zero, semiring.one, *values)
     types = set(map(type, every))

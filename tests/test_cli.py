@@ -500,7 +500,7 @@ def test_trial_runner_never_applies_a_map(monkeypatch, name, n):
     assert witness_types(got) == witness_types(expected)
 
 
-# A lambda add fails ``add is max``, so each twin runs its carrier without ranks.
+# A lambda add is not ``_max``, so each twin runs its carrier without ranks.
 OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
 # Thirds, sevenths and twelfths: the rank keys need a common scale, not only a sort.
 MIXED_FUZZY = FUZZY._replace(

@@ -1,6 +1,7 @@
 """Semiring instances, literals, and the executable axiom check."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,14 @@ from trideriv import (
     natural_leq,
     random_matrix,
 )
-from trideriv.semirings import AxiomViolation, _ranked, format_element, seeded_trials
+from trideriv.semirings import (
+    AxiomViolation,
+    _max,
+    _min,
+    _ranked,
+    format_element,
+    seeded_trials,
+)
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -53,6 +61,51 @@ def test_maxplus_bottom_neutral_and_absorbing():
 def test_boolean_idempotent_and_absorbing():
     assert BOOLEAN.add(1, 1) == 1
     assert BOOLEAN.mul(1, 0) == 0
+
+
+NAN = float("nan")
+JOIN_MEET_PAIRS = [
+    (2, 7),
+    (5, 5),
+    (Fraction(1, 3), Fraction(1, 2)),
+    (3, Fraction(3)),
+    (MINUS_INF, 4),
+    (PLUS_INF, Fraction(1, 2)),
+    (MINUS_INF, PLUS_INF),
+    (NAN, 1),
+    (NAN, Fraction(1, 2)),
+    (NAN, float("nan")),
+]
+
+
+@pytest.mark.parametrize("a, b", JOIN_MEET_PAIRS + [(b, a) for a, b in JOIN_MEET_PAIRS])
+def test_join_and_meet_return_the_builtins_objects(a, b):
+    """A tie keeps the first operand, and a NaN on either side gives what
+    the builtin gives, so ``is`` holds even between equal int and Fraction."""
+    assert _max(a, b) is max(a, b)
+    assert _min(a, b) is min(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(1, "a"), ("a", 1)])
+def test_join_and_meet_refuse_incomparable_operands_as_the_builtins(a, b):
+    for ours, builtin in ((_max, max), (_min, min)):
+        with pytest.raises(TypeError) as expected:
+            builtin(a, b)
+        with pytest.raises(TypeError) as got:
+            ours(a, b)
+        assert str(got.value) == str(expected.value)
+
+
+def test_carriers_hold_the_builtins_exactly_from_python_3_13():
+    builtins = sys.version_info >= (3, 13)
+    assert (_max is max, _min is min) == (builtins, builtins)
+    for carrier, add in ((BOOLEAN, _max), (MAXPLUS, _max), (MINPLUS, _min), (FUZZY, _max)):
+        assert carrier.add is add
+    assert BOOLEAN.mul is _min and FUZZY.mul is _min
+    # The rank rule is ``add is _max and mul is _min``: before 3.13 a carrier
+    # built on the builtins runs without keys.
+    built_on_builtins = FUZZY._replace(add=max, mul=min)
+    assert (_ranked(built_on_builtins, (Fraction(1, 4),))[2] is not None) == builtins
 
 
 def test_mixed_operands_rejected():
@@ -164,7 +217,7 @@ def test_check_axioms_pinned_violation():
     assert violation == AxiomViolation("add-idempotent", 0, (2, 9, 1))
 
 
-# A lambda add fails ``add is max``, so each twin checks its carrier without ranks.
+# A lambda add is not ``_max``, so each twin checks its carrier without ranks.
 OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
 RANKED_TWINS = [
     (FUZZY, FUZZY._replace(add=lambda a, b: max(a, b))),
@@ -195,7 +248,7 @@ def test_ranks_skip_int_carriers_and_keep_the_order():
     assert values == {1: Fraction(1, 4), 2: Fraction(1, 2), 3: Fraction(3, 4), 4: Fraction(1)}
     assert keys == (3, 1) and tuple(values[k] for k in keys) == drawn
     assert all(type(k) is int for k in values)
-    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (max, min, 2, 4)
+    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (FUZZY.add, FUZZY.mul, 2, 4)
 
 
 def test_ranks_scale_mixed_denominators_to_order_keeping_ints():
