@@ -70,6 +70,8 @@ JOIN_MEET_PAIRS = [
     (Fraction(1, 3), Fraction(1, 2)),
     (3, Fraction(3)),
     (MINUS_INF, 4),
+    (MINUS_INF, Fraction(-3, 2)),
+    (PLUS_INF, -20),
     (PLUS_INF, Fraction(1, 2)),
     (MINUS_INF, PLUS_INF),
     (NAN, 1),
