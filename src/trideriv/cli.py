@@ -125,11 +125,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def _failures(maps, args: argparse.Namespace, semiring: Semiring):
     """Each map's first failure as (where, check-name, witness), else None:
-    from :func:`first_failures` (where ``trial=t``), or with ``--exhaustive``
+    from :func:`first_failures` (where ``trial=t seed=S``, replayed alone by
+    ``--seed S+t --trials 1``), or with ``--exhaustive``
     from the boolean sweep (where names the pair's enumeration indices)."""
     if not args.exhaustive:
         found = first_failures(maps, args.n, semiring, args.trials, args.seed)
-        return [None if f is None else (f"trial={f[0]}", *f[1:]) for f in found]
+        return [None if f is None else (f"trial={f[0]} seed={args.seed}", *f[1:]) for f in found]
     found = [exhaustive_leibniz_witness(fn) for fn in maps]
     return [
         None if f is None
@@ -207,7 +208,7 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
         if witness is not None:
             x = format_element(lifted.shift.x)
             print(
-                f"FAIL hereditary n={args.n} trial={trial} shift={x} "
+                f"FAIL hereditary n={args.n} trial={trial} seed={args.seed} shift={x} "
                 f"{_witness_fields(witness)}"
             )
             return 1

@@ -31,9 +31,13 @@ i, and for j ≠ i, E_ii∘E_jj = 0 makes each of the four terms vanish:
 f(E_ii)E_jj = E_jj f(E_ii) = 0, so f(E_ii) ∈ S·E_ii, and likewise
 f(λE_ii) ∈ S·E_ii.  For i < j, E_ii∘λE_ij = λE_ij = λE_ij∘E_jj puts
 f(λE_ij) on (row i ∪ column i) ∩ (row j ∪ column j) = {(i, j)}, so f acts
-entrywise.  ∘ is bi-additive, and on a pair (λE_ij, μE_kl) with j = k or
-l = i, but not i = j = k = l, the rule is the Leibniz condition above (on
-other pairs both sides are 0).  At i = j = k = l it reads
+entrywise.  This half needs no commutativity: it uses only E_ii∘E_ii = E_ii,
+E_ii∘E_jj = 0 (i ≠ j), E_ii∘λE_ij = λE_ij = λE_ij∘E_jj (i < j),
+zero-sum-freeness and additivity, so over any additively idempotent S an
+additive Jordan map acts entrywise.  ∘ is bi-additive, and on a pair
+(λE_ij, μE_kl) with j = k or l = i, but not i = j = k = l, the rule is the
+Leibniz condition above (on other pairs both sides are 0).
+At i = j = k = l it reads
 δ(λμ ⊕ μλ) = δ(λ)μ ⊕ μδ(λ) ⊕ λδ(μ) ⊕ δ(μ)λ, which is Leibniz once λμ = μλ:
 only there is commutativity used, and all four shipped carriers are
 commutative.  It cannot be dropped: over the power set of {e, p, q}, e the

@@ -231,7 +231,12 @@ def format_matrix(matrix: UTMatrix) -> str:
 
 
 def parse_matrix(text: str) -> UTMatrix:
-    """Strict inverse of :func:`format_matrix`."""
+    """Strict inverse of :func:`format_matrix`.
+
+    Each distinct token is parsed once per call and its element reused, so
+    equal tokens may share one object; cells are still read row by row, so
+    the first bad token or placeholder raises as it would without the memo.
+    """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -254,6 +259,7 @@ def parse_matrix(text: str) -> UTMatrix:
     semiring = get_semiring(head[2][len("semiring="):])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
+    parse, parsed = semiring.parse_element, {}  # token -> element, this call only
     cells: list[object] = []
     for i, line in enumerate(lines[1:], start=1):
         tokens = line.split()
@@ -262,5 +268,8 @@ def parse_matrix(text: str) -> UTMatrix:
         for tok in tokens[: i - 1]:
             if tok != ".":
                 raise ValueError(f"row {i}: sub-diagonal token {tok!r} must be '.'")
-        cells.extend(semiring.parse_element(tok) for tok in tokens[i - 1 :])
+        cells.extend([
+            parsed[tok] if tok in parsed else parsed.setdefault(tok, parse(tok))
+            for tok in tokens[i - 1 :]
+        ])
     return UTMatrix._trusted(n, semiring, tuple(cells))

@@ -712,7 +712,7 @@ def test_verify_hereditary_prints_a_witness(capsys, monkeypatch):
     )
     assert code == 1
     # trial 0 draws its shift first from random.Random(3)
-    assert out == "FAIL hereditary n=4 trial=0 shift=14 position=1,2 lhs=-inf rhs=3/2\n"
+    assert out == "FAIL hereditary n=4 trial=0 seed=3 shift=14 position=1,2 lhs=-inf rhs=3/2\n"
 
 
 def test_verify_hereditary_requires_maxplus(capsys):

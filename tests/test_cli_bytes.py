@@ -89,9 +89,9 @@ GROUPS = {
     "axioms": (axioms_commands, 20,
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 210,
-               "3e4537c5b106ab63665affca8f645c79373809faea2ff6c22f4fd5678ed16cca"),
+               "aa7966b408ccf1809532248924b5fa3425e3383efacddf3b51b8f3c5b6c921f9"),
     "wide-verify": (wide_verify_commands, 25,
-                    "7469738d6ee5f5fe2c92d2d54ff13f22861665b81ed9655696cc42a384029b86"),
+                    "bd9968fe55aff800752fbfe11130ed67ea404a2ed00dadd9da2ecf6920744b13"),
     "oracle": (oracle_commands, 3,
                "374c6fed638101135405a089ceb6af28dacec95510bbb5aef78fcc8788cbb4f1"),
     "enumerate": (enumerate_commands, 10,
@@ -125,3 +125,24 @@ def test_cli_grid_prints_pinned_bytes(cli_grid, capsys, group):
         digest.update(repr((argv, code, out, err)).encode())
     assert len(argvs) == count
     assert digest.hexdigest() == expected
+
+
+def test_seeded_leibniz_fail_lines_replay_from_their_fields(cli_grid, capsys):
+    """A seeded ``FAIL leibniz`` line names trial t and seed S, and trial t draws
+    from ``Random(S + t)``: ``--seed S+t --trials 1`` prints the same zero
+    set's line again, at trial 0, with the same position, lhs and rhs."""
+    replayed = 0
+    for argv in verify_commands():
+        if argv[1] != "leibniz" or argv[5] != "naturals":
+            continue
+        main(list(argv))
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith("FAIL leibniz "):
+                continue
+            fields = dict(field.split("=", 1) for field in line.split()[2:])
+            trial, seed = int(fields["trial"]), int(fields["seed"])
+            assert main([*argv[:6], "--trials", "1", "--seed", str(seed + trial)]) == 1
+            again = line.replace(f" trial={trial} seed={seed} ", f" trial=0 seed={seed + trial} ")
+            assert again in capsys.readouterr().out.splitlines()
+            replayed += 1
+    assert replayed == 114  # every mask but the constant-zero one, at n = 1..5 and two seeds

@@ -27,6 +27,8 @@ from trideriv import (
     random_matrix,
     triangle_size,
 )
+from trideriv import semirings
+from trideriv.semirings import Semiring
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -299,6 +301,92 @@ def test_parse_matrix_strictness(text):
 def test_parse_matrix_tolerates_trailing_newlines():
     text = "utm n=1 semiring=boolean\n1\n\n"
     assert parse_matrix(text) == matrix_unit(1, 1, 1, BOOLEAN)
+
+
+# --- one parse per distinct token --------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Register ``counted``, ordinary N parsed by ``int``; the list records
+    every token its ``parse_element`` is called on."""
+    calls = []
+
+    def parse(token):
+        calls.append(token)
+        return int(token)
+
+    carrier = Semiring(
+        name="counted",
+        add=lambda a, b: a + b,
+        mul=lambda a, b: a * b,
+        zero=0,
+        one=1,
+        contains=lambda v: isinstance(v, int) and v >= 0,
+        parse_element=parse,
+        sample=lambda rng: rng.randint(0, 3),
+    )
+    monkeypatch.setitem(semirings.SEMIRINGS, "counted", carrier)
+    return carrier, calls
+
+
+def upper_text(name, tokens):
+    """The text of the n = 3 matrix whose six stored cells are ``tokens``, row-major."""
+    rows = [tokens[:3], ["."] + tokens[3:5], [".", "."] + tokens[5:]]
+    return f"utm n=3 semiring={name}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+REPEATED_TOKENS = {
+    "boolean": ["1", "0", "1", "1", "0", "1"],
+    "maxplus": ["5", "-inf", "5", "1/2", "-inf", "1/2"],
+    "minplus": ["+inf", "5", "+inf", "5", "-3/4", "-3/4"],
+    "fuzzy": ["1/2", "0", "1/2", "1", "1", "0"],
+    "counted": ["7", "0", "7", "7", "12", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_TOKENS))
+def test_repeated_tokens_parse_as_each_token_alone(counted, name):
+    """Every cell equals ``parse_element(token)`` in value and in type: maxplus
+    ``5`` is ``Fraction(5)`` and ``-inf`` the float, wherever they recur."""
+    tokens = REPEATED_TOKENS[name]
+    semiring = semirings.get_semiring(name)
+    matrix = parse_matrix(upper_text(name, tokens))
+    expected = [semiring.parse_element(tok) for tok in tokens]
+    assert matrix.semiring is semiring
+    assert [(type(v), v) for v in matrix.entries] == [(type(v), v) for v in expected]
+    if name == "maxplus":
+        assert [type(v) for v in matrix.entries[:2]] == [Fraction, float]
+
+
+def test_each_distinct_token_is_parsed_once_per_call(counted):
+    _, calls = counted
+    tokens = REPEATED_TOKENS["counted"]
+    for _ in range(2):
+        calls.clear()
+        assert parse_matrix(upper_text("counted", tokens)).entries == (7, 0, 7, 7, 12, 0)
+        assert calls == ["7", "0", "12"]
+
+
+def test_the_first_bad_token_names_the_error_though_it_recurs():
+    """``3`` comes first, ``2`` next and ``3`` again: the error is ``3``'s own."""
+    with pytest.raises(ValueError) as alone:
+        FUZZY.parse_element("3")
+    with pytest.raises(ValueError) as parsed:
+        parse_matrix(upper_text("fuzzy", ["1/2", "3", "0", "2", "3", "1"]))
+    assert str(parsed.value) == str(alone.value) == "fuzzy literal '3' outside [0, 1]"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1 1 1\n0 1 1\n. . 2\n", r"^row 2: sub-diagonal token '0' must be '\.'$"),
+        ("1 2 1\n0 1 1\n. . 1\n", r"^bad boolean literal '2' \(expected 0 or 1\)$"),
+    ],
+    ids=["placeholder-before-token", "token-before-placeholder"],
+)
+def test_parse_errors_come_in_reading_order(rows, message):
+    with pytest.raises(ValueError, match=message):
+        parse_matrix("utm n=3 semiring=boolean\n" + rows)
 
 
 def test_from_rows_validates():
