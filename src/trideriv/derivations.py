@@ -119,12 +119,12 @@ class ZeroPattern(_Frozen):
     def __add__(self, other: "ZeroPattern") -> "ZeroPattern":
         """Pointwise sum of the mask maps: zero only where both sides zero."""
         ensure_same_dimension(self.n, other.n)
-        return ZeroPattern(self.n, self.positions & other.positions)
+        return ZeroPattern._trusted(n=self.n, positions=self.positions & other.positions)
 
     def compose(self, other: ZeroPattern) -> "ZeroPattern":
         """Apply ``self`` then ``other``; the composed map zeroes the union."""
         ensure_same_dimension(self.n, other.n)
-        return ZeroPattern(self.n, self.positions | other.positions)
+        return ZeroPattern._trusted(n=self.n, positions=self.positions | other.positions)
 
     def __le__(self, other: ZeroPattern) -> bool:
         """Natural order of idempotent addition: self <= other iff self + other = other."""
@@ -135,7 +135,7 @@ class ZeroPattern(_Frozen):
         """The MaskDerivation with the same action, if one exists: the one
         zeroing this pattern's diagonal cells."""
         diagonal = frozenset(i for i in range(1, self.n + 1) if (i, i) in self.positions)
-        mask = MaskDerivation(self.n, diagonal)
+        mask = MaskDerivation._trusted(n=self.n, zero_set=diagonal)
         return mask if mask.positions == self.positions else None
 
     def is_derivation(self) -> bool:
@@ -193,7 +193,7 @@ class MaskDerivation(ZeroPattern):
         if not isinstance(other, MaskDerivation):
             return super().__add__(other)
         ensure_same_dimension(self.n, other.n)
-        return MaskDerivation(self.n, self.zero_set & other.zero_set)
+        return MaskDerivation._trusted(n=self.n, zero_set=self.zero_set & other.zero_set)
 
 
 def _check_mask_map(f: object, caller: str) -> None:
@@ -208,14 +208,16 @@ def delta_k(n: int, k: int) -> MaskDerivation:
     """Keep the first k rows, zero the rest; k = n is the identity, k = 0 the zero map."""
     if not (_is_index(k) and 0 <= k <= n):
         raise ValueError(f"k={k!r} outside 0..{n}")
-    return MaskDerivation(n, frozenset(range(k + 1, n + 1)))
+    ensure_positive_dimension(n)
+    return MaskDerivation._trusted(n=n, zero_set=frozenset(range(k + 1, n + 1)))
 
 
 def d_m(n: int, m: int) -> MaskDerivation:
     """Keep the last m columns, zero the rest; m = n is the identity, m = 0 the zero map."""
     if not (_is_index(m) and 0 <= m <= n):
         raise ValueError(f"m={m!r} outside 0..{n}")
-    return MaskDerivation(n, frozenset(range(1, n - m + 1)))
+    ensure_positive_dimension(n)
+    return MaskDerivation._trusted(n=n, zero_set=frozenset(range(1, n - m + 1)))
 
 
 def strip_diagonal(n: int) -> ZeroPattern:
@@ -459,20 +461,20 @@ def enumerate_interval_derivations(n: int) -> list[MaskDerivation]:
     :func:`enumerate_family_derivations`.
     """
     ensure_positive_dimension(n)
-    masks = [MaskDerivation(n, frozenset())]
+    zero_sets = [frozenset()]
     for span in range(1, n):
-        for start in range(1, n - span + 2):
-            masks.append(MaskDerivation(n, frozenset(range(start, start + span))))
-    return masks
+        zero_sets += [frozenset(range(start, start + span)) for start in range(1, n - span + 2)]
+    return [MaskDerivation._trusted(n=n, zero_set=z) for z in zero_sets]
 
 
 def enumerate_family_derivations(n: int) -> list[MaskDerivation]:
-    """One mask per subset of {1..n}, in binary-counter order; 2^n of them."""
+    """One mask per subset of {1..n}, in binary-counter order (index i is bit
+    i - 1); 2^n of them.  Doubling the list once per index keeps that order."""
     ensure_positive_dimension(n)
-    return [
-        MaskDerivation(n, frozenset(i + 1 for i in range(n) if bits >> i & 1))
-        for bits in range(1 << n)
-    ]
+    zero_sets = [frozenset()]
+    for i in range(1, n + 1):
+        zero_sets += [z | {i} for z in zero_sets]
+    return [MaskDerivation._trusted(n=n, zero_set=z) for z in zero_sets]
 
 
 # --- decomposition into delta/d products ------------------------------------------
@@ -522,6 +524,8 @@ class DecompositionExpr(_Frozen):
 
     def __init__(self, n: int, terms: tuple) -> None:
         ensure_positive_dimension(n)
+        if not (isinstance(terms, tuple) and all(isinstance(t, DecompositionTerm) for t in terms)):
+            raise TypeError(f"terms must be a tuple of DecompositionTerm, got {terms!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
 
@@ -605,7 +609,7 @@ def decompose(mask: MaskDerivation) -> DecompositionExpr:
 # --- zero-set / pattern text syntax ------------------------------------------------
 
 def format_zero_set(zero_set: Iterable[int]) -> str:
-    return ",".join(str(i) for i in sorted(zero_set))
+    return ",".join(map(str, sorted(zero_set)))
 
 
 def parse_zero_set(text: str, n: int) -> frozenset:

@@ -201,9 +201,8 @@ def brute_force_classify(n: int) -> OracleReport:
 
     derivations = []
     for pattern_bits in range(count):
-        pattern = ZeroPattern(
-            n,
-            frozenset(p for t, p in enumerate(positions) if pattern_bits >> t & 1),
+        pattern = ZeroPattern._trusted(
+            n=n, positions=frozenset(p for t, p in enumerate(positions) if pattern_bits >> t & 1)
         )
         if _first_failure(rows, pattern_bits, pattern) is None:
             derivations.append(pattern)

@@ -49,13 +49,18 @@ class ShiftDerivation(_Frozen):
         return ShiftDerivation(-self.x)
 
     def hereditary(self) -> "HereditaryShift":
-        return HereditaryShift(self)
+        return HereditaryShift._trusted(shift=self)
 
 
 class HereditaryShift(_Frozen):
     """Entrywise lift of a scalar shift to max-plus upper-triangular matrices."""
 
     _fields = ("shift",)
+
+    def __init__(self, shift: ShiftDerivation) -> None:
+        if not isinstance(shift, ShiftDerivation):
+            raise TypeError(f"a hereditary shift lifts a ShiftDerivation, got {shift!r}")
+        object.__setattr__(self, "shift", shift)
 
     def __call__(self, matrix: UTMatrix) -> UTMatrix:
         if matrix.semiring is not MAXPLUS:

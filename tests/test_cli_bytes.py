@@ -89,9 +89,9 @@ GROUPS = {
     "axioms": (axioms_commands, 20,
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 210,
-               "aa7966b408ccf1809532248924b5fa3425e3383efacddf3b51b8f3c5b6c921f9"),
+               "4cfc2fb69b5e398f4ff7c339d39c0087da04de4ab11873bbc88b9b67d75106ff"),
     "wide-verify": (wide_verify_commands, 25,
-                    "bd9968fe55aff800752fbfe11130ed67ea404a2ed00dadd9da2ecf6920744b13"),
+                    "0dd4351a817f8e32721c2be1a57d47a4e92ffff4f932406bd322a6655bea1820"),
     "oracle": (oracle_commands, 3,
                "374c6fed638101135405a089ceb6af28dacec95510bbb5aef78fcc8788cbb4f1"),
     "enumerate": (enumerate_commands, 10,
@@ -146,3 +146,33 @@ def test_seeded_leibniz_fail_lines_replay_from_their_fields(cli_grid, capsys):
             assert again in capsys.readouterr().out.splitlines()
             replayed += 1
     assert replayed == 114  # every mask but the constant-zero one, at n = 1..5 and two seeds
+
+
+def test_seeded_theorem2_fail_lines_replay_from_their_fields(cli_grid, capsys):
+    """A seeded ``FAIL theorem2`` line names its carrier.  One that found a
+    witness names trial t and seed S, so ``--seed S+t --trials 1`` prints it
+    again at trial 0 with the same check, position, lhs and rhs; one that
+    missed the witness it expected names the trials and seed that missed it,
+    and that run prints it again.  Each replay is built from the line alone."""
+    found = missed = 0
+    for argv in [*verify_commands(), *wide_verify_commands()]:
+        if argv[1] != "theorem2" or "--exhaustive" in argv:
+            continue
+        main(list(argv))
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith("FAIL theorem2 "):
+                continue
+            fields = dict(field.split("=", 1) for field in line.split()[2:])
+            replay = ["verify", "theorem2", "--n", fields["n"], "--semiring", fields["semiring"]]
+            if "trial" in fields:
+                trial, seed = int(fields["trial"]), int(fields["seed"])
+                replay += ["--trials", "1", "--seed", str(seed + trial)]
+                line = line.replace(f" trial={trial} seed={seed} ", f" trial=0 seed={seed + trial} ")
+                found += 1
+            else:
+                replay += ["--trials", fields["trials"], "--seed", fields["seed"]]
+                missed += 1
+            assert main(replay) == 1
+            assert line in capsys.readouterr().out.splitlines()
+    # naturals finds its witnesses; three trials at n = 8 and 10 miss some on the other carriers.
+    assert (found, missed) == (161, 11)

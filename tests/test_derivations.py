@@ -499,6 +499,81 @@ def test_family_enumeration_small_members():
     ]
 
 
+# --- trusted construction: each library-built map equals its checked rebuild ------------
+
+def same_object(got, want):
+    """Same class and the same ``__dict__``, value types included (a set equals
+    a frozenset): the fields, and no cached value on either side."""
+    fields = vars(want)
+    return (
+        type(got) is type(want)
+        and vars(got) == fields
+        and all(type(value) is type(fields[name]) for name, value in vars(got).items())
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerations_equal_the_checked_masks_in_order(n):
+    families = [
+        MaskDerivation(n, {i + 1 for i in range(n) if bits >> i & 1}) for bits in range(1 << n)
+    ]
+    intervals = [MaskDerivation(n, set())] + [
+        MaskDerivation(n, set(range(start, start + span)))
+        for span in range(1, n)
+        for start in range(1, n - span + 2)
+    ]
+    for got, want in ((enumerate_family_derivations(n), families),
+                      (enumerate_interval_derivations(n), intervals)):
+        assert len(got) == len(want)
+        assert all(map(same_object, got, want))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_library_built_masks_and_patterns_equal_their_checked_rebuilds(n):
+    deltas = [delta_k(n, k) for k in range(n + 1)]
+    ds = [d_m(n, m) for m in range(n + 1)]
+    for k, mask in enumerate(deltas):
+        assert same_object(mask, MaskDerivation(n, set(range(k + 1, n + 1))))
+    for m, mask in enumerate(ds):
+        assert same_object(mask, MaskDerivation(n, set(range(1, n - m + 1))))
+    for left in deltas:
+        for right in ds:
+            assert same_object(left + right, MaskDerivation(n, left.zero_set & right.zero_set))
+            composed = left.compose(right)
+            assert same_object(composed, ZeroPattern(n, left.positions | right.positions))
+            pattern = ZeroPattern(n, right.positions)
+            assert same_object(composed + pattern, ZeroPattern(n, composed.positions & pattern.positions))
+            assert same_object(left + pattern, ZeroPattern(n, left.positions & pattern.positions))
+            diagonal = {i for i in range(1, n + 1) if (i, i) in composed.positions}
+            rebuilt = MaskDerivation(n, diagonal)
+            form = composed.interval_form()
+            if rebuilt.positions == composed.positions:
+                assert same_object(form, rebuilt) and form.positions == composed.positions
+            else:
+                assert form is None
+
+
+def test_public_constructors_and_parsers_still_refuse_bad_input():
+    with pytest.raises(ValueError, match=r"^zero set \[4\] outside 1..3$"):
+        MaskDerivation(3, {4})
+    with pytest.raises(ValueError, match=r"^position \(2, 1\) not upper-triangular in 1..2$"):
+        ZeroPattern(2, {(2, 1)})
+    with pytest.raises(ValueError, match=r"^k=4 outside 0..3$"):
+        delta_k(3, 4)
+    with pytest.raises(ValueError, match=r"^m=4 outside 0..3$"):
+        d_m(3, 4)
+    for build in (delta_k, d_m):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+            build(0, 0)
+    with pytest.raises(ValueError, match=r"^zero-set index 4 outside 1..3$"):
+        parse_zero_set("1,4", 3)
+    with pytest.raises(ValueError, match=r"^position \(2, 1\) not upper-triangular in 1..2$"):
+        parse_pattern("1,1;2,1", 2)
+    for terms in (("x",), [DecompositionTerm(k=1)], DecompositionTerm(k=1)):
+        with pytest.raises(TypeError, match="^terms must be a tuple of DecompositionTerm"):
+            DecompositionExpr(3, terms)
+
+
 # --- strip diagonal as the sum of complementary products ----------------------------
 
 def test_strip_diagonal_equals_sum_of_complementary_products():

@@ -129,6 +129,17 @@ def test_classify_dimension_three():
     assert report.counts == (13, 8, 5)
 
 
+@pytest.mark.parametrize(
+    "n, counts", [(1, (2, 2, 0)), (2, (5, 4, 1)), (3, (13, 8, 5)), (4, (34, 16, 18))]
+)
+def test_classified_patterns_equal_their_checked_rebuilds(n, counts):
+    report = brute_force_classify(n)
+    assert report.counts == counts
+    for pattern in report.derivation_patterns:
+        assert type(pattern) is ZeroPattern
+        assert vars(pattern) == vars(ZeroPattern(n, pattern.positions))
+
+
 def test_classify_contains_empty_and_full():
     for n in (1, 2, 3):
         report = brute_force_classify(n)

@@ -34,6 +34,14 @@ def test_shift_apply():
     assert ShiftDerivation(3)(MINUS_INF) == MINUS_INF
 
 
+def test_the_lift_holds_only_a_shift():
+    with pytest.raises(TypeError, match="^a hereditary shift lifts a ShiftDerivation, got 3$"):
+        HereditaryShift(3)
+    shift = ShiftDerivation(Fraction(-3, 2))
+    lifted = shift.hereditary()
+    assert type(lifted) is HereditaryShift and vars(lifted) == vars(HereditaryShift(shift))
+
+
 def test_shift_rejects_non_carrier_values():
     with pytest.raises(CarrierError):
         ShiftDerivation(0.5)

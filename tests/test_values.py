@@ -1,13 +1,15 @@
 """Value semantics of the package's eleven immutable classes: equality over
 the fields and only within one class, the hash of the field tuple, frozen
 fields, the exact ``repr`` text, and cached properties that stay out of
-equality and hash; then the argument binding of the constructors and the
-private ``_replace`` copy."""
+equality and hash; then the argument binding of the constructors, the
+private ``_replace`` copy and the private no-check ``_trusted``."""
 
+import types
 from fractions import Fraction
 
 import pytest
 
+import trideriv
 from trideriv import (
     BOOLEAN,
     MAXPLUS,
@@ -103,11 +105,11 @@ def test_an_object_is_not_its_field_tuple(cls, fields, args, text):
     "left, right",
     [
         (MaskDerivation(2, frozenset()), ZeroPattern(2, frozenset())),
-        (DecompositionExpr(2, frozenset()), MaskDerivation(2, frozenset())),
+        (DecompositionExpr._trusted(n=2, terms=frozenset()), MaskDerivation(2, frozenset())),
         (UTMatrix(1, BOOLEAN, (0,)), Witness(1, BOOLEAN, (0,))),
         (Witness((1, 1), 0, 0), AxiomViolation((1, 1), 0, 0)),
-        (ShiftDerivation(1), HereditaryShift(1)),
-        (DecompositionTerm(1, 2), DecompositionExpr(1, 2)),
+        (ShiftDerivation(1), HereditaryShift._trusted(shift=1)),
+        (DecompositionTerm(1, 2), DecompositionExpr._trusted(n=1, terms=2)),
     ],
     ids=lambda v: type(v).__name__,
 )
@@ -183,6 +185,25 @@ def test_replace_checks_the_new_fields_and_drops_cached_values():
         with pytest.raises(ValueError, match="outside 0..3"):
             d_m(3, bad)
     assert DecompositionTerm(k=1)._replace(m=2) == DecompositionTerm(1, 2)
+
+
+@pytest.mark.parametrize("cls, fields, args, text", CASES, ids=IDS)
+def test_trusted_builds_what_the_constructor_builds(cls, fields, args, text):
+    """``_trusted`` takes every field by name and skips every check."""
+    value = cls._trusted(**dict(zip(fields, args)))
+    assert type(value) is cls and vars(value) == vars(cls(*args))
+    assert value == cls(*args) and hash(value) == hash(args) and repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], args[0])
+
+
+def test_trusted_is_private_and_the_public_api_keeps_49_names():
+    public = {
+        name for name, value in vars(trideriv).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(public) == 49 and not {"trusted", "_trusted"} & set(vars(trideriv))
+    assert all(not name.startswith("_") for name in public)
 
 
 @pytest.mark.parametrize("cls, fields, args, text", CASES, ids=IDS)
