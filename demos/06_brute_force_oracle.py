@@ -1,16 +1,16 @@
 """Exhaustive classification of zero-pattern maps at tiny dimensions.
 
 Which sets of positions can a map zero out and still be a derivation?
-At n <= 4 the question is fully decidable by brute force over the
-boolean semiring; the answer agrees everywhere with the local
-characterization implemented in ZeroPattern.is_derivation().
+At n <= 5 the question is fully decidable by brute force over the
+boolean semiring, one cell at a time; the answer agrees everywhere with
+the local characterization implemented in ZeroPattern.is_derivation().
 
 Run:  python demos/06_brute_force_oracle.py
 """
 
 from trideriv import brute_force_classify, format_pattern, strip_diagonal
 
-for n in (1, 2, 3, 4):
+for n in (1, 2, 3, 4, 5):
     report = brute_force_classify(n)
     print(f"=== n={n}: {report.total_patterns} candidate patterns, "
           f"{report.derivation_count} are derivations ===")

@@ -186,7 +186,8 @@ def _verify_theorem2(args: argparse.Namespace, semiring: Semiring) -> int:
 def _verify_decompose(args: argparse.Namespace, semiring: Semiring) -> int:
     """Each trial draws a zero set; its expression is checked exactly
     (:meth:`~trideriv.derivations.DecompositionExpr.acts_as`), once per
-    distinct zero set of the run."""
+    distinct zero set of the run.  The verdict hangs on the zero set and
+    the carrier alone, so a ``FAIL`` line names both and replays alone."""
     n = args.n
     checked = {}  # zero set -> (verdict, the line's zero_set= and expr= fields)
     failures = 0
@@ -195,9 +196,11 @@ def _verify_decompose(args: argparse.Namespace, semiring: Semiring) -> int:
         if zero_set not in checked:
             mask = MaskDerivation(n, zero_set)
             expr = decompose(mask)
+            passed = expr.acts_as(mask, semiring)
             checked[zero_set] = (
-                "PASS" if expr.acts_as(mask, semiring) else "FAIL",
-                f"zero_set={format_zero_set(zero_set)} expr={expr.ascii()}",
+                "PASS" if passed else "FAIL",
+                f"zero_set={format_zero_set(zero_set)} "
+                f"{'' if passed else f'semiring={semiring.name} '}expr={expr.ascii()}",
             )
         verdict, fields = checked[zero_set]
         print(f"{verdict} decompose n={n} trial={trial} {fields}")

@@ -258,7 +258,7 @@ def derivation_words(n):
 
 def test_criterion_12_derivation_patterns_are_words():
     """Three routes agree: the words (n <= 8, counted by F(2n+1)), the local
-    predicate over every pattern (n <= 5) and the boolean sweep (n <= 4)."""
+    predicate over every pattern (n <= 5) and the boolean sweep (n <= 5)."""
     with criterion(12, 5.0):
         for n, fibonacci in zip(range(1, 9), (2, 5, 13, 34, 89, 233, 610, 1597)):
             words = list(derivation_words(n))
@@ -270,5 +270,5 @@ def test_criterion_12_derivation_patterns_are_words():
                     for bits in range(1 << len(positions))
                 )
                 assert set(words) == {p for p in patterns if p.is_derivation()}
-            if n <= 4:
+            if n <= 5:
                 assert set(words) == set(brute_force_classify(n).derivation_patterns)

@@ -256,8 +256,8 @@ def test_verify_theorem2_exhaustive(capsys):
 
 @pytest.mark.parametrize("kind, count", [("leibniz", 16), ("theorem2", 16)])
 def test_verify_exhaustive_at_n4(capsys, kind, count):
-    """The cap is n = 4: every family mask and composition is checked on all
-    1024² boolean pairs, and each verdict is PASS."""
+    """Every family mask and composition is checked on all 1024² boolean
+    pairs, and each verdict is PASS."""
     code, out, err = run(
         capsys, "verify", kind, "--n", "4", "--semiring", "boolean", "--exhaustive"
     )
@@ -267,22 +267,35 @@ def test_verify_exhaustive_at_n4(capsys, kind, count):
     assert all(line.startswith(f"PASS {kind} n=4 ") for line in lines)
 
 
+@pytest.mark.parametrize("kind, count", [("leibniz", 32), ("theorem2", 25)])
+def test_verify_exhaustive_at_n5(capsys, kind, count):
+    """The cap is n = 5: every family mask and composition is checked on all
+    32768² boolean pairs, through the cell sweeps, and each verdict is PASS."""
+    code, out, err = run(
+        capsys, "verify", kind, "--n", "5", "--semiring", "boolean", "--exhaustive"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == count
+    assert all(line.startswith(f"PASS {kind} n=5 ") for line in lines)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("oracle", "--n", "5"),
-        ("verify", "theorem2", "--n", "5", "--semiring", "boolean", "--exhaustive"),
+        ("oracle", "--n", "6"),
+        ("verify", "theorem2", "--n", "6", "--semiring", "boolean", "--exhaustive"),
     ],
 )
-def test_exhaustive_n5_is_refused_before_any_column(capsys, monkeypatch, argv):
-    """Past the cap nothing is enumerated: the table's columns read
-    triangle_size(n) and its rows the product plan, and neither is reached."""
+def test_exhaustive_n6_is_refused_before_any_sweep(capsys, monkeypatch, argv):
+    """Past the cap nothing is swept: the engine's first step, the cell plan,
+    and the sweeps it feeds are not reached."""
 
     def refuse(*args):
-        raise AssertionError("table building started")
+        raise AssertionError("exhaustive work started")
 
-    monkeypatch.setattr(oracle, "triangle_size", refuse)
-    monkeypatch.setattr(oracle, "_mul_plan", refuse)
+    monkeypatch.setattr(oracle, "_cells", refuse)
+    monkeypatch.setattr(oracle, "_sweep", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
@@ -341,14 +354,14 @@ def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
     assert code == 2
     assert "boolean" in err
     code, _, err = run(
-        capsys, "verify", "leibniz", "--n", "5", "--semiring", "boolean", "--exhaustive"
+        capsys, "verify", "leibniz", "--n", "6", "--semiring", "boolean", "--exhaustive"
     )
     assert code == 2
 
 
 def test_verify_exhaustive_refuses_large_n_before_building_any_map(capsys, monkeypatch):
     """The CLI's own n check runs first: without it, theorem2 at n = 2000 would
-    build 4·10⁶ compositions before the oracle's table refused the dimension."""
+    build 4·10⁶ compositions before the oracle's cap refused the dimension."""
 
     def refuse(*args):
         raise AssertionError("delta_k called")
@@ -358,7 +371,7 @@ def test_verify_exhaustive_refuses_large_n_before_building_any_map(capsys, monke
         capsys, "verify", "theorem2", "--n", "2000", "--semiring", "boolean", "--exhaustive"
     )
     assert (code, out) == (2, "")
-    assert "n <= 4" in err
+    assert "n <= 5" in err
 
 
 @pytest.mark.parametrize(
@@ -901,10 +914,18 @@ def test_oracle_n3_interval_count(capsys):
     assert total >= 9
 
 
+def test_oracle_n5_summary(capsys):
+    code, out, _ = run(capsys, "oracle", "--n", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3:] == ["total=89", "interval_form=32", "other=57"]
+    assert len(lines) == 89 + 3
+
+
 def test_oracle_capacity(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "5")
+    code, _, err = run(capsys, "oracle", "--n", "6")
     assert code == 2
-    assert "too large" in err
+    assert err == "error: n=6 too large for exhaustive search (limit 5)\n"
 
 
 # --- decompose ------------------------------------------------------------------

@@ -13,7 +13,15 @@ import random
 
 import pytest
 
-from trideriv import format_matrix, get_semiring, random_matrix, semirings
+from trideriv import (
+    MaskDerivation,
+    decompose,
+    format_matrix,
+    get_semiring,
+    parse_zero_set,
+    random_matrix,
+    semirings,
+)
 from trideriv.cli import main
 from trideriv.semirings import Semiring
 
@@ -89,7 +97,7 @@ GROUPS = {
     "axioms": (axioms_commands, 20,
                "bc3295eb5d690560fef6e2bf43388e2dfb2c8b4ce965dc5389b5ed6c209ffa83"),
     "verify": (verify_commands, 210,
-               "4cfc2fb69b5e398f4ff7c339d39c0087da04de4ab11873bbc88b9b67d75106ff"),
+               "5bd70bd23acba185177446ec8bed13e130bc4a9cb0a02cc433639143039e2da8"),
     "wide-verify": (wide_verify_commands, 25,
                     "0dd4351a817f8e32721c2be1a57d47a4e92ffff4f932406bd322a6655bea1820"),
     "oracle": (oracle_commands, 3,
@@ -176,3 +184,29 @@ def test_seeded_theorem2_fail_lines_replay_from_their_fields(cli_grid, capsys):
             assert line in capsys.readouterr().out.splitlines()
     # naturals finds its witnesses; three trials at n = 8 and 10 miss some on the other carriers.
     assert (found, missed) == (161, 11)
+
+
+def test_decompose_fail_lines_replay_from_their_fields(cli_grid, capsys):
+    """A ``FAIL decompose`` line names its carrier, and its verdict hangs on
+    the zero set and the carrier alone.  From the line's fields,
+    ``decompose`` prints the line's expression again, which fails
+    ``acts_as`` on the named carrier and holds on the boolean one."""
+    replayed = 0
+    for argv in verify_commands():
+        if argv[1] != "decompose" or argv[5] != "naturals":
+            continue
+        main(list(argv))
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith("FAIL decompose "):
+                continue
+            head, expr = line.split(" expr=")
+            fields = dict(field.split("=", 1) for field in head.split()[2:])
+            n = int(fields["n"])
+            replay = ["decompose", "--n", fields["n"], f"--zero-set={fields['zero_set']}"]
+            assert main(replay) == 0
+            assert capsys.readouterr().out == expr + "\n"
+            mask = MaskDerivation(n, parse_zero_set(fields["zero_set"], n))
+            assert not decompose(mask).acts_as(mask, get_semiring(fields["semiring"]))
+            assert decompose(mask).acts_as(mask, get_semiring("boolean"))
+            replayed += 1
+    assert replayed == 49  # n = 3..5 and two seeds; no zero set fails at n = 1, 2

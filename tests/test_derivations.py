@@ -813,8 +813,10 @@ def test_every_dimension_positivity_check_reports_alike(build, n):
 
 
 def test_a_bool_dimension_is_refused_past_a_cache_and_an_index_check():
-    """``oracle._table``'s lru_cache keys True as 1, and ``delta_k``'s range
-    check reads True as 1: the dimension rule of the first mask refuses both."""
+    """``oracle._cells``, the engine's per-n memo, holds n = 1, but
+    ``brute_force_classify`` runs the dimension rule before it, and
+    ``delta_k``'s range check reads True as 1: the dimension rule refuses
+    True in each."""
     brute_force_classify(1)
     for build in (brute_force_classify, lambda n: delta_k(n, 1), strip_diagonal):
         with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):

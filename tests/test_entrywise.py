@@ -40,7 +40,6 @@ from trideriv import (
     triangle_size,
 )
 from trideriv.derivations import Witness
-from trideriv.oracle import _table
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -217,7 +216,7 @@ def test_jordan_rule_selects_the_derivation_patterns():
     A∘B = AB ⊕ BA, are exactly the derivation ones: 2, 5 and 13 for n = 1..3.
     Matrices are the oracle's bitmask indices, so f(X) is ``X & keep``."""
     for n, count in ((1, 2), (2, 5), (3, 13)):
-        mats = _table(n)[0]
+        mats = list(enumerate_matrices(n))
         product = [[matrix_bits(a * b) for b in mats] for a in mats]
         size = len(mats)
         circ = [[ab | product[b][a] for b, ab in enumerate(row)] for a, row in enumerate(product)]

@@ -1,5 +1,5 @@
-"""The brute-force sweep, its bitmask encoding lemmas, and the frozen
-small-dimension classifications."""
+"""The brute-force sweep, its bitmask encoding lemmas, its cell sweeps
+against real products, and the frozen small-dimension classifications."""
 
 import random
 
@@ -47,9 +47,15 @@ def test_enumerate_matrices_bitmask_order():
     assert [matrix_bits(m) for m in mats] == list(range(8))
 
 
-def test_enumerate_matrices_capacity():
+def test_enumerate_matrices_capacity(monkeypatch):
+    """Past the cap no matrix is built."""
+    monkeypatch.setattr(oracle, "_boolean", refuse)
     with pytest.raises(CapacityError):
-        list(enumerate_matrices(5))
+        list(enumerate_matrices(6))
+
+
+def refuse(*args):
+    raise AssertionError("exhaustive work started past the cap")
 
 
 # --- encoding lemmas: index arithmetic is exactly boolean matrix arithmetic ---------
@@ -130,7 +136,8 @@ def test_classify_dimension_three():
 
 
 @pytest.mark.parametrize(
-    "n, counts", [(1, (2, 2, 0)), (2, (5, 4, 1)), (3, (13, 8, 5)), (4, (34, 16, 18))]
+    "n, counts",
+    [(1, (2, 2, 0)), (2, (5, 4, 1)), (3, (13, 8, 5)), (4, (34, 16, 18)), (5, (89, 32, 57))],
 )
 def test_classified_patterns_equal_their_checked_rebuilds(n, counts):
     report = brute_force_classify(n)
@@ -149,9 +156,12 @@ def test_classify_contains_empty_and_full():
         assert everything in patterns
 
 
-def test_classify_capacity():
+def test_classify_capacity(monkeypatch):
+    """Past the cap the engine's first step, the cell plan, is not reached."""
+    monkeypatch.setattr(oracle, "_cells", refuse)
+    monkeypatch.setattr(oracle, "_sweep", refuse)
     with pytest.raises(CapacityError):
-        brute_force_classify(5)
+        brute_force_classify(6)
 
 
 def test_classify_dimension_four():
@@ -249,45 +259,83 @@ def _scalar_first_failure(product, zeroed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_packed_scan_matches_the_scalar_scan(n):
-    """Every zero pattern's first failing pair, and the packing itself."""
-    mats, rows = oracle._table(n)
+def test_first_failing_pair_matches_the_scalar_scan(n):
+    """Every zero pattern's first failing pair, against real products."""
+    mats = list(enumerate_matrices(n))
     product = [[matrix_bits(a * b) for b in mats] for a in mats]
-    width, size = len(product), triangle_size(n)
-    assert len(rows) == width
-    for row, products in zip(rows, product):
-        assert row >> (size * width) == 0
-        decoded = [
-            sum((row >> (t * width + b) & 1) << t for t in range(size)) for b in range(width)
-        ]
-        assert decoded == list(products)
     positions = list(iter_positions(n))
-    for zeroed in range(width):
+    for zeroed in range(len(mats)):
         pattern = ZeroPattern(n, frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1))
-        found = oracle._first_failure(rows, zeroed, pattern)
-        assert found == _scalar_first_failure(product, zeroed), zeroed
+        found = exhaustive_leibniz_witness(pattern)
+        pair = None if found is None else (matrix_bits(found[0]), matrix_bits(found[1]))
+        assert pair == _scalar_first_failure(product, zeroed), zeroed
 
 
-def test_table_matches_real_products_on_a_sample_at_n4():
-    """At n = 4 the full real-product table took 10.6-12.2 s; a seeded sample
-    of its pairs keeps UTMatrix.__mul__ as the reference."""
-    mats, rows = oracle._table(4)
-    width, size = len(mats), triangle_size(4)
-    rng = random.Random(26)
-    for _ in range(2000):
-        a, b = rng.randrange(width), rng.randrange(width)
-        decoded = sum((rows[a] >> (t * width + b) & 1) << t for t in range(size))
-        assert decoded == matrix_bits(mats[a] * mats[b]), (a, b)
+def _sweeps_fail(n, zeroed, a, b):
+    """The engine's verdict on one pair: some cell's sweep lists the pair of
+    A's row vector and B's column vector there."""
+    return any(
+        sum((b >> q & 1) << k for k, (_, q) in enumerate(pairs))
+        in fails.get(a >> pairs[0][0] & (1 << len(pairs)) - 1, ())
+        for pairs, fails in oracle._failing_cells(n, zeroed)
+    )
 
 
-def test_table_builds_without_a_matrix_product(monkeypatch):
-    def refuse(self, other):
+@pytest.mark.parametrize("n", [4, 5])
+def test_pair_verdicts_match_leibniz_check_on_seeded_triples(n):
+    """Past n = 3 every pair is too many for real products: seeded (pattern,
+    A, B) triples keep UTMatrix.__mul__ as the reference, half of them on
+    derivation patterns, whose every pair must pass."""
+    positions = list(iter_positions(n))
+    size = len(positions)
+    derivations = [
+        sum(1 << positions.index(p) for p in pattern.positions)
+        for pattern in brute_force_classify(n).derivation_patterns
+    ]
+    rng = random.Random(31 + n)
+    verdicts = []
+    for trial in range(2000):
+        zeroed = rng.choice(derivations) if trial % 2 else rng.getrandbits(size)
+        a, b = rng.getrandbits(size), rng.getrandbits(size)
+        pattern = ZeroPattern(n, frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1))
+        a_mat, b_mat = oracle._boolean(n, a), oracle._boolean(n, b)
+        assert (matrix_bits(a_mat), matrix_bits(b_mat)) == (a, b)
+        fails = _sweeps_fail(n, zeroed, a, b)
+        assert fails == (leibniz_check(pattern, a_mat, b_mat) is not None), (zeroed, a, b)
+        verdicts.append(fails)
+    assert 300 < sum(verdicts) < 1000  # both verdicts are well represented
+
+
+def test_classification_makes_no_matrix_product(monkeypatch):
+    """The sweeps read bits only: with cold memos and UTMatrix.__mul__
+    raising, every dimension up to the cap classifies."""
+    def refuse_product(self, other):
         raise AssertionError("UTMatrix.__mul__ called")
 
-    oracle._table.cache_clear()
-    monkeypatch.setattr(UTMatrix, "__mul__", refuse)
-    for n in range(1, oracle.EXHAUSTIVE_LIMIT + 1):
-        assert len(oracle._table(n)[1]) == 1 << triangle_size(n)
+    oracle._cells.cache_clear()
+    oracle._sweep.cache_clear()
+    monkeypatch.setattr(UTMatrix, "__mul__", refuse_product)
+    dims = range(1, oracle.EXHAUSTIVE_LIMIT + 1)
+    assert [brute_force_classify(n).derivation_count for n in dims] == [2, 5, 13, 34, 89]
+
+
+def test_each_sweep_is_computed_once_for_every_dimension(monkeypatch):
+    """A sweep depends on (L, R, C) alone: the n = 3, 4 and 5 classifications
+    ask for some keys at several dimensions, and each key is swept once."""
+    real = oracle._sweep
+    real.cache_clear()
+    oracle._cells.cache_clear()
+    asked = {}
+
+    def recorded(*key):
+        asked.setdefault(key, set()).add(n)
+        return real(*key)
+
+    monkeypatch.setattr(oracle, "_sweep", recorded)
+    for n in (3, 4, 5):
+        brute_force_classify(n)
+    assert real.cache_info().misses == len(asked)
+    assert any(len(dims) > 1 for dims in asked.values())
 
 
 def test_exhaustive_witness_rejects_non_mask_maps():
@@ -297,9 +345,11 @@ def test_exhaustive_witness_rejects_non_mask_maps():
         exhaustive_leibniz_witness(ShiftDerivation(0).hereditary())
 
 
-def test_exhaustive_witness_capacity():
+def test_exhaustive_witness_capacity(monkeypatch):
+    monkeypatch.setattr(oracle, "_cells", refuse)
+    monkeypatch.setattr(oracle, "_sweep", refuse)
     with pytest.raises(CapacityError):
-        exhaustive_leibniz_witness(MaskDerivation(5, frozenset()))
+        exhaustive_leibniz_witness(MaskDerivation(6, frozenset()))
 
 
 def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
@@ -347,7 +397,7 @@ def test_classify_raises_when_routes_disagree(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: product table finds no boolean witness for pattern '', "
+            "error: cell sweeps find no boolean witness for pattern '', "
             "but the local characterization disagrees\n"
         )
 
