@@ -47,15 +47,15 @@ def test_enumerate_matrices_bitmask_order():
     assert [matrix_bits(m) for m in mats] == list(range(8))
 
 
+def refuse(*args):
+    raise AssertionError("exhaustive work started past the cap")
+
+
 def test_enumerate_matrices_capacity(monkeypatch):
     """Past the cap no matrix is built."""
     monkeypatch.setattr(oracle, "_boolean", refuse)
     with pytest.raises(CapacityError):
         list(enumerate_matrices(6))
-
-
-def refuse(*args):
-    raise AssertionError("exhaustive work started past the cap")
 
 
 # --- encoding lemmas: index arithmetic is exactly boolean matrix arithmetic ---------
