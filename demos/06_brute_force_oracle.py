@@ -1,9 +1,12 @@
 """Exhaustive classification of zero-pattern maps at tiny dimensions.
 
 Which sets of positions can a map zero out and still be a derivation?
-At n <= 5 the question is fully decidable by brute force over the
-boolean semiring, one cell at a time; the answer agrees everywhere with
-the local characterization implemented in ZeroPattern.is_derivation().
+At n <= 6 the question is fully decidable by brute force over the
+boolean semiring, one cell at a time: the oracle walks the cells from
+the narrowest, prunes every partial pattern at its first failing cell,
+and checks each cell's verdict against the local characterization's
+rule there, which ZeroPattern.is_derivation() applies at every cell.
+This demo prints the answer for n <= 5.
 
 Run:  python demos/06_brute_force_oracle.py
 """

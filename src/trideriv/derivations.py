@@ -140,13 +140,18 @@ class ZeroPattern(_Frozen):
 
     def is_derivation(self) -> bool:
         """Local characterization of Leibniz for mask maps, the module's weight
-        identity at 0/1: (i, l) is zeroed iff (i, k) and (k, l) are, for i <= k <= l."""
-        pos = self.positions
-        for i, l in iter_positions(self.n):
-            zeroed = (i, l) in pos
-            for k in range(i, l + 1):
-                if zeroed != ((i, k) in pos and (k, l) in pos):
-                    return False
+        identity at 0/1: :meth:`_cell_obeys` at every cell."""
+        zeroed = sum(1 << t for t in self._zeroed)
+        return all(self._cell_obeys(zeroed, pairs) for pairs in _mul_plan(self.n))
+
+    @staticmethod
+    def _cell_obeys(zeroed: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+        """The rule at one cell (i, l), by its ``_mul_plan`` pairs and a pattern's
+        bitmask of offsets: (i, l) is zeroed iff (i, k) and (k, l) are, each k."""
+        own = zeroed >> pairs[0][1] & 1  # (i, l) is the second of the k = i pair
+        for p, q in pairs:
+            if zeroed >> p & zeroed >> q & 1 != own:
+                return False
         return True
 
 

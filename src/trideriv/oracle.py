@@ -3,13 +3,11 @@
 The boolean semiring embeds in every unital additively idempotent
 semiring (its 0 and 1 satisfy 1 + 1 = 1 there too), so a boolean Leibniz
 counterexample kills a mask map over every carrier, while the local
-characterization covers the sufficiency side.  The full sweep classifies
-all 2^(n(n+1)/2) zero patterns by testing the Leibniz rule on all matrix
-pairs.
+characterization covers the sufficiency side.
 
 Matrices are indexed by their entry bitmask (bit t of the index is the
 t-th row-major entry), and so are patterns (bit t set: entry t zeroed).
-The sweep over all pairs splits by cell.  Cell (i, l) of AB reads only
+The Leibniz rule on all pairs splits by cell.  Cell (i, l) of AB reads only
 row i of A over columns i..l and column l of B over rows i..l, and a mask
 map f acts entrywise, so f(AB), f(A)B and Af(B) read there only those two
 local vectors, and f only which of their entries it zeroes: the row key R
@@ -18,8 +16,12 @@ whose top and bottom bits are the cell itself.  So f breaks Leibniz on
 some pair iff, at some cell, one of the 4^L pairs of local vectors
 (L = l - i + 1) breaks it; :func:`_sweep` tries them all by brute force,
 with (AB)_il the OR of av & bv, once per (L, R, C) for every n.  No closed
-form in R and C replaces the sweep: it would be the rule of
-:meth:`ZeroPattern.is_derivation`, and the two routes would be one.
+form in R and C replaces the sweep: it would be the local rule
+(:meth:`ZeroPattern._cell_obeys`), and the two routes would be one.  Both
+read at a cell only narrower cells and the cell itself, so
+:func:`brute_force_classify` sets one cell per level, narrowest first, and
+prunes a partial pattern with every completion at its first failing cell:
+its cost follows the F(2n+1) derivations, not the 2^(n(n+1)/2) patterns.
 
 The first failing pair in bitmask order (A outer) follows from the
 sweeps.  A failing A still fails once every bit outside one failing row
@@ -28,13 +30,13 @@ a cell's least failing row vector, placed in row i; the least B failing
 with it is, over the cells where its row vector fails, the least column
 vector failing with that row vector, placed in column l.
 
-Each fact has two routes.  Every verdict is compared with the local
-characterization in both directions, and a disagreement raises; the
-witness search re-checks a found pair with :func:`leibniz_check` on real
-matrices, whose product is ``UTMatrix.__mul__``.  The test suite
-re-checks the encoding lemmas, and the sweeps against real products: the
-first failing pair of every pattern at n <= 3, and seeded (pattern, A, B)
-triples at n = 4 and 5.
+Each fact has two routes, and a disagreement raises: the walk judges
+each cell by its sweep and by the local rule, and the witness search
+compares its verdict with :meth:`ZeroPattern.is_derivation` and re-checks
+a found pair with :func:`leibniz_check` on real matrices.  The test suite
+re-checks the encoding lemmas, the walk against a per-pattern loop, and
+the sweeps against real products: the first failing pair of every pattern
+at n <= 3, and seeded (pattern, A, B) triples at n = 4, 5 and 6.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .derivations import Witness, ZeroPattern, _check_mask_map, format_pattern, 
 from .matrices import UTMatrix, _mul_plan, ensure_positive_dimension, iter_positions, triangle_size
 from .semirings import BOOLEAN, _Frozen
 
-EXHAUSTIVE_LIMIT = 5
+EXHAUSTIVE_LIMIT = 6
 
 
 class CapacityError(ValueError):
@@ -65,6 +67,13 @@ def _boolean(n: int, bits: int) -> UTMatrix:
     return UTMatrix._trusted(n, BOOLEAN, tuple(bits >> t & 1 for t in range(triangle_size(n))))
 
 
+def _patterns(n: int, indices: list[int]) -> tuple[ZeroPattern, ...]:
+    """The zero patterns of bitmask indices ``indices`` (bit t: entry t zeroed)."""
+    positions = list(iter_positions(n))
+    zeroed = (frozenset(p for t, p in enumerate(positions) if z >> t & 1) for z in indices)
+    return tuple(ZeroPattern._trusted(n=n, positions=ps) for ps in zeroed)
+
+
 def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
     """Every boolean upper-triangular matrix exactly once, in bitmask order."""
     _check_exhaustive(n)
@@ -80,7 +89,7 @@ def matrix_bits(matrix: UTMatrix) -> int:
 @functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT)
 def _cells(n: int) -> tuple[tuple[tuple, int, dict[int, dict]], ...]:
     """The engine's first step, after the cap: per cell, narrowest first
-    (most patterns fail at a narrow cell, and a new sweep costs 4^L pairs),
+    (the walk's order: a cell's row and column segments hold narrower cells),
     its ``_mul_plan(n)`` pairs (k = i..l: the offsets of (i, k) and (k, l)),
     the bitmask of their entries, and a dict from masked patterns to sweeps."""
     return tuple(
@@ -109,28 +118,36 @@ def _sweep(length: int, row_key: int, col_key: int) -> dict[int, tuple[int, ...]
     return fails
 
 
+def _cell_fails(cell: tuple[tuple, int, dict], zeroed: int) -> dict[int, tuple[int, ...]]:
+    """The memoised sweep of one ``_cells`` entry under the pattern ``zeroed``."""
+    pairs, mask, known = cell
+    if (fails := known.get(zeroed & mask)) is None:
+        row_key = sum((zeroed >> p & 1) << k for k, (p, _) in enumerate(pairs))
+        col_key = sum((zeroed >> q & 1) << k for k, (_, q) in enumerate(pairs))
+        fails = known[zeroed & mask] = _sweep(len(pairs), row_key, col_key)
+    return fails
+
+
 def _failing_cells(n: int, zeroed: int) -> Iterator[tuple[tuple, dict]]:
     """Each cell, narrowest first, where the pattern zeroing the bitmask
     ``zeroed`` breaks Leibniz: its ``_mul_plan`` pairs and its sweep."""
-    for pairs, mask, known in _cells(n):
-        fails = known.get(zeroed & mask)
-        if fails is None:
-            row_key = col_key = 0
-            for k, (p, q) in enumerate(pairs):
-                row_key |= (zeroed >> p & 1) << k
-                col_key |= (zeroed >> q & 1) << k
-            fails = known[zeroed & mask] = _sweep(len(pairs), row_key, col_key)
-        if fails:
-            yield pairs, fails
+    for cell in _cells(n):
+        if fails := _cell_fails(cell, zeroed):
+            yield cell[0], fails
+
+
+def _disagreement(found: bool, pattern: ZeroPattern) -> RuntimeError:
+    """The error of a sweep verdict that the local characterization contradicts."""
+    return RuntimeError(
+        f"cell sweeps {'find a' if found else 'find no'} boolean witness "
+        f"for pattern {format_pattern(pattern)!r}, but the local characterization disagrees"
+    )
 
 
 def _confirm(found: bool, pattern: ZeroPattern) -> None:
     """Raise RuntimeError unless the local characterization agrees with the sweeps."""
     if found == pattern.is_derivation():
-        raise RuntimeError(
-            f"cell sweeps {'find a' if found else 'find no'} boolean witness "
-            f"for pattern {format_pattern(pattern)!r}, but the local characterization disagrees"
-        )
+        raise _disagreement(found, pattern)
 
 
 def exhaustive_leibniz_witness(f: ZeroPattern) -> tuple[UTMatrix, UTMatrix, Witness] | None:
@@ -181,28 +198,29 @@ class OracleReport(_Frozen):
 
 
 def brute_force_classify(n: int) -> OracleReport:
-    """Sweep every zero pattern against every boolean matrix pair.
-
-    A pattern is recorded as a derivation iff no cell's sweep finds a
-    failing pair; each verdict is also compared with the local
-    characterization, and a disagreement (there should be none) raises
-    RuntimeError.
-    """
+    """Every zero pattern at dimension n, by a pruned walk over the cells,
+    narrowest first: both children of each frontier mask (the cell's bit
+    clear first) are judged at the cell by its sweep and by
+    :meth:`ZeroPattern._cell_obeys`, pruned if both fail and kept if both
+    pass; a disagreement (there should be none) raises RuntimeError naming
+    the child with its later cells clear.  Both routes read only cells set
+    by then, so the sorted final frontier is the derivation set."""
     _check_exhaustive(n)
-    positions = list(iter_positions(n))
-    count = 1 << len(positions)
-
-    derivations = []
-    for zeroed in range(count):
-        pattern = ZeroPattern._trusted(
-            n=n, positions=frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1)
-        )
-        found = next(_failing_cells(n, zeroed), None) is not None
-        _confirm(found, pattern)
-        if not found:
-            derivations.append(pattern)
+    obeys, frontier = ZeroPattern._cell_obeys, [0]
+    for cell in _cells(n):
+        pairs = cell[0]
+        bit, kept = 1 << pairs[0][1], []  # (i, l) is the second of the k = i pair
+        for zeroed in frontier:
+            for child in (zeroed, zeroed | bit):
+                found = bool(_cell_fails(cell, child))
+                if found == obeys(child, pairs):
+                    raise _disagreement(found, _patterns(n, [child])[0])
+                if not found:
+                    kept.append(child)
+        frontier = kept
+    derivations = _patterns(n, sorted(frontier))
     interval = sum(1 for p in derivations if p.interval_form() is not None)
-    return OracleReport(n, count, tuple(derivations), interval)
+    return OracleReport(n, 1 << triangle_size(n), derivations, interval)
 
 
 def format_report(report: OracleReport) -> str:

@@ -269,8 +269,8 @@ def test_verify_exhaustive_at_n4(capsys, kind, count):
 
 @pytest.mark.parametrize("kind, count", [("leibniz", 32), ("theorem2", 25)])
 def test_verify_exhaustive_at_n5(capsys, kind, count):
-    """The cap is n = 5: every family mask and composition is checked on all
-    32768² boolean pairs, through the cell sweeps, and each verdict is PASS."""
+    """Every family mask and composition is checked on all 32768² boolean
+    pairs, through the cell sweeps, and each verdict is PASS."""
     code, out, err = run(
         capsys, "verify", kind, "--n", "5", "--semiring", "boolean", "--exhaustive"
     )
@@ -280,14 +280,27 @@ def test_verify_exhaustive_at_n5(capsys, kind, count):
     assert all(line.startswith(f"PASS {kind} n=5 ") for line in lines)
 
 
+@pytest.mark.parametrize("kind, count", [("leibniz", 64), ("theorem2", 36)])
+def test_verify_exhaustive_at_n6(capsys, kind, count):
+    """The cap is n = 6: every family mask and composition is checked on all
+    (2²¹)² boolean pairs, through the cell sweeps, and each verdict is PASS."""
+    code, out, err = run(
+        capsys, "verify", kind, "--n", "6", "--semiring", "boolean", "--exhaustive"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == count
+    assert all(line.startswith(f"PASS {kind} n=6 ") for line in lines)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("oracle", "--n", "6"),
-        ("verify", "theorem2", "--n", "6", "--semiring", "boolean", "--exhaustive"),
+        ("oracle", "--n", "7"),
+        ("verify", "theorem2", "--n", "7", "--semiring", "boolean", "--exhaustive"),
     ],
 )
-def test_exhaustive_n6_is_refused_before_any_sweep(capsys, monkeypatch, argv):
+def test_exhaustive_n7_is_refused_before_any_sweep(capsys, monkeypatch, argv):
     """Past the cap nothing is swept: the engine's first step, the cell plan,
     and the sweeps it feeds are not reached."""
 
@@ -354,7 +367,7 @@ def test_verify_exhaustive_needs_boolean_and_small_n(capsys):
     assert code == 2
     assert "boolean" in err
     code, _, err = run(
-        capsys, "verify", "leibniz", "--n", "6", "--semiring", "boolean", "--exhaustive"
+        capsys, "verify", "leibniz", "--n", "7", "--semiring", "boolean", "--exhaustive"
     )
     assert code == 2
 
@@ -371,7 +384,7 @@ def test_verify_exhaustive_refuses_large_n_before_building_any_map(capsys, monke
         capsys, "verify", "theorem2", "--n", "2000", "--semiring", "boolean", "--exhaustive"
     )
     assert (code, out) == (2, "")
-    assert "n <= 5" in err
+    assert "n <= 6" in err
 
 
 @pytest.mark.parametrize(
@@ -922,10 +935,18 @@ def test_oracle_n5_summary(capsys):
     assert len(lines) == 89 + 3
 
 
+def test_oracle_n6_summary(capsys):
+    code, out, _ = run(capsys, "oracle", "--n", "6")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3:] == ["total=233", "interval_form=64", "other=169"]
+    assert len(lines) == 233 + 3
+
+
 def test_oracle_capacity(capsys):
-    code, _, err = run(capsys, "oracle", "--n", "6")
+    code, _, err = run(capsys, "oracle", "--n", "7")
     assert code == 2
-    assert err == "error: n=6 too large for exhaustive search (limit 5)\n"
+    assert err == "error: n=7 too large for exhaustive search (limit 6)\n"
 
 
 # --- decompose ------------------------------------------------------------------

@@ -8,14 +8,16 @@ map of UT_n finds only entrywise maps among the derivations.  A last
 section checks the Jordan rule f(A∘B) = f(A)∘B ⊕ A∘f(B) on zero patterns
 and in the same search, counts the additive maps that obey the square form
 f(A²) = f(A)A ⊕ Af(A), and pins one of them that is not a derivation.
-The last shows that the Jordan theorem needs a commutative carrier.
+The last shows that the Jordan theorem needs a commutative carrier: over
+a non-commutative one the same search finds 424 Jordan maps of UT_2 and
+only 346 derivations.
 """
 
 import itertools
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from hypothesis import given, settings, strategies as st
 
@@ -99,12 +101,25 @@ def test_weight_maps_follow_the_local_rule_on_every_carrier(semiring, n, seed):
 
 # --- every additive map ----------------------------------------------------------------
 
-def generators(n, semiring, scalars):
-    """The generators λE_ij (λ a nonzero scalar) as ((i, j), λ) keys, diagonal
-    positions first and λ ascending, with their matrices."""
+def atoms(semiring, elements):
+    """The join-irreducibles of a finite carrier listed by ``elements``, zero
+    first: the nonzero elements that are not the join of those below them.
+    On a chain these are all the nonzero elements; on a power set, the
+    singletons.  Every element is the join of the atoms below it."""
+    add, zero = semiring.add, semiring.zero
+    return [
+        x for x in elements[1:]
+        if reduce(add, (y for y in elements if y != x and add(x, y) == x), zero) != x
+    ]
+
+
+def generators(n, semiring, elements):
+    """The generators aE_ij (a an atom) as ((i, j), a) keys, diagonal
+    positions first and the atoms in the order of ``elements``, with their
+    matrices."""
     positions = sorted(iter_positions(n), key=lambda p: p[0] != p[1])
-    keys = [(p, lam) for p in positions for lam in scalars[1:]]
-    return keys, [UTMatrix.from_dict(n, semiring, {p: lam}) for p, lam in keys]
+    keys = [(p, a) for p in positions for a in atoms(semiring, elements)]
+    return keys, [UTMatrix.from_dict(n, semiring, {p: a}) for p, a in keys]
 
 
 def all_matrices(n, semiring, scalars):
@@ -123,47 +138,75 @@ def additive_map(n, semiring, keys, images):
     )
 
 
-def derivations_by_search(n, semiring, scalars, op=operator.mul):
-    """Every derivation of UT_n over the chain ``scalars`` (ascending from
-    ``zero``, closed under add and mul) for the product ``op``, as its tuple
-    of generator images; ``op=None`` prunes nothing and gives every
-    additive map.
+def derivations_by_search(n, semiring, elements, op=operator.mul):
+    """Every derivation of UT_n over the finite distributive carrier listed by
+    ``elements`` (zero first) for the product ``op``, as its tuple of
+    generator images; ``op=None`` prunes nothing and gives every additive map.
 
     An additive map with f(0) = 0 (Leibniz at A = B = 0 forces it) is fixed
-    by its images of the generators λE_ij, monotone in λ, and every such
-    choice extends additively, since A = ⊕ a_ij E_ij.  The search draws each
-    image from all of UT_n, diagonal generators first (E_ij = E_ii·E_ij·E_jj),
-    and prunes by the rule f(op(A, B)) = op(f(A), B) ⊕ op(A, f(B)) on a
-    generator pair once the images of both factors and of each generator in
-    op(A, B) are set.  A pruning condition is necessary, never sufficient,
-    so each caller confirms what survives on its own.
+    by its images of the generators aE_ij, a an atom, since every matrix is
+    the join of the generators below it; a choice of images extends
+    additively iff it is monotone on each position's atoms.  The search
+    draws each image from all of UT_n, diagonal generators first
+    (E_ij = E_ii·E_ij·E_jj), and prunes by the rule f(op(A, B)) =
+    op(f(A), B) ⊕ op(A, f(B)) on a generator pair once the images of both
+    factors and of each generator below op(A, B) are set.  A pruning
+    condition is necessary, never sufficient, so each caller confirms what
+    survives on its own.
+
+    Matrices are coded as ints for speed: an entry x as the bitset of the
+    atoms below it, so that ⊕ is OR (the atoms of a distributive lattice
+    are join-prime), and a matrix as its entries' codes side by side.
     """
-    keys, units = generators(n, semiring, scalars)
-    index = {key: t for t, key in enumerate(keys)}
-    zero = UTMatrix.zeros(n, semiring)
-    candidates = all_matrices(n, semiring, scalars)
-    smaller = [  # per generator t = μE: the generators λE with λ < μ
-        [index[p, x] for x in scalars[1:] if x < lam] for p, lam in keys
+    keys, units = generators(n, semiring, elements)
+    add, basis = semiring.add, atoms(semiring, elements)
+    width = len(basis)
+    code = {x: sum(1 << b for b, a in enumerate(basis) if add(x, a) == x) for x in elements}
+    assert all(code[add(x, y)] == code[x] | code[y] for x in elements for y in elements)
+
+    def encode(matrix):
+        return sum(code[x] << width * t for t, x in enumerate(matrix.entries))
+
+    candidates = all_matrices(n, semiring, elements)
+    codes = [encode(m) for m in candidates]
+    below = [  # per generator t = aE: the generators bE with b < a
+        [u for u, (q, b) in enumerate(keys) if q == p and b != a and add(a, b) == a]
+        for p, a in keys
     ]
+    offsets = {p: width * t for t, p in enumerate(iter_positions(n))}
     rules = [[] for _ in keys]  # per generator t: pairs (s, r, terms of op) decided at t
     for s, r in itertools.product(range(len(keys)), repeat=2) if op else ():
-        product = op(units[s], units[r])
-        terms = [index[p, product[p]] for p in iter_positions(n) if product[p] != scalars[0]]
+        product = encode(op(units[s], units[r]))
+        terms = [u for u, (p, a) in enumerate(keys) if product >> offsets[p] & code[a] == code[a]]
         rules[max(s, r, *terms)].append((s, r, terms))
+    left = cache(lambda c, r: encode(op(candidates[c], units[r])))
+    right = cache(lambda s, c: encode(op(units[s], candidates[c])))
 
+    def holds(images, s, r, terms):
+        """The rule on the pair (s, r); ``terms`` are the generators below op."""
+        lhs = reduce(operator.or_, (codes[images[u]] for u in terms), 0)
+        return lhs == left(images[s], r) | right(s, images[r])
+
+    # The pair of a generator with itself reads no other image, so it narrows
+    # that generator's candidates once, before the search.
+    domains = [
+        [
+            c for c in range(len(codes))
+            if all(holds({t: c}, *rule) for rule in rules[t] if {*rule[:2], *rule[2]} == {t})
+        ]
+        for t in range(len(keys))
+    ]
     found = []
 
     def extend(images):
         t = len(images)
         if t == len(keys):
-            found.append(tuple(images))
+            found.append(tuple(candidates[c] for c in images))
             return
-        for image in candidates:
-            images.append(image)
-            if all(images[x] + image == image for x in smaller[t]) and all(
-                sum((images[p] for p in terms), zero)
-                == op(images[s], units[r]) + op(units[s], images[r])
-                for s, r, terms in rules[t]
+        for c in domains[t]:
+            images.append(c)
+            if all(codes[images[u]] | codes[c] == codes[c] for u in below[t]) and all(
+                holds(images, *rule) for rule in rules[t]
             ):
                 extend(images)
             images.pop()
@@ -361,6 +404,22 @@ def test_jordan_rule_without_commutativity_admits_a_non_derivation():
     delta = (frozenset(), frozenset(), frozenset("pq"))  # the images of e, p, q
     assert delta in jordan_maps - derivations
     assert leibniz_check(additive(delta), mats[p], mats[q]) == Witness((1, 1), frozenset(), p)
+    # The generator search over the atoms finds the same maps.
+    images_of = lambda found: {tuple(m.entries[0] for m in images) for images in found}
+    assert images_of(derivations_by_search(1, POWER_SET, SUBSETS, jordan)) == jordan_maps
+    assert images_of(derivations_by_search(1, POWER_SET, SUBSETS)) == derivations
+
+
+LIFTED_DELTA = (  # row-major: (1, 1), (1, 2), (2, 2)
+    lambda x: frozenset("pq") if "q" in x else frozenset(),
+    lambda x: x | setwise(frozenset("p"), x),
+    lambda x: frozenset(),
+)
+
+
+def lifted_delta(a):
+    """The entrywise map of UT_2(S) with the entry maps ``LIFTED_DELTA``."""
+    return UTMatrix(2, POWER_SET, tuple(g(x) for g, x in zip(LIFTED_DELTA, a.entries)))
 
 
 def test_the_non_derivation_lifts_to_ut2():
@@ -369,17 +428,10 @@ def test_the_non_derivation_lifts_to_ut2():
     f(A∘B) = f(A)∘B ⊕ A∘f(B) are additive in A and in B, and every matrix is a
     union of generators λE_ij with λ an atom, so the 81 pairs of generators
     carry the rule to every pair.  Leibniz fails at (pE₁₁, qE₁₁), as on UT_1."""
-    p, pq = frozenset("p"), frozenset("pq")
-    entry_maps = (  # row-major: (1, 1), (1, 2), (2, 2)
-        lambda x: pq if "q" in x else frozenset(),
-        lambda x: x | setwise(p, x),
-        lambda x: frozenset(),
-    )
-    for g in entry_maps:
+    p = frozenset("p")
+    for g in LIFTED_DELTA:
         assert all(g(x | y) == g(x) | g(y) for x in SUBSETS for y in SUBSETS)
-
-    def f(a):
-        return UTMatrix(2, POWER_SET, tuple(g(x) for g, x in zip(entry_maps, a.entries)))
+    f = lifted_delta
 
     def unit(position, value):
         return UTMatrix.from_dict(2, POWER_SET, {position: value})
@@ -391,3 +443,25 @@ def test_the_non_derivation_lifts_to_ut2():
     assert leibniz_check(f, unit((1, 1), p), unit((1, 1), frozenset("q"))) == Witness(
         (1, 1), frozenset(), p
     )
+
+
+def test_jordan_maps_outnumber_derivations_on_ut2():
+    """Over S = P(T), 424 additive maps of UT_2(S) obey the Jordan rule and 346
+    are derivations, all among the 424.  The search draws each image of the
+    9 generators aE_ij (a an atom) from all 512 matrices; both rules are
+    bi-additive and S is free on its atoms, so its survivors are exactly the
+    maps obeying the rule.  Every survivor acts entrywise, and the lifted δ
+    is one of the 78 Jordan maps that are not derivations."""
+    keys, units = generators(2, POWER_SET, SUBSETS)
+    jordan_maps = set(derivations_by_search(2, POWER_SET, SUBSETS, jordan))
+    derivations = set(derivations_by_search(2, POWER_SET, SUBSETS))
+    assert (len(jordan_maps), len(derivations)) == (424, 346)
+    assert derivations < jordan_maps
+    assert all(
+        image[q] == POWER_SET.zero
+        for images in jordan_maps
+        for (p, _), image in zip(keys, images)
+        for q in iter_positions(2)
+        if q != p
+    )
+    assert tuple(map(lifted_delta, units)) in jordan_maps - derivations

@@ -2,6 +2,7 @@
 against real products, and the frozen small-dimension classifications."""
 
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from trideriv import (
     leibniz_check,
     linearity_check,
     matrix_bits,
+    parse_pattern,
     random_matrix,
     strip_diagonal,
     triangle_size,
@@ -55,7 +57,7 @@ def test_enumerate_matrices_capacity(monkeypatch):
     """Past the cap no matrix is built."""
     monkeypatch.setattr(oracle, "_boolean", refuse)
     with pytest.raises(CapacityError):
-        list(enumerate_matrices(6))
+        list(enumerate_matrices(7))
 
 
 # --- encoding lemmas: index arithmetic is exactly boolean matrix arithmetic ---------
@@ -137,7 +139,14 @@ def test_classify_dimension_three():
 
 @pytest.mark.parametrize(
     "n, counts",
-    [(1, (2, 2, 0)), (2, (5, 4, 1)), (3, (13, 8, 5)), (4, (34, 16, 18)), (5, (89, 32, 57))],
+    [
+        (1, (2, 2, 0)),
+        (2, (5, 4, 1)),
+        (3, (13, 8, 5)),
+        (4, (34, 16, 18)),
+        (5, (89, 32, 57)),
+        (6, (233, 64, 169)),
+    ],
 )
 def test_classified_patterns_equal_their_checked_rebuilds(n, counts):
     report = brute_force_classify(n)
@@ -161,7 +170,31 @@ def test_classify_capacity(monkeypatch):
     monkeypatch.setattr(oracle, "_cells", refuse)
     monkeypatch.setattr(oracle, "_sweep", refuse)
     with pytest.raises(CapacityError):
-        brute_force_classify(6)
+        brute_force_classify(7)
+
+
+def reference_classify(n):
+    """The per-pattern loop the walk replaced: every pattern, built from its
+    bits, through its first failing cell and the local characterization."""
+    positions = list(iter_positions(n))
+    derivations = []
+    for zeroed in range(1 << len(positions)):
+        pattern = ZeroPattern._trusted(
+            n=n, positions=frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1)
+        )
+        found = next(oracle._failing_cells(n, zeroed), None) is not None
+        oracle._confirm(found, pattern)
+        if not found:
+            derivations.append(pattern)
+    interval = sum(1 for p in derivations if p.interval_form() is not None)
+    return oracle.OracleReport(n, 1 << len(positions), tuple(derivations), interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_reports_what_the_per_pattern_loop_reports(n):
+    """Same patterns in the same order, same counts: pruning drops no
+    derivation and keeps no other pattern."""
+    assert brute_force_classify(n) == reference_classify(n)
 
 
 def test_classify_dimension_four():
@@ -281,7 +314,7 @@ def _sweeps_fail(n, zeroed, a, b):
     )
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_pair_verdicts_match_leibniz_check_on_seeded_triples(n):
     """Past n = 3 every pair is too many for real products: seeded (pattern,
     A, B) triples keep UTMatrix.__mul__ as the reference, half of them on
@@ -316,7 +349,7 @@ def test_classification_makes_no_matrix_product(monkeypatch):
     oracle._sweep.cache_clear()
     monkeypatch.setattr(UTMatrix, "__mul__", refuse_product)
     dims = range(1, oracle.EXHAUSTIVE_LIMIT + 1)
-    assert [brute_force_classify(n).derivation_count for n in dims] == [2, 5, 13, 34, 89]
+    assert [brute_force_classify(n).derivation_count for n in dims] == [2, 5, 13, 34, 89, 233]
 
 
 def test_each_sweep_is_computed_once_for_every_dimension(monkeypatch):
@@ -349,7 +382,7 @@ def test_exhaustive_witness_capacity(monkeypatch):
     monkeypatch.setattr(oracle, "_cells", refuse)
     monkeypatch.setattr(oracle, "_sweep", refuse)
     with pytest.raises(CapacityError):
-        exhaustive_leibniz_witness(MaskDerivation(6, frozenset()))
+        exhaustive_leibniz_witness(MaskDerivation(7, frozenset()))
 
 
 def test_exhaustive_witness_refuses_large_n_before_reading_the_pattern():
@@ -384,8 +417,10 @@ def test_exhaustive_witness_raises_when_is_derivation_accepts_a_witness(monkeypa
 
 
 def test_classify_raises_when_routes_disagree(monkeypatch, capsys):
-    real = ZeroPattern.is_derivation
-    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: not real(self))
+    """The walk and ``is_derivation`` share the local cell rule: with it
+    negated, both the oracle and an exhaustive verify report the disagreement."""
+    real = ZeroPattern._cell_obeys
+    monkeypatch.setattr(ZeroPattern, "_cell_obeys", staticmethod(lambda z, pairs: not real(z, pairs)))
     with pytest.raises(RuntimeError, match=r"no boolean witness for pattern '', but"):
         brute_force_classify(2)
     # The CLI reports the disagreement as one error line, exit 1, no traceback.
@@ -400,6 +435,31 @@ def test_classify_raises_when_routes_disagree(monkeypatch, capsys):
             "error: cell sweeps find no boolean witness for pattern '', "
             "but the local characterization disagrees\n"
         )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_walk_names_a_pattern_whose_routes_disagree(monkeypatch, n):
+    """With the cell rule negated only at zeroed width-2 cells, the walk
+    raises at the first such cell it judges, and the pattern it names (the
+    child with its later cells clear) shows the disagreement under the
+    per-pattern routes too: its sweeps against ``is_derivation`` through
+    ``_confirm``."""
+    real = ZeroPattern._cell_obeys
+
+    def negated(zeroed, pairs):
+        return real(zeroed, pairs) != (len(pairs) == 2 and zeroed >> pairs[0][1] & 1)
+
+    monkeypatch.setattr(ZeroPattern, "_cell_obeys", staticmethod(negated))
+    with pytest.raises(RuntimeError, match="local characterization disagrees") as walk:
+        brute_force_classify(n)
+    named = re.search(r"for pattern '(.*)', but", str(walk.value)).group(1)
+    pattern = parse_pattern(named, n)
+    zeroed = sum(1 << t for t in pattern._zeroed)
+    found = next(oracle._failing_cells(n, zeroed), None) is not None
+    with pytest.raises(RuntimeError) as per_pattern:
+        oracle._confirm(found, pattern)
+    assert str(per_pattern.value) == str(walk.value)
+    assert named == "1,2"  # the first zeroed width-2 cell the walk meets
 
 
 def test_format_report_lines():
