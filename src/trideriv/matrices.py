@@ -47,12 +47,6 @@ def _mul_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _cell_plan(n: int) -> tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]:
-    """``_mul_plan(n)`` with each cell's position: ``((i, j), pairs)``, row-major."""
-    return tuple(zip(iter_positions(n), _mul_plan(n)))
-
-
 class UTMatrix(_Frozen):
     """Immutable n x n upper-triangular matrix over ``semiring``.
 

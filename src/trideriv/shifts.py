@@ -15,7 +15,7 @@ shift x = 0 is the only compositionally idempotent one.
 from __future__ import annotations
 
 from .derivations import Witness
-from .matrices import MatrixMismatchError, UTMatrix, _cell_plan, ensure_compatible
+from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
 from .semirings import MAXPLUS, MINUS_INF, _Frozen
 
 
@@ -75,17 +75,18 @@ class HereditaryShift(_Frozen):
     def first_witness(self, a: UTMatrix, b: UTMatrix) -> Witness | None:
         """``leibniz_check(self, a, b) or linearity_check(self, a, b)`` in one pass.
 
-        A and B are lifted once.  Each cell of ``_cell_plan(n)`` reads a_ik and b_kj
-        once per k, folds AB, f(A)B and Af(B) together in ``UTMatrix.__mul__``'s
+        A and B are lifted once.  Each cell of ``_mul_plan(n)``, row-major, reads a_ik
+        and b_kj once per k, folds AB, f(A)B and Af(B) together in ``UTMatrix.__mul__``'s
         order and compares f(AB)'s cell with the sum's; then f(A + B) is compared
         with f(A) + f(B) cell by cell.  Every scalar call is one the two checks make,
-        on the same operand objects, so the first differing cell and its values are theirs.
+        on the same operand objects, so the first differing cell and its values are
+        theirs.  A cell's position is looked up only for the witness.
         """
         ensure_compatible(a, b)
-        fa, fb, plan = self(a).entries, self(b).entries, _cell_plan(a.n)
+        n, fa, fb = a.n, self(a).entries, self(b).entries
         add, mul, zero, x = MAXPLUS.add, MAXPLUS.mul, MAXPLUS.zero, self.shift.x
         a, b = a.entries, b.entries
-        for position, pairs in plan:
+        for t, pairs in enumerate(_mul_plan(n)):
             ab = left = right = zero
             for p, q in pairs:
                 u, v = a[p], b[q]
@@ -94,9 +95,9 @@ class HereditaryShift(_Frozen):
                 right = add(right, mul(u, fb[q]))
             lhs, rhs = mul(ab, x), add(left, right)
             if lhs != rhs:
-                return Witness(position, lhs, rhs)
-        for (position, _), u, v, fu, fv in zip(plan, a, b, fa, fb):
+                return Witness(list(iter_positions(n))[t], lhs, rhs)
+        for t, (u, v, fu, fv) in enumerate(zip(a, b, fa, fb)):
             lhs, rhs = mul(add(u, v), x), add(fu, fv)
             if lhs != rhs:
-                return Witness(position, lhs, rhs)
+                return Witness(list(iter_positions(n))[t], lhs, rhs)
         return None

@@ -760,7 +760,7 @@ def test_verify_hereditary_refuses_a_plan_past_its_cap(capsys, monkeypatch):
     def plan(n):
         raise PlanReached(n)
 
-    monkeypatch.setattr(shifts, "_cell_plan", plan)
+    monkeypatch.setattr(shifts, "_mul_plan", plan)
     limit = cli._HEREDITARY_LIMIT
     assert verify_work("hereditary", 1000, 1) <= VERIFY_WORK_LIMIT
     for n in (limit + 1, 1000):
