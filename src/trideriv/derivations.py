@@ -133,10 +133,10 @@ class ZeroPattern(_Frozen):
 
     def interval_form(self) -> MaskDerivation | None:
         """The MaskDerivation with the same action, if one exists: the one
-        zeroing this pattern's diagonal cells."""
-        diagonal = frozenset(i for i in range(1, self.n + 1) if (i, i) in self.positions)
-        mask = MaskDerivation._trusted(n=self.n, zero_set=diagonal)
-        return mask if mask.positions == self.positions else None
+        zeroing this pattern's diagonal cells, built only if :meth:`_is_interval`."""
+        diagonal = frozenset(i for i, j in self.positions if i == j)
+        interval = self._is_interval(self.n, sum(1 << t for t in self._zeroed))
+        return MaskDerivation._trusted(n=self.n, zero_set=diagonal) if interval else None
 
     def is_derivation(self) -> bool:
         """Local characterization of Leibniz for mask maps, the module's weight
@@ -151,6 +151,15 @@ class ZeroPattern(_Frozen):
         own = zeroed >> pairs[0][1] & 1  # (i, l) is the second of the k = i pair
         for p, q in pairs:
             if zeroed >> p & zeroed >> q & 1 != own:
+                return False
+        return True
+
+    @staticmethod
+    def _is_interval(n: int, zeroed: int) -> bool:
+        """Whether bitmask ``zeroed`` is its diagonal's mask (the interval rule, :mod:`.oracle`)."""
+        for width in range(n, 1, -1):  # row i: n - i + 1 cells, bit k for (i, i+k)
+            row, zeroed = zeroed & (1 << width) - 1, zeroed >> width
+            if row >> 1 != row & zeroed & (1 << width - 1) - 1:  # (i, l) by (i, l-1), (i+1, l)
                 return False
         return True
 

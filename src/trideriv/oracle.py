@@ -22,6 +22,8 @@ read at a cell only narrower cells and the cell itself, so
 :func:`brute_force_classify` sets one cell per level, narrowest first, and
 prunes a partial pattern with every completion at its first failing cell:
 its cost follows the F(2n+1) derivations, not the 2^(n(n+1)/2) patterns.
+Of these, 2^n mask their own diagonal D: each (i, l), l > i, is zeroed iff
+(i, l-1) and (i+1, l) are, as i..l lies in D iff i..l-1 and i+1..l do.
 
 The first failing pair in bitmask order (A outer) follows from the
 sweeps.  A failing A still fails once every bit outside one failing row
@@ -30,13 +32,13 @@ a cell's least failing row vector, placed in row i; the least B failing
 with it is, over the cells where its row vector fails, the least column
 vector failing with that row vector, placed in column l.
 
-Each fact has two routes, and a disagreement raises: the walk judges
-each cell by its sweep and by the local rule, and the witness search
+Each Leibniz verdict has two routes, and a disagreement raises: the walk
+judges each cell by its sweep and by the local rule, and the witness search
 compares its verdict with :meth:`ZeroPattern.is_derivation` and re-checks
-a found pair with :func:`leibniz_check` on real matrices.  The test suite
-re-checks the encoding lemmas, the walk against a per-pattern loop, and
-the sweeps against real products: the first failing pair of every pattern
-at n <= 3, and seeded (pattern, A, B) triples at n = 4, 5 and 6.
+a found pair with :func:`leibniz_check` on real matrices.  The interval count
+has one (:meth:`ZeroPattern._is_interval` on the walk's bitmasks), which the
+tests check against the set definition; they also check the lemmas, the walk
+against a per-pattern loop, and the sweeps against real products to n = 6.
 """
 
 from __future__ import annotations
@@ -218,9 +220,8 @@ def brute_force_classify(n: int) -> OracleReport:
                 if not found:
                     kept.append(child)
         frontier = kept
-    derivations = _patterns(n, sorted(frontier))
-    interval = sum(1 for p in derivations if p.interval_form() is not None)
-    return OracleReport(n, 1 << triangle_size(n), derivations, interval)
+    interval = sum(1 for zeroed in frontier if ZeroPattern._is_interval(n, zeroed))
+    return OracleReport(n, 1 << triangle_size(n), _patterns(n, sorted(frontier)), interval)
 
 
 def format_report(report: OracleReport) -> str:

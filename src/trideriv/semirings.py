@@ -307,10 +307,12 @@ def get_semiring(name: str) -> Semiring:
 # --- seeded trials and the executable axiom check -------------------------------
 
 def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]:
-    """``(t, rng)`` for t = 0 .. trials-1 with ``rng`` seeded by seed + t: every
-    seeded check draws from it, so a reported trial index replays on its own."""
+    """``(t, rng)`` for t < trials, ``rng`` seeded by seed + t: every seeded check draws
+    from it, so a trial index replays alone.  seed >= 0, as ``random.Random`` seeds by |seed|."""
     if not (_is_index(trials) and trials >= 1):
         raise ValueError("trials must be >= 1")
+    if not (_is_index(seed) and seed >= 0):
+        raise ValueError("seed must be >= 0")
     return ((t, random.Random(seed + t)) for t in range(trials))
 
 

@@ -871,9 +871,24 @@ def test_exhaustive_notes_that_it_ignores_trials_and_seed(capsys):
     argv = ["verify", "leibniz", "--n", "2", "--semiring", "boolean", "--exhaustive"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert run(capsys, *argv, "--seed", "5") == (
-        0, out, "note: --exhaustive ignores --trials and --seed\n"
-    )
+    for seed in ("5", "-2"):  # a seeded run refuses -2; the exhaustive one ignores it
+        assert run(capsys, *argv, "--seed", seed) == (
+            0, out, "note: --exhaustive ignores --trials and --seed\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--semiring", "fuzzy"],
+        ["verify", "leibniz", "--n", "3", "--trials", "5"],
+        ["verify", "theorem2", "--n", "3"],
+        ["verify", "decompose", "--n", "3"],
+        ["verify", "hereditary", "--n", "3"],
+    ],
+)
+def test_a_negative_seed_is_refused(capsys, argv):
+    assert run(capsys, *argv, "--seed", "-2") == (2, "", "error: seed must be >= 0\n")
 
 
 def test_a_trials_value_does_not_carry_into_the_next_call(capsys):
@@ -1040,6 +1055,9 @@ PINNED_RUNS = [
      ("apply --matrix m.utm --pattern 2,2;2,3;2,4;3,3;3,4;4,4",)),
     # At n = 1 a trial is one unit of work; the trials cap, not the work cap, stops this.
     ("verify hereditary --n 1 --trials 1000001", 2, ""),
+    # random.Random seeds by |seed|: from -2 these five trials would draw three pairs.
+    ("verify leibniz --n 3 --trials 5 --seed -2", 2, ""),
+    ("axioms --semiring maxplus --seed -1", 2, ""),
 ]
 
 

@@ -173,9 +173,18 @@ def test_classify_capacity(monkeypatch):
         brute_force_classify(7)
 
 
+def reference_interval_form(pattern):
+    """The set definition that ``ZeroPattern._is_interval`` replaced: the mask
+    of the pattern's diagonal cells, if it zeroes exactly the pattern's cells."""
+    diagonal = frozenset(i for i in range(1, pattern.n + 1) if (i, i) in pattern.positions)
+    mask = MaskDerivation._trusted(n=pattern.n, zero_set=diagonal)
+    return mask if mask.positions == pattern.positions else None
+
+
 def reference_classify(n):
     """The per-pattern loop the walk replaced: every pattern, built from its
-    bits, through its first failing cell and the local characterization."""
+    bits, through its first failing cell and the local characterization,
+    with interval forms counted by the set definition."""
     positions = list(iter_positions(n))
     derivations = []
     for zeroed in range(1 << len(positions)):
@@ -186,8 +195,26 @@ def reference_classify(n):
         oracle._confirm(found, pattern)
         if not found:
             derivations.append(pattern)
-    interval = sum(1 for p in derivations if p.interval_form() is not None)
+    interval = sum(1 for p in derivations if reference_interval_form(p) is not None)
     return oracle.OracleReport(n, 1 << len(positions), tuple(derivations), interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_interval_rule_matches_the_set_definition(n):
+    """On every pattern bitmask (32,768 at n = 5), the row rule of
+    ``_is_interval`` holds iff the set definition finds a mask, and
+    ``interval_form`` returns that mask; 2^n patterns have interval form."""
+    positions = list(iter_positions(n))
+    found = 0
+    for zeroed in range(1 << len(positions)):
+        pattern = ZeroPattern._trusted(
+            n=n, positions=frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1)
+        )
+        expected = reference_interval_form(pattern)
+        assert ZeroPattern._is_interval(n, zeroed) == (expected is not None), zeroed
+        assert pattern.interval_form() == expected, zeroed
+        found += expected is not None
+    assert found == 1 << n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -350,6 +377,20 @@ def test_classification_makes_no_matrix_product(monkeypatch):
     monkeypatch.setattr(UTMatrix, "__mul__", refuse_product)
     dims = range(1, oracle.EXHAUSTIVE_LIMIT + 1)
     assert [brute_force_classify(n).derivation_count for n in dims] == [2, 5, 13, 34, 89, 233]
+
+
+def test_classification_builds_no_mask(monkeypatch):
+    """The interval count reads the walk's bitmasks: with
+    ``MaskDerivation._trusted`` raising, every dimension up to the cap
+    still reports F(2n+1) derivation patterns, 2^n of them of interval form."""
+    def refuse_mask(cls, **fields):
+        raise AssertionError("MaskDerivation._trusted called")
+
+    monkeypatch.setattr(MaskDerivation, "_trusted", classmethod(refuse_mask))
+    dims = range(1, oracle.EXHAUSTIVE_LIMIT + 1)
+    reports = [brute_force_classify(n) for n in dims]
+    assert [r.derivation_count for r in reports] == [2, 5, 13, 34, 89, 233]
+    assert [r.interval_form_count for r in reports] == [1 << n for n in dims]
 
 
 def test_each_sweep_is_computed_once_for_every_dimension(monkeypatch):

@@ -363,6 +363,15 @@ def test_seeded_trials_rejects_fewer_than_one(trials):
         seeded_trials(trials, seed=5)
 
 
+@pytest.mark.parametrize("seed", [-1, -2, True, 2.5, None])
+def test_seeded_trials_rejects_a_negative_or_non_int_seed(seed):
+    """``random.Random`` seeds an int from its absolute value, so a negative
+    seed would repeat trials: from -2, trials 0..4 would draw seeds 2, 1, 0, 1, 2."""
+    assert random.Random(-2).getstate() == random.Random(2).getstate()
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        seeded_trials(5, seed)
+
+
 # The randrange and randint expressions whose streams the samplers must reproduce.
 REPLACED_SAMPLERS = {
     "boolean": lambda rng: rng.randrange(2),
@@ -384,7 +393,7 @@ def test_samplers_draw_the_randrange_stream(semiring):
         assert rng.getstate() == twin.getstate(), seed
 
 
-@pytest.mark.parametrize("seed", [0, 17, -4])
+@pytest.mark.parametrize("seed", [0, 17, 1 << 64])
 def test_seeded_trials_stream(seed):
     trials = list(seeded_trials(4, seed))
     assert [t for t, _ in trials] == [0, 1, 2, 3]
