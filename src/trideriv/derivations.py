@@ -357,16 +357,23 @@ def _leibniz_groups(zeroing: list[int], n: int, count: int) -> list[list[tuple]]
 
 
 def _masked_fold(
-    carrier: Semiring, pairs: tuple, a: tuple, b: tuple, a_key: int, b_key: int
+    carrier: Semiring, pairs: tuple, a: tuple, b: tuple, key: int, masks_a: bool
 ) -> object:
-    """One cell of f(A)B (``a_key`` the row key, ``b_key`` 0) or of Af(B) (0 and
-    the column key): the fold of ``UTMatrix.__mul__`` over ``pairs``, in its
-    order, reading operand k of ``a`` (``b``) as ``carrier.zero``, the object
-    f writes, where bit k of ``a_key`` (``b_key``) is set."""
+    """One cell of f(A)B (``key`` the row key, ``masks_a`` true) or of Af(B)
+    (the column key, ``masks_a`` false): the fold of ``UTMatrix.__mul__``
+    over ``pairs``, in its order, reading operand k of ``a`` (of ``b``) as
+    ``carrier.zero``, the object f writes, where bit k of ``key`` is set.
+    One key masks one side; the other side's operands are read as they are."""
     add, mul, zero = carrier.add, carrier.mul, carrier.zero
     acc = zero
-    for k, (p, q) in enumerate(pairs):
-        acc = add(acc, mul(zero if a_key >> k & 1 else a[p], zero if b_key >> k & 1 else b[q]))
+    if masks_a:
+        for p, q in pairs:
+            acc = add(acc, mul(zero if key & 1 else a[p], b[q]))
+            key >>= 1
+    else:
+        for p, q in pairs:
+            acc = add(acc, mul(a[p], zero if key & 1 else b[q]))
+            key >>= 1
     return acc
 
 
@@ -389,10 +396,12 @@ def first_failures(maps, n, semiring, trials, seed):
     verdict per group with a member still live; a differing group fails
     all its live members at that cell, which is the first difference the
     full matrices would show.  The folds are memoised per cell and side by
-    the side's key, the empty key holding AB's own cell; a miss folds the
-    cell straight from A's and B's entries, with the operands the key names
-    read as zero (:func:`_masked_fold`), so no map is applied and f(A) and
-    f(B) are never built.  Linearity needs two facts per trial: the cells
+    the side's key, the empty key holding AB's own cell.  A miss is a
+    ``dict.get`` that returns a private sentinel (no exception is raised
+    per miss); it folds the cell straight from A's and B's entries, with
+    the operands of that one side its key names read as zero
+    (:func:`_masked_fold`), so no map is applied and f(A) and f(B) are
+    never built.  Linearity needs two facts per trial: the cells
     where A + B differs from add(a, b), which fail the maps keeping them,
     and whether add(zero, zero) differs from zero, which fails the maps
     zeroing them.  Every value is computed by the same carrier calls on the
@@ -409,6 +418,7 @@ def first_failures(maps, n, semiring, trials, seed):
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     failures = [None] * len(maps)
+    missing = object()  # no carrier value is this object
     unfailed = (1 << len(maps)) - 1
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
@@ -434,14 +444,12 @@ def first_failures(maps, n, semiring, trials, seed):
                 hit = members & live
                 if not hit:
                     continue
-                try:
-                    x = left[row_key]
-                except KeyError:
-                    x = left[row_key] = _masked_fold(carrier, pairs, a_cells, b_cells, row_key, 0)
-                try:
-                    y = right[col_key]
-                except KeyError:
-                    y = right[col_key] = _masked_fold(carrier, pairs, a_cells, b_cells, 0, col_key)
+                x = left.get(row_key, missing)
+                if x is missing:
+                    x = left[row_key] = _masked_fold(carrier, pairs, a_cells, b_cells, row_key, True)
+                y = right.get(col_key, missing)
+                if y is missing:
+                    y = right[col_key] = _masked_fold(carrier, pairs, a_cells, b_cells, col_key, False)
                 lhs, rhs = zero if own else ab_cell, add(x, y)
                 if lhs != rhs:
                     live ^= hit

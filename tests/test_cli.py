@@ -482,9 +482,17 @@ def runner_maps(n):
     return maps + maps[::7]
 
 
-# The laws fail on these: N's add is not idempotent, and over DRIFTING_ZERO
-# the mask derivations fail linearity.
-LAW_BREAKERS = {"naturals": NATURALS, "drifting-zero": DRIFTING_ZERO}
+# The laws fail on these: N's add is not idempotent, over DRIFTING_ZERO the
+# mask derivations fail linearity, and max-plus with its zero moved to 0, its
+# one, has mul(zero, x) == x.  Where zero absorbs mul, as on every shipped
+# carrier, a key folds equal values on the f(A)B and Af(B) sides, so only the
+# last shows a fold that masks the wrong side or a miss kept in the other
+# side's memo.
+LAW_BREAKERS = {
+    "naturals": NATURALS,
+    "drifting-zero": DRIFTING_ZERO,
+    "zero-absorbs-nothing": get_semiring("maxplus")._replace(zero=0),
+}
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -2,6 +2,7 @@
 and the rewriting into delta/d terms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,8 @@ from trideriv import (
     theorem2_predicate,
     triangle_size,
 )
-from trideriv.derivations import _zeroing, first_difference, first_failures
+from trideriv.derivations import _masked_fold, _zeroing, first_difference, first_failures
+from trideriv.matrices import _mul_plan
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -460,6 +462,30 @@ def test_trial_runner_zeroing_from_diagonal_bitsets(n):
 def test_trial_runner_checks_each_masks_dimension():
     with pytest.raises(MatrixMismatchError, match="^dimension mismatch: 2 vs 3$"):
         first_failures([delta_k(3, 1), MaskDerivation(2, {1})], 3, MAXPLUS, 1, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_masked_fold_is_the_product_cell_with_keyed_operands_zeroed(n):
+    # mul is not commutative and its zero absorbs nothing, and add is neither
+    # idempotent nor commutative, so a swapped side, order or operand changes
+    # the value.
+    carrier = MAXPLUS._replace(
+        zero=Fraction(1, 2), add=lambda u, v: u + 3 * v, mul=lambda u, v: 2 * u + v
+    )
+    size = triangle_size(n)
+    a, b = tuple(range(1, size + 1)), tuple(range(size + 1, 2 * size + 1))
+    for cell, pairs in enumerate(_mul_plan(n)):
+        for key in range(1 << len(pairs)):
+            for masks_a in (True, False):
+                dead = {p if masks_a else q for k, (p, q) in enumerate(pairs) if key >> k & 1}
+                a_read = tuple(carrier.zero if masks_a and t in dead else x for t, x in enumerate(a))
+                b_read = tuple(
+                    carrier.zero if not masks_a and t in dead else x for t, x in enumerate(b)
+                )
+                product = UTMatrix(n, carrier, a_read) * UTMatrix(n, carrier, b_read)
+                want = product.entries[cell]
+                got = _masked_fold(carrier, pairs, a, b, key, masks_a)
+                assert (got, type(got)) == (want, type(want)), (cell, key, masks_a)
 
 
 # --- enumeration ---------------------------------------------------------------------
