@@ -33,11 +33,11 @@ with it is, over the cells where its row vector fails, the least column
 vector failing with that row vector, placed in column l.
 
 Each Leibniz verdict has two routes, and a disagreement raises: the walk
-judges each cell by its sweep and by the local rule, and the witness search
-compares its verdict with :meth:`ZeroPattern.is_derivation` and re-checks
-a found pair with :func:`leibniz_check` on real matrices.  The interval count
-has one (:meth:`ZeroPattern._is_interval` on the walk's bitmasks), which the
-tests check against the set definition; they also check the lemmas, the walk
+and the witness search read each cell through :func:`_cell_fails`, which
+checks its sweep against the local rule on every call, memo hit or miss,
+and the witness search re-checks its pair with :func:`leibniz_check`.  The
+interval count has one (:meth:`ZeroPattern._is_interval`), which the tests
+check against the set definition; they also check the lemmas, the walk
 against a per-pattern loop, and the sweeps against real products to n = 6.
 """
 
@@ -47,7 +47,14 @@ import functools
 from collections.abc import Iterator
 
 from .derivations import Witness, ZeroPattern, _check_mask_map, format_pattern, leibniz_check
-from .matrices import UTMatrix, _mul_plan, ensure_positive_dimension, iter_positions, triangle_size
+from .matrices import (
+    MatrixMismatchError,
+    UTMatrix,
+    _mul_plan,
+    ensure_positive_dimension,
+    iter_positions,
+    triangle_size,
+)
 from .semirings import BOOLEAN, _Frozen
 
 EXHAUSTIVE_LIMIT = 6
@@ -78,13 +85,14 @@ def _patterns(n: int, indices: list[int]) -> tuple[ZeroPattern, ...]:
 
 def enumerate_matrices(n: int) -> Iterator[UTMatrix]:
     """Every boolean upper-triangular matrix exactly once, in bitmask order."""
-    _check_exhaustive(n)
-    for bits in range(1 << triangle_size(n)):
-        yield _boolean(n, bits)
+    _check_exhaustive(n)  # at the call, not at the first next()
+    return (_boolean(n, bits) for bits in range(1 << triangle_size(n)))
 
 
 def matrix_bits(matrix: UTMatrix) -> int:
     """The bitmask index of a boolean matrix in the enumeration order."""
+    if matrix.semiring is not BOOLEAN:
+        raise MatrixMismatchError(f"semiring mismatch: {matrix.semiring.name} vs {BOOLEAN.name}")
     return sum(1 << t for t, v in enumerate(matrix.entries) if v)
 
 
@@ -120,24 +128,6 @@ def _sweep(length: int, row_key: int, col_key: int) -> dict[int, tuple[int, ...]
     return fails
 
 
-def _cell_fails(cell: tuple[tuple, int, dict], zeroed: int) -> dict[int, tuple[int, ...]]:
-    """The memoised sweep of one ``_cells`` entry under the pattern ``zeroed``."""
-    pairs, mask, known = cell
-    if (fails := known.get(zeroed & mask)) is None:
-        row_key = sum((zeroed >> p & 1) << k for k, (p, _) in enumerate(pairs))
-        col_key = sum((zeroed >> q & 1) << k for k, (_, q) in enumerate(pairs))
-        fails = known[zeroed & mask] = _sweep(len(pairs), row_key, col_key)
-    return fails
-
-
-def _failing_cells(n: int, zeroed: int) -> Iterator[tuple[tuple, dict]]:
-    """Each cell, narrowest first, where the pattern zeroing the bitmask
-    ``zeroed`` breaks Leibniz: its ``_mul_plan`` pairs and its sweep."""
-    for cell in _cells(n):
-        if fails := _cell_fails(cell, zeroed):
-            yield cell[0], fails
-
-
 def _disagreement(found: bool, pattern: ZeroPattern) -> RuntimeError:
     """The error of a sweep verdict that the local characterization contradicts."""
     return RuntimeError(
@@ -146,23 +136,30 @@ def _disagreement(found: bool, pattern: ZeroPattern) -> RuntimeError:
     )
 
 
-def _confirm(found: bool, pattern: ZeroPattern) -> None:
-    """Raise RuntimeError unless the local characterization agrees with the sweeps."""
-    if found == pattern.is_derivation():
-        raise _disagreement(found, pattern)
+def _cell_fails(n: int, cell: tuple[tuple, int, dict], zeroed: int) -> dict[int, tuple[int, ...]]:
+    """The memoised sweep of one ``_cells(n)`` entry under the pattern bitmask
+    ``zeroed``, returned on every call, hit or miss, only if the local rule
+    :meth:`ZeroPattern._cell_obeys` agrees; else RuntimeError names ``zeroed``."""
+    pairs, mask, known = cell
+    if (fails := known.get(zeroed & mask)) is None:
+        row_key = sum((zeroed >> p & 1) << k for k, (p, _) in enumerate(pairs))
+        col_key = sum((zeroed >> q & 1) << k for k, (_, q) in enumerate(pairs))
+        fails = known[zeroed & mask] = _sweep(len(pairs), row_key, col_key)
+    if bool(fails) == ZeroPattern._cell_obeys(zeroed, pairs):
+        raise _disagreement(bool(fails), _patterns(n, [zeroed])[0])
+    return fails
 
 
 def exhaustive_leibniz_witness(f: ZeroPattern) -> tuple[UTMatrix, UTMatrix, Witness] | None:
     """First (A, B, witness) in bitmask order violating the Leibniz rule over
     all boolean pairs at the map's dimension; only mask maps are accepted.
-    The verdict is compared with :meth:`ZeroPattern.is_derivation` and the
-    pair is re-checked with :func:`leibniz_check`; a disagreement raises
-    RuntimeError."""
+    Every cell's sweep is read through :func:`_cell_fails`, which confirms
+    it by the local rule, and the pair is re-checked with
+    :func:`leibniz_check`; a disagreement raises RuntimeError."""
     _check_mask_map(f, "exhaustive search")  # before f.n
     _check_exhaustive(f.n)  # before f's cells or offsets
     zeroed = sum(1 << t for t in f._zeroed)  # distinct offsets
-    cells = list(_failing_cells(f.n, zeroed))
-    _confirm(bool(cells), f)
+    cells = [(cell[0], fails) for cell in _cells(f.n) if (fails := _cell_fails(f.n, cell, zeroed))]
     if not cells:
         return None
     a_bits = min(min(fails) << pairs[0][0] for pairs, fails in cells)  # row i starts at (i, i)
@@ -202,24 +199,18 @@ class OracleReport(_Frozen):
 def brute_force_classify(n: int) -> OracleReport:
     """Every zero pattern at dimension n, by a pruned walk over the cells,
     narrowest first: both children of each frontier mask (the cell's bit
-    clear first) are judged at the cell by its sweep and by
-    :meth:`ZeroPattern._cell_obeys`, pruned if both fail and kept if both
-    pass; a disagreement (there should be none) raises RuntimeError naming
-    the child with its later cells clear.  Both routes read only cells set
-    by then, so the sorted final frontier is the derivation set."""
+    clear first) are judged at the cell by :func:`_cell_fails`, and kept
+    iff the cell has no failing pair; a disagreement of its two routes
+    names the child with its later cells clear.  Both routes read only
+    cells set by then, so the sorted final frontier is the derivation set."""
     _check_exhaustive(n)
-    obeys, frontier = ZeroPattern._cell_obeys, [0]
+    frontier = [0]
     for cell in _cells(n):
-        pairs = cell[0]
-        bit, kept = 1 << pairs[0][1], []  # (i, l) is the second of the k = i pair
-        for zeroed in frontier:
-            for child in (zeroed, zeroed | bit):
-                found = bool(_cell_fails(cell, child))
-                if found == obeys(child, pairs):
-                    raise _disagreement(found, _patterns(n, [child])[0])
-                if not found:
-                    kept.append(child)
-        frontier = kept
+        bit = 1 << cell[0][0][1]  # (i, l) is the second of the k = i pair
+        frontier = [
+            child for zeroed in frontier for child in (zeroed, zeroed | bit)
+            if not _cell_fails(n, cell, child)
+        ]
     interval = sum(1 for zeroed in frontier if ZeroPattern._is_interval(n, zeroed))
     return OracleReport(n, 1 << triangle_size(n), _patterns(n, sorted(frontier)), interval)
 

@@ -14,6 +14,7 @@ from trideriv import (
     MINPLUS,
     CapacityError,
     MaskDerivation,
+    MatrixMismatchError,
     ShiftDerivation,
     UTMatrix,
     ZeroPattern,
@@ -23,6 +24,7 @@ from trideriv import (
     enumerate_family_derivations,
     enumerate_matrices,
     exhaustive_leibniz_witness,
+    format_pattern,
     format_report,
     iter_positions,
     leibniz_check,
@@ -58,6 +60,24 @@ def test_enumerate_matrices_capacity(monkeypatch):
     monkeypatch.setattr(oracle, "_boolean", refuse)
     with pytest.raises(CapacityError):
         list(enumerate_matrices(7))
+
+
+@pytest.mark.parametrize("n,error", [(7, CapacityError), (True, ValueError)])
+def test_enumerate_matrices_refuses_at_the_call(monkeypatch, n, error):
+    """The refusal comes from the call itself, before any ``next()``."""
+    monkeypatch.setattr(oracle, "_boolean", refuse)
+    with pytest.raises(error):
+        enumerate_matrices(n)
+
+
+@pytest.mark.parametrize("semiring", [FUZZY, MAXPLUS, MINPLUS], ids=lambda s: s.name)
+def test_matrix_bits_refuses_other_carriers(semiring):
+    """Only boolean entries are bits: elsewhere an entry's truth is not its
+    bit (max-plus zero, -inf, is truthy), so ``matrix_bits`` refuses the
+    carrier in ``ensure_compatible``'s wording."""
+    matrix = UTMatrix(2, semiring, (semiring.zero, semiring.one, semiring.zero))
+    with pytest.raises(MatrixMismatchError, match=f"^semiring mismatch: {semiring.name} vs boolean$"):
+        matrix_bits(matrix)
 
 
 # --- encoding lemmas: index arithmetic is exactly boolean matrix arithmetic ---------
@@ -183,16 +203,16 @@ def reference_interval_form(pattern):
 
 def reference_classify(n):
     """The per-pattern loop the walk replaced: every pattern, built from its
-    bits, through its first failing cell and the local characterization,
-    with interval forms counted by the set definition."""
+    bits, through its first failing cell, checked against
+    ``is_derivation``, with interval forms counted by the set definition."""
     positions = list(iter_positions(n))
     derivations = []
     for zeroed in range(1 << len(positions)):
         pattern = ZeroPattern._trusted(
             n=n, positions=frozenset(p for t, p in enumerate(positions) if zeroed >> t & 1)
         )
-        found = next(oracle._failing_cells(n, zeroed), None) is not None
-        oracle._confirm(found, pattern)
+        found = any(oracle._cell_fails(n, cell, zeroed) for cell in oracle._cells(n))
+        assert found != pattern.is_derivation(), zeroed
         if not found:
             derivations.append(pattern)
     interval = sum(1 for p in derivations if reference_interval_form(p) is not None)
@@ -336,8 +356,9 @@ def _sweeps_fail(n, zeroed, a, b):
     A's row vector and B's column vector there."""
     return any(
         sum((b >> q & 1) << k for k, (_, q) in enumerate(pairs))
-        in fails.get(a >> pairs[0][0] & (1 << len(pairs)) - 1, ())
-        for pairs, fails in oracle._failing_cells(n, zeroed)
+        in oracle._cell_fails(n, cell, zeroed).get(a >> pairs[0][0] & (1 << len(pairs)) - 1, ())
+        for cell in oracle._cells(n)
+        for pairs in [cell[0]]
     )
 
 
@@ -446,13 +467,13 @@ def test_exhaustive_witness_raises_when_routes_disagree(monkeypatch):
     with pytest.raises(RuntimeError):
         exhaustive_leibniz_witness(bad)
     monkeypatch.undo()
-    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: False)
+    monkeypatch.setattr(ZeroPattern, "_cell_obeys", staticmethod(lambda zeroed, pairs: False))
     with pytest.raises(RuntimeError):
         exhaustive_leibniz_witness(MaskDerivation(3, {2}))
 
 
 def test_exhaustive_witness_raises_when_is_derivation_accepts_a_witness(monkeypatch):
-    monkeypatch.setattr(ZeroPattern, "is_derivation", lambda self: True)
+    monkeypatch.setattr(ZeroPattern, "_cell_obeys", staticmethod(lambda zeroed, pairs: True))
     with pytest.raises(RuntimeError, match="local characterization disagrees"):
         exhaustive_leibniz_witness(delta_k(3, 1).compose(d_m(3, 1)))
 
@@ -482,9 +503,8 @@ def test_classify_raises_when_routes_disagree(monkeypatch, capsys):
 def test_walk_names_a_pattern_whose_routes_disagree(monkeypatch, n):
     """With the cell rule negated only at zeroed width-2 cells, the walk
     raises at the first such cell it judges, and the pattern it names (the
-    child with its later cells clear) shows the disagreement under the
-    per-pattern routes too: its sweeps against ``is_derivation`` through
-    ``_confirm``."""
+    child with its later cells clear) makes the witness search raise the
+    same message."""
     real = ZeroPattern._cell_obeys
 
     def negated(zeroed, pairs):
@@ -494,13 +514,50 @@ def test_walk_names_a_pattern_whose_routes_disagree(monkeypatch, n):
     with pytest.raises(RuntimeError, match="local characterization disagrees") as walk:
         brute_force_classify(n)
     named = re.search(r"for pattern '(.*)', but", str(walk.value)).group(1)
-    pattern = parse_pattern(named, n)
-    zeroed = sum(1 << t for t in pattern._zeroed)
-    found = next(oracle._failing_cells(n, zeroed), None) is not None
-    with pytest.raises(RuntimeError) as per_pattern:
-        oracle._confirm(found, pattern)
-    assert str(per_pattern.value) == str(walk.value)
+    with pytest.raises(RuntimeError) as witness:
+        exhaustive_leibniz_witness(parse_pattern(named, n))
+    assert str(witness.value) == str(walk.value)
     assert named == "1,2"  # the first zeroed width-2 cell the walk meets
+
+
+def test_confirmation_runs_on_every_call_not_only_on_a_memo_miss(monkeypatch, capsys):
+    """With the memos warm for every n up to the cap, a negated cell rule
+    still makes each entry point report the disagreement, and no memo
+    grows: every judged sweep was a memo hit, and each was confirmed."""
+    dims = range(1, oracle.EXHAUSTIVE_LIMIT + 1)
+    # per n, a derivation and (past n = 1) a pattern failing at the cell (1, n)
+    maps = {n: [ZeroPattern(n, frozenset()), ZeroPattern(n, frozenset({(1, n)}))] for n in dims}
+    for n in dims:
+        brute_force_classify(n)
+        for f in maps[n]:
+            assert (exhaustive_leibniz_witness(f) is None) == f.is_derivation()
+    warm = [len(cell[2]) for n in dims for cell in oracle._cells(n)]
+    real = ZeroPattern._cell_obeys
+    monkeypatch.setattr(ZeroPattern, "_cell_obeys", staticmethod(lambda z, pairs: not real(z, pairs)))
+
+    def message(name):
+        return (
+            f"cell sweeps find no boolean witness for pattern {name!r}, "
+            "but the local characterization disagrees"
+        )
+
+    for n in dims:
+        with pytest.raises(RuntimeError) as walk:
+            brute_force_classify(n)
+        assert str(walk.value) == message("")
+        for f in maps[n]:
+            with pytest.raises(RuntimeError) as witness:
+                exhaustive_leibniz_witness(f)
+            assert str(witness.value) == message(format_pattern(f))
+        for argv in (
+            ["oracle", "--n", str(n)],
+            ["verify", "leibniz", "--n", str(n), "--semiring", "boolean", "--exhaustive"],
+        ):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {message('')}\n"
+    assert [len(cell[2]) for n in dims for cell in oracle._cells(n)] == warm
 
 
 def test_format_report_lines():
