@@ -326,63 +326,63 @@ def _members(bits: int) -> Iterator[int]:
         index = digits.find("1", index + 1)
 
 
-def _split(members: int, bitsets: list[int]) -> list[tuple[int, int]]:
-    """Cut ``members`` by each of ``bitsets`` in turn: the nonempty parts, each
-    with a key whose bit k says that the part lies in ``bitsets[k]``."""
-    parts = [(0, members)]
-    for k, bitset in enumerate(bitsets):
-        parts = [
-            (key | bit, cut)
-            for key, part in parts
-            for bit, cut in ((0, part & ~bitset), (1 << k, part & bitset))
-            if cut
+def _fold_programs(zeroing: list[int], n: int, count: int) -> list[tuple[tuple, tuple]]:
+    """Per cell (i, j), row-major: the ``count`` maps' folds as one program,
+    (steps, groups).
+
+    Step s is ``(parent, x, y)`` and makes ``vals[s + 1] = add(vals[parent],
+    mul(ops[x], ops[y]))``, with ``ops = a + b + (zero,)`` and ``vals[0] =
+    zero``.  The first L steps are the spine, AB's own fold in
+    ``UTMatrix.__mul__``'s order, so ``vals[L]`` is AB's cell.  The row
+    trie cuts the maps by whether they zero (i, k), for k = i..j in turn:
+    each nonempty part is a node that folds pair k onto its parent part's
+    value, reading a's operand as ``zero`` where the part zeroes (i, k), and
+    a part that has zeroed nothing yet is the spine node.  The column trie
+    cuts by (k, j) and reads b's operand as ``zero``.  A group ``(left,
+    right, own, members)`` is a nonempty intersection of a row leaf and a
+    column leaf: the nodes of its f(A)B and Af(B) cells, and whether its
+    members zero (i, j).  Groups come in no particular order.
+    """
+    size, everyone = triangle_size(n), (1 << count) - 1
+    programs = []
+    for pairs in _mul_plan(n):
+        steps = [(k, p, size + q) for k, (p, q) in enumerate(pairs)]
+        leaves = []
+        for side in (0, 1):  # the row trie, then the column trie
+            parts = [(0, everyone)]  # (node, members)
+            for k, (p, q) in enumerate(pairs):
+                cut = zeroing[(p, q)[side]]
+                masked = (2 * size, size + q) if side == 0 else (p, 2 * size)
+                grown = []
+                for node, part in parts:
+                    kept, zeroed = part & ~cut, part & cut
+                    if kept and node == k:  # nothing zeroed yet: the spine
+                        grown.append((k + 1, kept))
+                    elif kept:
+                        steps.append((node, p, size + q))
+                        grown.append((len(steps), kept))
+                    if zeroed:
+                        steps.append((node, *masked))
+                        grown.append((len(steps), zeroed))
+                parts = grown
+            leaves.append(parts)
+        own = zeroing[pairs[0][1]]  # (i, j) is the second of the k = i pair
+        groups = [
+            (left, right, members & own != 0, members)
+            for left, row_part in leaves[0]
+            for right, col_part in leaves[1]
+            if (members := row_part & col_part)
         ]
-    return parts
-
-
-def _leibniz_groups(zeroing: list[int], n: int, count: int) -> list[list[tuple]]:
-    """Per cell (i, j), row-major: the ``count`` maps grouped by which cells of
-    the row segment (i, i..j) and the column segment (i..j, j) they zero (key
-    bit k - i for (i, k) or (k, j)), as (row key, column key, whether (i, j)
-    is zeroed, members as a bitset).  A group's verdict depends on its keys
-    alone, so the groups of a cell come in no particular order."""
-    return [
-        [
-            (row_key, col_key, row_key >> (len(pairs) - 1) & 1, members)
-            for row_key, part in _split((1 << count) - 1, [zeroing[p] for p, _ in pairs])
-            for col_key, members in _split(part, [zeroing[q] for _, q in pairs])
-        ]
-        for pairs in _mul_plan(n)
-    ]
-
-
-def _masked_fold(
-    carrier: Semiring, pairs: tuple, a: tuple, b: tuple, key: int, masks_a: bool
-) -> object:
-    """One cell of f(A)B (``key`` the row key, ``masks_a`` true) or of Af(B)
-    (the column key, ``masks_a`` false): the fold of ``UTMatrix.__mul__``
-    over ``pairs``, in its order, reading operand k of ``a`` (of ``b``) as
-    ``carrier.zero``, the object f writes, where bit k of ``key`` is set.
-    One key masks one side; the other side's operands are read as they are."""
-    add, mul, zero = carrier.add, carrier.mul, carrier.zero
-    acc = zero
-    if masks_a:
-        for p, q in pairs:
-            acc = add(acc, mul(zero if key & 1 else a[p], b[q]))
-            key >>= 1
-    else:
-        for p, q in pairs:
-            acc = add(acc, mul(a[p], zero if key & 1 else b[q]))
-            key >>= 1
-    return acc
+        programs.append((tuple(steps), tuple(groups)))
+    return programs
 
 
 def first_failures(maps, n, semiring, trials, seed):
     """Each map's first failing (trial, check-name, witness), else None.
 
     Trial t draws (A, B) from :func:`seeded_trials` once for all mask
-    maps (any other map raises TypeError), so AB and A + B are computed
-    once per trial; each map still unfailed is checked for Leibniz, then
+    maps (any other map raises TypeError), so A + B is computed once per
+    trial; each map still unfailed is checked for Leibniz, then
     linearity.  Stops early once every map has failed.
 
     Each cell holds the bitset of the maps that zero it (:func:`_zeroing`).
@@ -390,35 +390,35 @@ def first_failures(maps, n, semiring, trials, seed):
     the cells it zeroes in the row segment (i, i..j) and the column segment
     (i..j, j): f(AB)'s cell is zero or AB's by (i, j) itself, f(A)B's cell
     is the fold over the row segment and Af(B)'s over the column segment.
-    So the maps are grouped once per call, cell by cell, by cutting the
-    set of all maps with those cells' bitsets (:func:`_leibniz_groups`),
-    and each trial walks the cells in row-major order computing one
-    verdict per group with a member still live; a differing group fails
-    all its live members at that cell, which is the first difference the
-    full matrices would show.  The folds are memoised per cell and side by
-    the side's key, the empty key holding AB's own cell.  A miss is a
-    ``dict.get`` that returns a private sentinel (no exception is raised
-    per miss); it folds the cell straight from A's and B's entries, with
-    the operands of that one side its key names read as zero
-    (:func:`_masked_fold`), so no map is applied and f(A) and f(B) are
-    never built.  Linearity needs two facts per trial: the cells
-    where A + B differs from add(a, b), which fail the maps keeping them,
-    and whether add(zero, zero) differs from zero, which fails the maps
-    zeroing them.  Every value is computed by the same carrier calls on the
-    same operand objects as f(AB), f(A)B + Af(B), f(A + B) and f(A) + f(B)
-    would be, so every verdict and witness equals theirs, with no semiring
-    axiom assumed.
+    Maps that zero the same first cells of a segment share that prefix of
+    its fold.  So each cell gets one program per call
+    (:func:`_fold_programs`): AB's fold, then a trie of the f(A)B prefixes
+    and one of the Af(B) prefixes, each prefix one step on its parent's
+    value, and the groups of maps with the same pair of leaves.  Each
+    trial makes one operand tuple, walks the cells in row-major order,
+    runs a cell's steps into one list of values and computes one verdict
+    per group with a member still live; a differing group fails all its
+    live members at that cell, which is the first difference the full
+    matrices would show.  No map is applied, and f(A), f(B) and AB are
+    never built.  The programs are not rebuilt as maps fail, so a trial
+    still folds the prefixes only failed maps share; that is exact as
+    long as the carrier's functions are pure.  Linearity needs two facts
+    per trial: the cells where A + B differs from add(a, b), which fail
+    the maps keeping them, and whether add(zero, zero) differs from
+    zero, which fails the maps zeroing them.  Every compared value is
+    computed by the same carrier calls on the same operand objects as
+    f(AB), f(A)B + Af(B), f(A + B) and f(A) + f(B) would be, so every
+    verdict and witness equals theirs, with no semiring axiom assumed.
 
     Over a max/min carrier each trial runs on int keys of its drawn
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
     are mapped back to the drawn ones.
     """
     zeroing = _zeroing(maps, n)
-    groups = _leibniz_groups(zeroing, n, len(maps))
+    programs = _fold_programs(zeroing, n, len(maps))
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     failures = [None] * len(maps)
-    missing = object()  # no carrier value is this object
     unfailed = (1 << len(maps)) - 1
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
@@ -427,8 +427,8 @@ def first_failures(maps, n, semiring, trials, seed):
         carrier, entries, values = _ranked(semiring, a.entries + b.entries)
         a_cells, b_cells = entries[:size], entries[size:]
         a, b = UTMatrix._trusted(n, carrier, a_cells), UTMatrix._trusted(n, carrier, b_cells)
-        add, zero = carrier.add, carrier.zero
-        ab, a_plus_b = a * b, a + b
+        add, mul, zero = carrier.add, carrier.mul, carrier.zero
+        ops = entries + (zero,)
 
         def fail(hit: int, check: str, position: tuple[int, int], lhs: object, rhs: object) -> None:
             if values is not None:
@@ -438,19 +438,16 @@ def first_failures(maps, n, semiring, trials, seed):
                 failures[index] = failure
 
         live = unfailed
-        for position, cell_groups, pairs, ab_cell in zip(positions, groups, plan, ab.entries):
-            left, right = {0: ab_cell}, {0: ab_cell}  # f(A)B and Af(B) folds by key
-            for row_key, col_key, own, members in cell_groups:
+        for position, (steps, groups), pairs in zip(positions, programs, plan):
+            vals = [zero]
+            for parent, x, y in steps:
+                vals.append(add(vals[parent], mul(ops[x], ops[y])))
+            ab_cell = vals[len(pairs)]
+            for left, right, own, members in groups:
                 hit = members & live
                 if not hit:
                     continue
-                x = left.get(row_key, missing)
-                if x is missing:
-                    x = left[row_key] = _masked_fold(carrier, pairs, a_cells, b_cells, row_key, True)
-                y = right.get(col_key, missing)
-                if y is missing:
-                    y = right[col_key] = _masked_fold(carrier, pairs, a_cells, b_cells, col_key, False)
-                lhs, rhs = zero if own else ab_cell, add(x, y)
+                lhs, rhs = zero if own else ab_cell, add(vals[left], vals[right])
                 if lhs != rhs:
                     live ^= hit
                     fail(hit, "leibniz", position, lhs, rhs)
@@ -462,7 +459,7 @@ def first_failures(maps, n, semiring, trials, seed):
         sums = tuple(map(add, a_cells, b_cells))
         zero_sum = add(zero, zero)
         zeroed_differ = zero_sum != zero
-        for position, zeroed, x, y in zip(positions, zeroing, a_plus_b.entries, sums):
+        for position, zeroed, x, y in zip(positions, zeroing, (a + b).entries, sums):
             if x != y and live & ~zeroed:  # cell by cell: a tuple != passes x is y
                 fail(live & ~zeroed, "linearity", position, x, y)
                 live &= zeroed

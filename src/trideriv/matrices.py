@@ -24,14 +24,14 @@ class MatrixMismatchError(ValueError):
 
 
 def triangle_size(n: int) -> int:
+    ensure_positive_dimension(n)
     return n * (n + 1) // 2
 
 
 def iter_positions(n: int) -> Iterator[tuple[int, int]]:
-    """All stored positions in row-major order."""
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            yield (i, j)
+    """All stored positions in row-major order; the dimension is checked at the call."""
+    ensure_positive_dimension(n)
+    return ((i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
 def _offset(n: int, i: int, j: int) -> int:
@@ -139,7 +139,7 @@ class UTMatrix(_Frozen):
         a, b = self.entries, other.entries
         cells = []
         # Inlined (a call per cell costs ~15% at n <= 5); the trial runner's
-        # keyed fold, derivations._masked_fold, folds in this same order.
+        # fold programs, derivations._fold_programs, fold in this same order.
         for pairs in _mul_plan(self.n):
             acc = zero
             for p, q in pairs:
@@ -206,7 +206,6 @@ def diag_tail(n: int, m: int, semiring: Semiring) -> UTMatrix:
 
 def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
     """Matrix with every stored entry drawn from the semiring's sampler."""
-    ensure_positive_dimension(n)
     sample = semiring.sample
     return UTMatrix._trusted(n, semiring, tuple([sample(rng) for _ in range(triangle_size(n))]))
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_derivations import program_chain
 
 from trideriv import (
     FUZZY,
@@ -34,7 +35,7 @@ from trideriv.cli import (
     main,
     verify_work,
 )
-from trideriv.derivations import Witness, _leibniz_groups, _zeroing, first_failures
+from trideriv.derivations import Witness, _fold_programs, _zeroing, first_failures
 from trideriv.semirings import Semiring, _ranked
 
 MAXPLUS_3X3 = (
@@ -510,6 +511,19 @@ def test_trial_runner_matches_per_map_loop(name, n):
             assert {f[1] for f in got if f is not None} == {"leibniz", "linearity"}
 
 
+@pytest.mark.parametrize("name", ["minplus", "zero-absorbs-nothing"])
+def test_trial_runner_matches_per_map_loop_on_theorem2_at_n_10(name):
+    # The deepest tries the benchmark's theorem2 runs build: ten pairs per
+    # segment at the corner cell.
+    semiring = LAW_BREAKERS.get(name) or get_semiring(name)
+    n = 10
+    maps = [delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)]
+    expected = [reference_first_failure(f, n, semiring, 4, 3) for f in maps]
+    got = first_failures(maps, n, semiring, 4, 3)
+    assert got == expected
+    assert witness_types(got) == witness_types(expected)
+
+
 def witness_types(failures):
     return [None if f is None else (type(f[2].lhs), type(f[2].rhs)) for f in failures]
 
@@ -615,16 +629,17 @@ def segment_maps():
         yield from enumerate_family_derivations(n)
 
 
-def test_trial_runner_segment_keys_name_the_zeroed_operands():
+def test_trial_runner_groups_name_the_zeroed_operands():
     by_n: dict[int, list] = {}
     for fn in segment_maps():
         by_n.setdefault(fn.n, []).append(fn)
     checked = 0
     for n, maps in by_n.items():
-        groups = _leibniz_groups(_zeroing(maps, n), n, len(maps))
-        for (i, j), cell in zip(iter_positions(n), groups):
+        size = n * (n + 1) // 2
+        programs = _fold_programs(_zeroing(maps, n), n, len(maps))
+        for (i, j), (steps, groups) in zip(iter_positions(n), programs):
             group_of = {}
-            for group in cell:  # the groups partition the maps
+            for group in groups:  # the groups partition the maps
                 members = group[3]
                 assert members
                 for index in range(len(maps)):
@@ -632,6 +647,7 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
                         assert index not in group_of
                         group_of[index] = group
             assert sorted(group_of) == list(range(len(maps)))
+            segment = range(i, j + 1)
             for index, fn in enumerate(maps):
                 if isinstance(fn, MaskDerivation):  # first: a mask is a ZeroPattern too
                     # A mask kills (r, c) iff all of r..c is in its zero set.
@@ -641,14 +657,14 @@ def test_trial_runner_segment_keys_name_the_zeroed_operands():
                     }
                 else:
                     zeroed = fn.positions
-                row_key, col_key, own, _ = group_of[index]
-                assert {i + x for x in range(j - i + 1) if row_key >> x & 1} == {
-                    k for k in range(i, j + 1) if (i, k) in zeroed
-                }
-                assert {i + x for x in range(j - i + 1) if col_key >> x & 1} == {
-                    k for k in range(i, j + 1) if (k, j) in zeroed
-                }
-                assert row_key >> (j - i + 1) == col_key >> (j - i + 1) == 0
+                left, right, own, _ = group_of[index]
+                # f(A)B's node reads a's operand (i, k) as zero exactly where f
+                # zeroes it, Af(B)'s node b's operand (k, j), and neither the other's.
+                row, col = program_chain(steps, left), program_chain(steps, right)
+                assert len(row) == len(col) == len(segment)
+                assert [x == 2 * size for x, _ in row] == [(i, k) in zeroed for k in segment]
+                assert [y == 2 * size for _, y in col] == [(k, j) in zeroed for k in segment]
+                assert 2 * size not in [y for _, y in row] + [x for x, _ in col]
                 assert own == ((i, j) in zeroed)
                 checked += 1
     assert checked == sum(  # every cell of 2 + 8 + 64 patterns and 2^n masks per n

@@ -42,8 +42,8 @@ from trideriv import (
     theorem2_predicate,
     triangle_size,
 )
-from trideriv.derivations import _masked_fold, _zeroing, first_difference, first_failures
-from trideriv.matrices import _mul_plan
+from trideriv.derivations import _fold_programs, _zeroing, first_difference, first_failures
+from trideriv.matrices import _mul_plan, _offset
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -464,28 +464,69 @@ def test_trial_runner_checks_each_masks_dimension():
         first_failures([delta_k(3, 1), MaskDerivation(2, {1})], 3, MAXPLUS, 1, 0)
 
 
+def program_chain(steps, node):
+    """The ``(x, y)`` operand indices folded into ``node``, from the first pair on."""
+    chain = []
+    while node:
+        parent, x, y = steps[node - 1]
+        chain.append((x, y))
+        node = parent
+    return chain[::-1]
+
+
+def segment_patterns(n):
+    """For every cell (i, j), one pattern per subset of its row segment and one
+    per subset of its column segment, so every trie key occurs at every cell."""
+    for i, j in iter_positions(n):
+        for bits in range(1 << (j - i + 1)):
+            ks = [i + x for x in range(j - i + 1) if bits >> x & 1]
+            yield ZeroPattern(n, {(i, k) for k in ks})
+            yield ZeroPattern(n, {(k, j) for k in ks})
+
+
 @pytest.mark.parametrize("n", range(1, 6))
-def test_masked_fold_is_the_product_cell_with_keyed_operands_zeroed(n):
+def test_fold_program_nodes_are_product_cells_with_keyed_operands_zeroed(n):
     # mul is not commutative and its zero absorbs nothing, and add is neither
-    # idempotent nor commutative, so a swapped side, order or operand changes
-    # the value.
+    # idempotent nor commutative, so a swapped side, order, operand or parent
+    # changes the value.
     carrier = MAXPLUS._replace(
         zero=Fraction(1, 2), add=lambda u, v: u + 3 * v, mul=lambda u, v: 2 * u + v
     )
     size = triangle_size(n)
     a, b = tuple(range(1, size + 1)), tuple(range(size + 1, 2 * size + 1))
-    for cell, pairs in enumerate(_mul_plan(n)):
-        for key in range(1 << len(pairs)):
-            for masks_a in (True, False):
-                dead = {p if masks_a else q for k, (p, q) in enumerate(pairs) if key >> k & 1}
-                a_read = tuple(carrier.zero if masks_a and t in dead else x for t, x in enumerate(a))
-                b_read = tuple(
-                    carrier.zero if not masks_a and t in dead else x for t, x in enumerate(b)
-                )
-                product = UTMatrix(n, carrier, a_read) * UTMatrix(n, carrier, b_read)
-                want = product.entries[cell]
-                got = _masked_fold(carrier, pairs, a, b, key, masks_a)
-                assert (got, type(got)) == (want, type(want)), (cell, key, masks_a)
+    ops, zero_at = a + b + (carrier.zero,), 2 * size
+    maps = list(segment_patterns(n))
+    programs = _fold_programs(_zeroing(maps, n), n, len(maps))
+    checked = 0
+    for (i, j), (steps, _), pairs in zip(iter_positions(n), programs, _mul_plan(n)):
+        vals = [carrier.zero]
+        for parent, x, y in steps:
+            vals.append(carrier.add(vals[parent], carrier.mul(ops[x], ops[y])))
+        assert [program_chain(steps, k + 1)[-1] for k in range(len(pairs))] == [
+            (p, size + q) for p, q in pairs  # the spine: AB's own fold
+        ]
+        for node in range(1, len(steps) + 1):
+            chain = program_chain(steps, node)
+            # A node that folds d pairs is cell (i, l), l = i + d - 1, of the
+            # product whose column l reads column j over rows i..l.
+            l = i + len(chain) - 1
+            a_read, b_read = list(a), list(b)
+            for (p, q), (x, y) in zip(pairs, chain):
+                if x == zero_at:
+                    a_read[p] = carrier.zero
+                if y == zero_at:
+                    b_read[q] = carrier.zero
+            for k in range(i, l + 1):
+                b_read[_offset(n, k, l)] = b_read[_offset(n, k, j)]
+            product = UTMatrix(n, carrier, tuple(a_read)) * UTMatrix(n, carrier, tuple(b_read))
+            want, got = product[i, l], vals[node]
+            assert (got, type(got)) == (want, type(want)), ((i, j), node)
+            checked += 1
+    # Every key of every prefix has its own node: a cell of width L has
+    # 2^(L+1) - 2 prefixes per side, and the L unmasked ones are the shared spine.
+    assert checked == sum(
+        2 * (2 ** (j - i + 2) - 2) - (j - i + 1) for i, j in iter_positions(n)
+    )
 
 
 # --- enumeration ---------------------------------------------------------------------
@@ -827,10 +868,12 @@ def test_every_dimension_check_reports_alike(site):
         lambda n: random_matrix(n, BOOLEAN, random.Random(0)),
         lambda n: DecompositionExpr(n, (DecompositionTerm(k=1),)),
         strip_diagonal,
+        iter_positions,  # at the call, not at the first next()
+        triangle_size,
     ],
     ids=[
         "matrix", "mask", "pattern", "intervals", "families", "oracle",
-        "random-matrix", "decomposition", "strip-diagonal",
+        "random-matrix", "decomposition", "strip-diagonal", "positions", "triangle-size",
     ],
 )
 def test_every_dimension_positivity_check_reports_alike(build, n):
