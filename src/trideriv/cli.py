@@ -95,15 +95,37 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _family_zero_set_texts(n: int):
+    """The ``format_zero_set`` texts of :func:`enumerate_family_derivations`,
+    in its order, as 2^(n - n // 2) lists of 2^(n // 2) texts, built from two
+    half-width lists rather than from 2^n masks.  Index i is bit i - 1, so
+    the high indices n // 2 + 1..n pick the list and the low ones the text
+    in it; a high text follows each low one, which keeps every text ascending."""
+    halves = []
+    for indices in (range(1, n // 2 + 1), range(n // 2 + 1, n + 1)):
+        texts = [""]
+        for i in indices:  # doubling adds bit i - 1: binary-counter order
+            texts += [f"{t},{i}" if t else str(i) for t in texts]
+        halves.append(texts)
+    lows, highs = halves
+    for high in highs:
+        yield [f"{low},{high}" if low else high for low in lows] if high else lows
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """One ``zero_set=`` line per mask, then ``total=``.  The 2^n family lines
+    are written one block per :func:`_family_zero_set_texts` list, so memory
+    grows as 2^(n/2), not 2^n; the intervals are listed from their masks."""
     if args.cls == "families":
         if args.n > FAMILY_ENUMERATION_LIMIT:
             raise CapacityError(f"family enumeration capped at n={FAMILY_ENUMERATION_LIMIT}")
-        masks = enumerate_family_derivations(args.n)
-    elif args.n > INTERVAL_ENUMERATION_LIMIT:
+        for texts in _family_zero_set_texts(args.n):
+            sys.stdout.write("zero_set=" + "\nzero_set=".join(texts) + "\n")
+        sys.stdout.write(f"total={1 << args.n}\n")
+        return 0
+    if args.n > INTERVAL_ENUMERATION_LIMIT:
         raise CapacityError(f"interval enumeration capped at n={INTERVAL_ENUMERATION_LIMIT}")
-    else:
-        masks = enumerate_interval_derivations(args.n)
+    masks = enumerate_interval_derivations(args.n)
     lines = [f"zero_set={format_zero_set(mask.zero_set)}\n" for mask in masks]
     sys.stdout.write("".join(lines) + f"total={len(masks)}\n")
     return 0
@@ -139,19 +161,24 @@ def _failures(maps, args: argparse.Namespace, semiring: Semiring):
 
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
+    """One line per family mask, in :func:`enumerate_family_derivations`'
+    order.  The masks are checked; each line's ``zero_set=`` field comes
+    from :func:`_family_zero_set_texts`, and the lines are written one
+    block per list of those texts."""
     masks = enumerate_family_derivations(args.n)
+    found = iter(_failures(masks, args, semiring))
+    fields = f"n={args.n} semiring={semiring.name} zero_set="
     failures = 0
-    for mask, failure in zip(masks, _failures(masks, args, semiring)):
-        zs = format_zero_set(mask.zero_set)
-        if failure is None:
-            print(f"PASS leibniz n={args.n} semiring={semiring.name} zero_set={zs}")
-        else:
-            where, check, witness = failure
-            print(
-                f"FAIL {check} n={args.n} semiring={semiring.name} zero_set={zs} "
-                f"{where} {_witness_fields(witness)}"
-            )
-            failures += 1
+    for texts in _family_zero_set_texts(args.n):
+        lines = []
+        for zs, failure in zip(texts, found):  # texts first: zip stops before the next failure
+            if failure is None:
+                lines.append(f"PASS leibniz {fields}{zs}\n")
+            else:
+                where, check, witness = failure
+                lines.append(f"FAIL {check} {fields}{zs} {where} {_witness_fields(witness)}\n")
+                failures += 1
+        sys.stdout.write("".join(lines))
     return 1 if failures else 0
 
 

@@ -403,8 +403,9 @@ def first_failures(maps, n, semiring, trials, seed):
     never built.  The programs are not rebuilt as maps fail, so a trial
     still folds the prefixes only failed maps share; that is exact as
     long as the carrier's functions are pure.  Linearity needs two facts
-    per trial: the cells where A + B differs from add(a, b), which fail
-    the maps keeping them, and whether add(zero, zero) differs from
+    per trial: the cells where add(a, b) is not equal to itself, which
+    fail the maps keeping them (f(A + B) and f(A) + f(B) both hold that
+    one call's value there), and whether add(zero, zero) differs from
     zero, which fails the maps zeroing them.  Every compared value is
     computed by the same carrier calls on the same operand objects as
     f(AB), f(A)B + Af(B), f(A + B) and f(A) + f(B) would be, so every
@@ -426,7 +427,6 @@ def first_failures(maps, n, semiring, trials, seed):
         a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
         carrier, entries, values = _ranked(semiring, a.entries + b.entries)
         a_cells, b_cells = entries[:size], entries[size:]
-        a, b = UTMatrix._trusted(n, carrier, a_cells), UTMatrix._trusted(n, carrier, b_cells)
         add, mul, zero = carrier.add, carrier.mul, carrier.zero
         ops = entries + (zero,)
 
@@ -454,14 +454,15 @@ def first_failures(maps, n, semiring, trials, seed):
             if not live:
                 break
 
-        # f(A + B) against f(A) + f(B): (A + B)_t against add(a_t, b_t) at a
-        # kept cell t, zero against add(zero, zero) at a zeroed one.
+        # f(A + B) against f(A) + f(B): at a kept cell t both sides are
+        # add(a_t, b_t), one call, unequal only to itself (a NaN); at a
+        # zeroed one, zero against add(zero, zero).
         sums = tuple(map(add, a_cells, b_cells))
         zero_sum = add(zero, zero)
         zeroed_differ = zero_sum != zero
-        for position, zeroed, x, y in zip(positions, zeroing, (a + b).entries, sums):
-            if x != y and live & ~zeroed:  # cell by cell: a tuple != passes x is y
-                fail(live & ~zeroed, "linearity", position, x, y)
+        for position, zeroed, y in zip(positions, zeroing, sums):
+            if y != y and live & ~zeroed:  # cell by cell: a tuple != passes y is y
+                fail(live & ~zeroed, "linearity", position, y, y)
                 live &= zeroed
             if zeroed_differ and live & zeroed:
                 fail(live & zeroed, "linearity", position, zero, zero_sum)

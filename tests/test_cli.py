@@ -1,7 +1,10 @@
 """Exit-code contract, output formats, and byte-determinism of the CLI."""
 
+import contextlib
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,7 @@ from trideriv import (
     delta_k,
     enumerate_family_derivations,
     enumerate_matrices,
+    format_zero_set,
     get_semiring,
     iter_positions,
     leibniz_check,
@@ -32,6 +36,7 @@ from trideriv.cli import (
     INTERVAL_ENUMERATION_LIMIT,
     TRIALS_LIMIT,
     VERIFY_WORK_LIMIT,
+    _family_zero_set_texts,
     main,
     verify_work,
 )
@@ -232,6 +237,59 @@ def test_enumerate_family_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "21", "--class", "families")
     assert code == 2
     assert "capped" in err
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_family_zero_set_texts_follow_the_library_masks(n):
+    """The CLI's second route to the family order: 2^(n - n // 2) lists of
+    2^(n // 2) texts that read, joined, as the masks' zero sets index by index."""
+    blocks = list(_family_zero_set_texts(n))
+    assert [len(texts) for texts in blocks] == [1 << n // 2] * (1 << n - n // 2)
+    expected = [format_zero_set(mask.zero_set) for mask in enumerate_family_derivations(n)]
+    assert [text for texts in blocks for text in texts] == expected
+
+
+class HashingSink:
+    """A stdout that keeps only the sha256 and the line count of what it is sent."""
+
+    def __init__(self):
+        self.sha256, self.lines = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def enumerate_into_sink(n):
+    sink = HashingSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["enumerate", "--n", str(n), "--class", "families"])
+    return code, sink
+
+
+def test_enumerate_families_at_the_cap_writes_the_pinned_bytes():
+    """2^20 zero sets and the total, pinned by the digest of the listing
+    built line by line from ``enumerate_family_derivations(20)``."""
+    code, sink = enumerate_into_sink(20)
+    assert code == 0
+    assert sink.lines == (1 << 20) + 1
+    assert sink.sha256.hexdigest() == (
+        "95118cf9f80d4c4d7e5a2b06c007d7744ea2f75141c7fa54fe4f5b8faebba4c5"
+    )
+
+
+def test_enumerate_families_at_the_cap_holds_half_width_texts():
+    """Memory grows as 2^(n/2): at n = 20 the traced peak is about 0.5 MB,
+    where a mask or a text per line held over 1 GB (14 MB already at n = 14)."""
+    tracemalloc.start()
+    try:
+        code, sink = enumerate_into_sink(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.lines == (1 << 20) + 1
+    assert peak < 4 << 20
 
 
 def test_enumerate_interval_cap(capsys):
@@ -806,6 +864,20 @@ def test_verify_rejects_trials_below_one(capsys, kind, trials):
 
 WORK_CAP = f"error: verify work capped at {VERIFY_WORK_LIMIT} (maps x trials x n^3); "
 N_CUBED_CAP = WORK_CAP + "n^3 alone exceeds it\n"
+
+
+def test_verify_leibniz_past_the_pinned_digests_prints_every_subset_in_order(capsys):
+    """n = 13: one PASS line per subset of {1..13}, subset k holding index i
+    where bit i - 1 of k is set, so the lines run through several blocks."""
+    code, out, _ = run(capsys, "verify", "leibniz", "--n", "13", "--semiring", "boolean",
+                       "--trials", "1")
+    assert code == 0
+    expected = [
+        "PASS leibniz n=13 semiring=boolean zero_set="
+        + ",".join(str(i) for i in range(1, 14) if k >> i - 1 & 1)
+        for k in range(1 << 13)
+    ]
+    assert out.splitlines() == expected
 
 
 def test_verify_leibniz_family_cap(capsys):
