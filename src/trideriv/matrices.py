@@ -215,8 +215,15 @@ def random_matrix(n: int, semiring: Semiring, rng: random.Random) -> UTMatrix:
 # Lines 2..n+1: row i = (i-1) '.' placeholders, then a_ii .. a_in.
 
 def format_matrix(matrix: UTMatrix) -> str:
+    """Inverse of :func:`parse_matrix`.  Each distinct entry object is formatted
+    once per call: keying the memo by ``id`` is safe because the matrix keeps
+    every entry alive for the call."""
     n = matrix.n
-    cells = map(format_element, matrix.entries)  # row-major
+    texts: dict[int, str] = {}  # id(entry) -> text, this call only
+    cells = iter([  # row-major
+        texts[k] if (k := id(v)) in texts else texts.setdefault(k, format_element(v))
+        for v in matrix.entries
+    ])
     lines = [f"utm n={n} semiring={matrix.semiring.name}"]
     for i in range(n):
         lines.append(" ".join(["."] * i + list(islice(cells, n - i))))
@@ -243,8 +250,11 @@ def parse_matrix(text: str) -> UTMatrix:
         or not head[2].startswith("semiring=")
     ):
         raise ValueError(f"bad header {lines[0]!r}")
+    dim = head[1][2:]
     try:
-        n = int(head[1][2:])
+        if not (dim.isascii() and dim.isdigit()):  # int() also reads +2, 0_2, Unicode digits
+            raise ValueError
+        n = int(dim)
     except ValueError:
         raise ValueError(f"bad dimension {head[1]!r}") from None
     if n < 1:

@@ -157,7 +157,16 @@ def natural_leq(semiring: Semiring, a: object, b: object) -> bool:
 # --- element parsing / formatting -------------------------------------------
 
 def _parse_rational(token: str) -> Fraction:
+    """``Fraction(token)`` for ASCII text without ``_``, else an error:
+    ``Fraction`` reads ``1_0`` on Python 3.11+ only, and Unicode digits too.
+    ``format_element``'s own forms ``-?d+`` and ``-?d+/d+`` skip its regex and
+    go through ``int``, in about half the time."""
+    num, slash, den = token.partition("/")
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {token!r}") from exc

@@ -27,8 +27,8 @@ from trideriv import (
     random_matrix,
     triangle_size,
 )
-from trideriv import semirings
-from trideriv.semirings import Semiring
+from trideriv import matrices, semirings
+from trideriv.semirings import Semiring, format_element
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
 
@@ -291,6 +291,11 @@ def test_text_roundtrip_property(semiring, n, data):
         "utm n=2 semiring=boolean\n1 .\n. 1\n",       # placeholder above diagonal
         "utm n=2 semiring=boolean\n1 2\n. 1\n",       # out-of-domain literal
         "utm n=2 semiring=maxplus\n0 +inf\n. 0\n",    # wrong infinity
+        "utm n=+2 semiring=boolean\n1 1\n. 1\n",      # signed dimension
+        "utm n=0_2 semiring=boolean\n1 1\n. 1\n",     # '_' in the dimension
+        "utm n=\u0662 semiring=boolean\n1 1\n. 1\n",  # non-ASCII digit in the dimension
+        "utm n=1 semiring=maxplus\n1_0\n",            # '_' in a literal
+        "utm n=1 semiring=fuzzy\n\u0661/2\n",         # non-ASCII digit in a literal
     ],
 )
 def test_parse_matrix_strictness(text):
@@ -385,6 +390,45 @@ def test_the_first_bad_token_names_the_error_though_it_recurs():
 def test_parse_errors_come_in_reading_order(rows, message):
     with pytest.raises(ValueError, match=message):
         parse_matrix("utm n=3 semiring=boolean\n" + rows)
+
+
+# --- one text per distinct entry object ----------------------------------------
+
+def format_each_entry(matrix):
+    """``format_matrix`` without its memo: every entry formatted on its own."""
+    n, cells = matrix.n, iter(matrix.entries)
+    rows = [" ".join(["."] * i + [format_element(next(cells)) for _ in range(n - i)])
+            for i in range(n)]
+    return "".join(f"{line}\n" for line in [f"utm n={n} semiring={matrix.semiring.name}", *rows])
+
+
+HALF = Fraction(1, 2)
+SHARED_ENTRIES = {
+    "shared-objects": (HALF, HALF, MINUS_INF, HALF, MINUS_INF, HALF),
+    "equal-distinct-fractions": (Fraction(1, 2), Fraction(2, 4), Fraction(-3), Fraction(-6, 2), 0, 0),
+    "int-zero-beside-fraction-zero": (0, Fraction(0), 0, Fraction(0), Fraction(0), 0),
+    "minus-inf": (MINUS_INF, float("-inf"), -1, MINUS_INF, Fraction(-1), float("-inf")),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_ENTRIES)
+def test_each_distinct_entry_object_is_formatted_once_per_call(monkeypatch, name):
+    """Keyed by ``id``: equal but distinct objects (``0`` and ``Fraction(0)``,
+    two ``-inf`` floats) get a call each; a second call formats again."""
+    matrix = UTMatrix(3, MAXPLUS, SHARED_ENTRIES[name])
+    expected = format_each_entry(matrix)
+    formatted = []
+
+    def counting(value):
+        formatted.append(value)
+        return format_element(value)
+
+    monkeypatch.setattr(matrices, "format_element", counting)
+    distinct = {id(v) for v in matrix.entries}
+    for _ in range(2):
+        formatted.clear()
+        assert format_matrix(matrix) == expected
+        assert sorted(map(id, formatted)) == sorted(distinct)
 
 
 def test_from_rows_validates():

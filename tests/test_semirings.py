@@ -439,11 +439,65 @@ def test_parse_element(semiring, token, value):
         (MINPLUS, "-inf"),
         (FUZZY, "9/8"),
         (FUZZY, "-1"),
+        # Fraction reads "_" on Python 3.11+ only, and Unicode digits everywhere.
+        (MAXPLUS, "1_0"),
+        (MINPLUS, "-1_000/2"),
+        (FUZZY, "1/1_0"),
+        (MAXPLUS, "\u0663"),
+        (MINPLUS, "-\u0661/2"),
+        (FUZZY, "1/\uff12"),
     ],
 )
 def test_parse_element_rejects(semiring, token):
     with pytest.raises(ValueError):
         semiring.parse_element(token)
+
+
+# The rational reader has two routes: format_element's own forms, -?d+ and
+# -?d+/d+, go through int; every other token goes to Fraction(token).  Both
+# must read each token as Fraction(token) does.
+INT_ROUTE = ["-0", "007", "0/5", "-17/2", "4/8", "3/0", "5/00"]
+FRACTION_ROUTE = ["+3", "3.5", "1e3", "3/-4", "-", "/2", "1/", "--1"]
+# Past int's digit limit (Python 3.11+, and 3.10 from 3.10.7) both routes refuse.
+DIGITS = "9" * 5000
+LONG = {"5000-digits": DIGITS, "-5000-digits": "-" + DIGITS, "1/5000-digits": "1/" + DIGITS,
+        "5000-digits.5": DIGITS + ".5"}
+
+
+@pytest.mark.parametrize("semiring", [MAXPLUS, MINPLUS, FUZZY], ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "token", INT_ROUTE + FRACTION_ROUTE + list(LONG.values()),
+    ids=INT_ROUTE + FRACTION_ROUTE + list(LONG),
+)
+def test_rational_literals_read_as_fraction_reads_them(semiring, token):
+    try:
+        value, error = Fraction(token), None
+    except (ValueError, ZeroDivisionError):
+        value, error = None, f"bad rational literal {token!r}"
+    if error is None and semiring is FUZZY and not 0 <= value <= 1:
+        error = f"fuzzy literal {token!r} outside [0, 1]"
+    if error is None:
+        parsed = semiring.parse_element(token)
+        assert (type(parsed), parsed) == (Fraction, value)
+    else:
+        with pytest.raises(ValueError) as refused:
+            semiring.parse_element(token)
+        assert str(refused.value) == error
+
+
+def test_formatted_rationals_parse_back_to_their_values():
+    """Numerators and denominators up to 10^30, through both tropical carriers
+    and, scaled into [0, 1], through fuzzy."""
+    rng = random.Random(20181)
+    for _ in range(500):
+        p, q = rng.randint(-10**30, 10**30), rng.randint(1, 10**30)
+        for value in (Fraction(p, q), Fraction(p)):
+            text = format_element(value)
+            for semiring in (MAXPLUS, MINPLUS):
+                parsed = semiring.parse_element(text)
+                assert (type(parsed), parsed) == (Fraction, value), text
+        fuzzy = Fraction(min(abs(p), q), max(abs(p), q))
+        assert FUZZY.parse_element(format_element(fuzzy)) == fuzzy
 
 
 def test_shipped_semirings_share_one_formatter():
