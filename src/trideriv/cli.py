@@ -42,16 +42,16 @@ from .oracle import (
 from .semirings import MAXPLUS, Semiring, check_axioms, format_element, get_semiring, seeded_trials
 from .shifts import ShiftDerivation
 
-TRIALS_LIMIT = 10**6  # axioms: 13-17 s on every carrier; seeded verify at n = 1..2: 18-39 s
+TRIALS_LIMIT = 10**6  # axioms: 9-17 s on every carrier; seeded verify at n = 1..2: 18-39 s
 FAMILY_ENUMERATION_LIMIT = 20
 INTERVAL_ENUMERATION_LIMIT = 200
 # Seeded ``verify`` runs cost 0.0004-26 us per unit of verify_work on a 2-core
 # VM (Python 3.11.7, in-process, 10^5 trials at n = 1..2, 10^3-10^4 above):
 # the most at n = 1..2, where TRIALS_LIMIT binds first (leibniz and theorem2
 # 7.7-19 at n = 1, 0.57-0.84 at n = 2), and under 1 from n = 3 (hereditary
-# 0.36-0.40 at n = 6, 0.18-0.21 at n = 10; theorem2 0.013 at n = 6, 0.004 at
+# 0.20-0.32 at n = 6, 0.09-0.16 at n = 10; theorem2 0.013 at n = 6, 0.004 at
 # n = 10; leibniz 0.0004 at n = 12, 10 trials).  Under both caps the slowest
-# run (hereditary, n = 10, 10^6 trials) would take about 3-3.5 minutes.
+# run (hereditary, n = 10, 10^6 trials) would take about 1.5-2.7 minutes.
 VERIFY_WORK_LIMIT = 10**9
 # A hereditary trial folds through matrices._mul_plan(n), n(n+1)(n+2)/6 index
 # pairs of about 128 bytes each: 73 MB at n = 150 by tracemalloc, and about

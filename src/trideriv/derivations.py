@@ -413,25 +413,29 @@ def first_failures(maps, n, semiring, trials, seed):
 
     Over a max/min carrier each trial runs on int keys of its drawn
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
-    are mapped back to the drawn ones.
+    are mapped back to the drawn ones through a key -> value dict built
+    only when a map fails.
     """
     zeroing = _zeroing(maps, n)
     programs = _fold_programs(zeroing, n, len(maps))
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
+    add, mul = semiring.add, semiring.mul
     failures = [None] * len(maps)
     unfailed = (1 << len(maps)) - 1
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
             break
         a, b = random_matrix(n, semiring, rng), random_matrix(n, semiring, rng)
-        carrier, entries, values = _ranked(semiring, a.entries + b.entries)
+        drawn = a.entries + b.entries
+        keys = _ranked(semiring, drawn)
+        zero, entries = (semiring.zero, drawn) if keys is None else (keys[0], keys[2:])
         a_cells, b_cells = entries[:size], entries[size:]
-        add, mul, zero = carrier.add, carrier.mul, carrier.zero
         ops = entries + (zero,)
 
         def fail(hit: int, check: str, position: tuple[int, int], lhs: object, rhs: object) -> None:
-            if values is not None:
+            if keys is not None:
+                values = dict(zip(keys, (semiring.zero, semiring.one, *drawn)))
                 lhs, rhs = values[lhs], values[rhs]
             failure = trial, check, Witness(position, lhs, rhs)
             for index in _members(hit):

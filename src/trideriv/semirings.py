@@ -56,14 +56,14 @@ class _Frozen:
     it only from parts it made or checked itself: the enumerated masks,
     ``delta_k``/``d_m``, sums, compositions and interval forms of mask maps,
     the oracle's patterns, and a sampled shift and its lift.
-    ``UTMatrix._trusted`` and ``_ranked``'s key carrier write its two steps
-    out, for their per-trial cost.  Equality holds only between objects of
-    the same class, over the fields, so a cached value plays no part; the
-    hash is the hash of the field tuple, and ``repr`` shows ``name=value``
-    per field.  Assigning or deleting an attribute raises AttributeError.
-    A plain base, not a class decorator from the standard library, keeps
-    ``inspect`` and code generation out of start-up, which every CLI
-    process pays: about 20 ms of it.
+    ``UTMatrix._trusted`` writes its two steps out, for its per-trial cost.
+    Equality holds only between objects of the same class, over the
+    fields, so a cached value plays no part; the hash is the hash of the
+    field tuple, and ``repr`` shows ``name=value`` per field.  Assigning
+    or deleting an attribute raises AttributeError.  A plain base, not a
+    class decorator from the standard library, keeps ``inspect`` and code
+    generation out of start-up, which every CLI process pays: about 20 ms
+    of it.
     """
 
     _fields: tuple[str, ...]
@@ -325,39 +325,38 @@ def seeded_trials(trials: int, seed: int) -> Iterator[tuple[int, random.Random]]
     return ((t, random.Random(seed + t)) for t in range(trials))
 
 
-def _ranked(semiring: Semiring, values: tuple) -> tuple[Semiring, tuple, dict | None]:
-    """The carrier a check computes on, ``values`` in it, and key -> value.
+def _ranked(semiring: Semiring, values: tuple) -> tuple[int, ...] | None:
+    """Order-keeping int keys of ``(zero, one, *values)``, or None.
 
-    A lattice carrier's ``values``, ``zero`` and ``one`` become int keys:
-    each p/q is scaled to p·(L/q), with L the lcm of the denominators.
-    The rank rule is ``add is _max and mul is _min``, so before 3.13 a
-    hand-built ``Semiring(add=max, mul=min)`` gets no keys and runs as it
-    is: the same verdicts and witnesses, only slower.  Scaling is an order
-    embedding, and ``max`` and ``min`` commute with every order
-    embedding, so a check whose every value is built from these by
-    ``add`` and ``mul`` gives the same verdicts on the keys, and its
-    witnesses map back through the key -> value dict.  ``zero`` and ``one``
-    are scaled like any other value, so no semiring law is assumed.
-    Condition: every value, ``zero`` and ``one`` included, is an ``int``
-    or a ``Fraction``, not all of them ``int`` (keys would not make an
-    all-``int`` check cheaper), and equal values share a type, so a
+    Each p/q becomes p·(L/q), with L the lcm of the denominators, read
+    through ``as_integer_ratio``.  The rank rule is ``add is _max and mul
+    is _min``, so before 3.13 a hand-built ``Semiring(add=max, mul=min)``
+    gets no keys and runs as it is: the same verdicts and witnesses, only
+    slower.  Scaling is an order embedding, and ``max`` and ``min`` commute
+    with every order embedding, so a check whose every value is built from
+    these by ``add`` and ``mul`` gives the same verdicts on the keys, and a
+    witness maps back through ``dict(zip(keys, (zero, one, *values)))``.
+    ``zero`` and ``one`` are scaled like any other value, so no semiring law
+    is assumed.  Condition: every value, ``zero`` and ``one`` included, is
+    an ``int`` or a ``Fraction``, not all of them ``int`` (keys would not
+    make an all-``int`` check cheaper), and no ``int`` equals a ``Fraction``
+    among them, so equal keys come from values of one type and a
     mapped-back value has the type the check would have produced.  Any
-    other carrier or values give ``(semiring, values, None)``.
+    other carrier or values give None.
     """
     if semiring.add is not _max or semiring.mul is not _min:
-        return semiring, values, None
+        return None
     every = (semiring.zero, semiring.one, *values)
     types = set(map(type, every))
-    if Fraction not in types or not types <= {int, Fraction}:
-        return semiring, values, None
+    if types != {Fraction}:
+        if types != {int, Fraction}:
+            return None
+        ints = {v for v in every if type(v) is int}
+        if any(v in ints for v in every if type(v) is Fraction):
+            return None
     ratios = [v.as_integer_ratio() for v in every]
     scale = math.lcm(*{q for _, q in ratios})
-    keys = [p * (scale // q) for p, q in ratios]
-    # _Frozen._trusted written out: 0.6 us against 1.5 for the keyword call, and
-    # about a third of what _replace, which goes through __init__, costs.
-    carrier = object.__new__(Semiring)
-    carrier.__dict__.update(semiring.__dict__, zero=keys[0], one=keys[1])
-    return carrier, tuple(keys[2:]), dict(zip(keys, every))
+    return tuple([p * (scale // q) for p, q in ratios])
 
 
 class AxiomViolation(_Frozen):
@@ -375,11 +374,11 @@ def check_axioms(semiring: Semiring, trials: int, seed: int) -> AxiomViolation |
     Violations are data, not exceptions.
     """
     add, mul, sample = semiring.add, semiring.mul, semiring.sample
+    units = semiring.zero, semiring.one
     for trial, rng in seeded_trials(trials, seed):
         drawn = sample(rng), sample(rng), sample(rng)
         # Over a max/min carrier the laws run on int keys; the violation keeps ``drawn``.
-        carrier, (a, b, c), _ = _ranked(semiring, drawn)
-        zero, one = carrier.zero, carrier.one
+        zero, one, a, b, c = _ranked(semiring, drawn) or units + drawn
 
         ab = add(a, b)
         if add(ab, c) != add(a, add(b, c)):

@@ -14,9 +14,11 @@ shift x = 0 is the only compositionally idempotent one.
 
 from __future__ import annotations
 
+import operator
+
 from .derivations import Witness
 from .matrices import MatrixMismatchError, UTMatrix, _mul_plan, ensure_compatible, iter_positions
-from .semirings import MAXPLUS, MINUS_INF, _Frozen
+from .semirings import MAXPLUS, MINUS_INF, _Frozen, _max
 
 
 class ShiftDerivation(_Frozen):
@@ -81,11 +83,39 @@ class HereditaryShift(_Frozen):
         with f(A) + f(B) cell by cell.  Every scalar call is one the two checks make,
         on the same operand objects, so the first differing cell and its values are
         theirs.  A cell's position is looked up only for the witness.
+
+        Over the shipped carrier (``MAXPLUS.add is _max`` and ``MAXPLUS.mul is
+        operator.add``) the calls are written inline as those functions' own
+        expressions: ``u + v``, and ``b if b > a else a`` for ``_max(a, b)``,
+        which is also what the builtin ``max`` returns.  Any other carrier runs
+        the generic loop below, the reference for the inline one.
         """
         ensure_compatible(a, b)
         n, fa, fb = a.n, self(a).entries, self(b).entries
         add, mul, zero, x = MAXPLUS.add, MAXPLUS.mul, MAXPLUS.zero, self.shift.x
         a, b = a.entries, b.entries
+        if add is _max and mul is operator.add:
+            for t, pairs in enumerate(_mul_plan(n)):
+                ab = left = right = zero
+                for p, q in pairs:
+                    u, v = a[p], b[q]
+                    s = u + v
+                    if s > ab:
+                        ab = s
+                    s = fa[p] + v
+                    if s > left:
+                        left = s
+                    s = u + fb[q]
+                    if s > right:
+                        right = s
+                lhs, rhs = ab + x, right if right > left else left
+                if lhs != rhs:
+                    return Witness(list(iter_positions(n))[t], lhs, rhs)
+            for t, (u, v, fu, fv) in enumerate(zip(a, b, fa, fb)):
+                lhs, rhs = (v if v > u else u) + x, fv if fv > fu else fu
+                if lhs != rhs:
+                    return Witness(list(iter_positions(n))[t], lhs, rhs)
+            return None
         for t, pairs in enumerate(_mul_plan(n)):
             ab = left = right = zero
             for p, q in pairs:

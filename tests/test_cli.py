@@ -608,6 +608,7 @@ def test_trial_runner_never_applies_a_map(monkeypatch, name, n):
 
 # A lambda add is not ``_max``, so each twin runs its carrier without ranks.
 OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
+INT_ZERO_FUZZY = FUZZY._replace(zero=0)  # ranked only while no drawn value equals 0
 # Thirds, sevenths and twelfths: the rank keys need a common scale, not only a sort.
 MIXED_FUZZY = FUZZY._replace(
     sample=lambda rng: Fraction(rng.randint(0, 21), 21)
@@ -618,13 +619,13 @@ MIXED_FUZZY = FUZZY._replace(
 @pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize(
     "ranked",
-    [FUZZY, OFF_BOTTOM_FUZZY, MIXED_FUZZY],
-    ids=["fuzzy", "off-bottom-zero", "mixed-denominators"],
+    [FUZZY, OFF_BOTTOM_FUZZY, MIXED_FUZZY, INT_ZERO_FUZZY],
+    ids=["fuzzy", "off-bottom-zero", "mixed-denominators", "int-zero"],
 )
 def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
     twin = ranked._replace(add=lambda a, b: max(a, b))
-    assert _ranked(ranked, (Fraction(1, 4),))[2] is not None
-    assert _ranked(twin, (Fraction(1, 4),))[2] is None
+    assert _ranked(ranked, (Fraction(1, 4),)) is not None
+    assert _ranked(twin, (Fraction(1, 4),)) is None
     maps = runner_maps(n)
     for seed in (0, 631):
         got = first_failures(maps, n, ranked, 12, seed)

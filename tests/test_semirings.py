@@ -107,7 +107,7 @@ def test_carriers_hold_the_builtins_exactly_from_python_3_13():
     # The rank rule is ``add is _max and mul is _min``: before 3.13 a carrier
     # built on the builtins runs without keys.
     built_on_builtins = FUZZY._replace(add=max, mul=min)
-    assert (_ranked(built_on_builtins, (Fraction(1, 4),))[2] is not None) == builtins
+    assert (_ranked(built_on_builtins, (Fraction(1, 4),)) is not None) == builtins
 
 
 def test_mixed_operands_rejected():
@@ -221,9 +221,10 @@ def test_check_axioms_pinned_violation():
 
 # A lambda add is not ``_max``, so each twin checks its carrier without ranks.
 OFF_BOTTOM_FUZZY = FUZZY._replace(zero=Fraction(1, 2))  # ranked, with zero above the bottom
+INT_ZERO_FUZZY = FUZZY._replace(zero=0)  # ranked only while no drawn value equals 0
 RANKED_TWINS = [
-    (FUZZY, FUZZY._replace(add=lambda a, b: max(a, b))),
-    (OFF_BOTTOM_FUZZY, OFF_BOTTOM_FUZZY._replace(add=lambda a, b: max(a, b))),
+    (ranked, ranked._replace(add=lambda a, b: max(a, b)))
+    for ranked in (FUZZY, OFF_BOTTOM_FUZZY, INT_ZERO_FUZZY)
 ]
 
 
@@ -231,10 +232,12 @@ def element_types(violation):
     return None if violation is None else tuple(map(type, violation.elements))
 
 
-@pytest.mark.parametrize("ranked, twin", RANKED_TWINS, ids=["fuzzy", "off-bottom-zero"])
+@pytest.mark.parametrize(
+    "ranked, twin", RANKED_TWINS, ids=["fuzzy", "off-bottom-zero", "int-zero"]
+)
 def test_check_axioms_on_ranks_matches_unranked_twin(ranked, twin):
     drawn = (Fraction(1, 4), Fraction(1, 2), Fraction(1))
-    assert _ranked(ranked, drawn)[2] is not None and _ranked(twin, drawn)[2] is None
+    assert _ranked(ranked, drawn) is not None and _ranked(twin, drawn) is None
     got, expected = check_axioms(ranked, 500, seed=631), check_axioms(twin, 500, seed=631)
     assert got == expected
     assert element_types(got) == element_types(expected)
@@ -243,21 +246,23 @@ def test_check_axioms_on_ranks_matches_unranked_twin(ranked, twin):
 
 
 def test_ranks_skip_int_carriers_and_keep_the_order():
-    assert _ranked(MAXPLUS, (1, 2)) == (MAXPLUS, (1, 2), None)
-    assert _ranked(BOOLEAN, (0, 1, 1)) == (BOOLEAN, (0, 1, 1), None)
+    assert _ranked(MAXPLUS, (1, 2)) is None
+    assert _ranked(BOOLEAN, (0, 1, 1)) is None
     drawn = (Fraction(3, 4), Fraction(1, 4))
-    carrier, keys, values = _ranked(OFF_BOTTOM_FUZZY, drawn)
+    keys = _ranked(OFF_BOTTOM_FUZZY, drawn)
+    assert keys == (2, 4, 3, 1)  # zero, one, then the drawn values
+    values = dict(zip(keys, (OFF_BOTTOM_FUZZY.zero, OFF_BOTTOM_FUZZY.one, *drawn)))
     assert values == {1: Fraction(1, 4), 2: Fraction(1, 2), 3: Fraction(3, 4), 4: Fraction(1)}
-    assert keys == (3, 1) and tuple(values[k] for k in keys) == drawn
-    assert all(type(k) is int for k in values)
-    assert (carrier.add, carrier.mul, carrier.zero, carrier.one) == (FUZZY.add, FUZZY.mul, 2, 4)
+    assert tuple(values[k] for k in keys[2:]) == drawn
+    assert all(type(k) is int for k in keys)
 
 
 def test_ranks_scale_mixed_denominators_to_order_keeping_ints():
     drawn = (Fraction(2, 3), Fraction(5, 7), Fraction(1, 2), Fraction(2, 3), Fraction(0))
-    carrier, keys, values = _ranked(FUZZY, drawn)
-    assert (carrier.zero, carrier.one) == (0, 42)  # lcm(1, 3, 7, 2) = 42
-    assert keys == (28, 30, 21, 28, 0)
+    zero, one, *keys = _ranked(FUZZY, drawn)
+    assert (zero, one) == (0, 42)  # lcm(1, 3, 7, 2) = 42
+    assert keys == [28, 30, 21, 28, 0]
+    values = dict(zip((zero, one, *keys), (FUZZY.zero, FUZZY.one, *drawn)))
     assert tuple(values[k] for k in keys) == drawn
     assert all(type(values[k]) is Fraction for k in keys)
     for x, kx in zip(drawn, keys):  # an order embedding: < and == are kept
@@ -267,11 +272,19 @@ def test_ranks_scale_mixed_denominators_to_order_keeping_ints():
 
 @pytest.mark.parametrize(
     "semiring, values",
-    [(FUZZY, (0.5, Fraction(1, 4))), (FUZZY, (True, Fraction(1, 4))), (CHAIN, (0, 2, 3))],
-    ids=["float", "bool", "all-int"],
+    [
+        (FUZZY, (0.5, Fraction(1, 4))),
+        (FUZZY, (True, Fraction(1, 4))),
+        (CHAIN, (0, 2, 3)),
+        (INT_ZERO_FUZZY, (Fraction(1, 4), Fraction(0))),
+        (FUZZY, (Fraction(1, 4), 1)),
+    ],
+    ids=["float", "bool", "all-int", "int-zero-meets-its-fraction", "int-meets-fraction-one"],
 )
 def test_ranks_only_for_int_and_fraction_not_all_int(semiring, values):
-    assert _ranked(semiring, values) == (semiring, values, None)
+    """Equal keys from an int and a Fraction would map a witness back to
+    either type, so such a value set gets no keys either."""
+    assert _ranked(semiring, values) is None
 
 
 # Thirds, fifths, sevenths and twelfths: the keys need a scale, not only a sort.

@@ -1,7 +1,9 @@
 """Max-plus scalar shifts: the derivation laws, the group structure of the
 finite shifts, and the entrywise lift to matrices."""
 
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from trideriv import (
     random_matrix,
 )
 from trideriv import shifts
+from trideriv.semirings import _max
 
 
 def finite_shift(rng):
@@ -177,9 +180,9 @@ def _quarter(value):
     return value if isinstance(value, float) else Fraction(value, 4)
 
 
-def _first_witness_agrees(carrier, seed, draws, quarters=False):
-    """Compare ``first_witness`` with the two generic checks on ``draws`` seeded
-    pairs at n = 1..8 over ``carrier``; return how often each check fired.
+def _witness_draws(carrier, seed, draws, quarters=False):
+    """``(draw, n, x, a, b)``: ``draws`` seeded pairs at n = 1..8 over ``carrier``
+    and a shift x, the bottom every tenth draw.
 
     With ``quarters``, finite entries of A and B become the Fractions v/4:
     all of them on even draws, those at even offsets on odd draws, where the
@@ -188,7 +191,6 @@ def _first_witness_agrees(carrier, seed, draws, quarters=False):
     quarter on even draws and the drawn int on odd ones.
     """
     rng = random.Random(seed)
-    fired = {"leibniz": 0, "linearity": 0}
     for draw in range(draws):
         n = draw % 8 + 1
         x = MINUS_INF if draw % 10 == 0 else MAXPLUS.sample(rng)
@@ -202,6 +204,15 @@ def _first_witness_agrees(carrier, seed, draws, quarters=False):
                 ))
                 for m in (a, b)
             )
+        yield draw, n, x, a, b
+
+
+def _first_witness_agrees(carrier, seed, draws, quarters=False):
+    """Compare ``first_witness`` with the two generic checks on
+    ``_witness_draws(carrier, seed, draws, quarters)``; return how often
+    each check fired."""
+    fired = {"leibniz": 0, "linearity": 0}
+    for draw, n, x, a, b in _witness_draws(carrier, seed, draws, quarters):
         lifted = ShiftDerivation(x).hereditary()
         leibniz = leibniz_check(lifted, a, b)
         expected = leibniz or linearity_check(lifted, a, b)
@@ -261,3 +272,95 @@ def test_first_witness_rejects_what_the_generic_checks_reject():
         lifted.first_witness(UTMatrix.zeros(2, MAXPLUS), UTMatrix.zeros(3, MAXPLUS))
     with pytest.raises(MatrixMismatchError, match="act on maxplus"):
         lifted.first_witness(UTMatrix.identity(2, BOOLEAN), UTMatrix.identity(2, BOOLEAN))
+
+
+# The shipped carrier's add and mul, but an add that is not ``_max`` itself,
+# so ``first_witness`` takes its generic loop with the same arithmetic.
+GENERIC_MAXPLUS = MAXPLUS._replace(add=lambda a, b: _max(a, b))
+
+
+def _float_draws(carrier, seed, draws):
+    """``(n, x, a, b)`` with entries off every carrier, where float rounding
+    parts (a + b) + x from (a + x) + b, so both checks fire: float tenths on
+    even draws; on odd ones ints and floats near 2^53, where equal values of
+    the two types meet in every fold and the side ``_max`` keeps shows."""
+    rng = random.Random(seed)
+    shifts_ = (0.1, 3, 0.3, 1, 1.7, MINUS_INF, float("nan"))
+
+    def entry(near):
+        if rng.random() < 0.05:
+            return MINUS_INF
+        if near:
+            v = 2**53 + rng.randint(-4, 4)
+            return v if rng.random() < 0.5 else float(v)
+        return rng.randint(-20, 20) / 10
+
+    for draw in range(draws):
+        n = draw % 8 + 1
+        a, b = (
+            UTMatrix._trusted(n, carrier, tuple(entry(draw % 2) for _ in range(n * (n + 1) // 2)))
+            for _ in range(2)
+        )
+        yield n, shifts_[draw % len(shifts_)], a, b
+
+
+def _max_calls(call):
+    """How often ``call()`` calls ``_max``, a Python function before 3.13 and
+    the builtin ``max`` from 3.13 on."""
+    calls = 0
+    code = getattr(_max, "__code__", None)
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if (event == "call" and frame.f_code is code) or (event == "c_call" and arg is _max):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_first_witness_inline_fold_matches_its_generic_twin(monkeypatch):
+    """The inline max-plus fold gives the generic loop's witnesses, in value and
+    type, on the draws above (ints, quarters, the bottom; shifts -inf and 3/4)
+    and on float entries, where the witness branches run."""
+    assert MAXPLUS.add is _max and MAXPLUS.mul is operator.add
+
+    def witnesses(carrier):
+        monkeypatch.setattr(shifts, "MAXPLUS", carrier)
+        pairs = [
+            (x, a, b)
+            for quarters in (False, True)
+            for _, _, x, a, b in _witness_draws(carrier, 41, 400, quarters)
+        ]
+        pairs += _float_draws(carrier, 43, 200)
+        # Two ties the draws seldom reach.  At (1, 2), f(A)B folds to the int
+        # 2^53 + 6 and Af(B) to the float of that value, and the sum keeps
+        # f(A)B's.  In the linearity check, max(nan, 1) is the nan, and the
+        # sum of the lifted cells keeps nan + 3, not 1 + 3.
+        big = 2**53
+        pairs += [
+            (3, UTMatrix._trusted(2, carrier, (float(big + 2), big, 0)),
+             UTMatrix._trusted(2, carrier, (0, 1, 3))),
+            (3, UTMatrix._trusted(1, carrier, (float("nan"),)), UTMatrix._trusted(1, carrier, (1,))),
+        ]
+        found = [
+            _fields(ShiftDerivation._trusted(x=x).hereditary().first_witness(a, b))
+            for *_, x, a, b in pairs
+        ]
+        x, a, b = pairs[-1][-3:]
+        lifted = ShiftDerivation._trusted(x=x).hereditary()
+        return found, _max_calls(lambda: lifted.first_witness(a, b))
+
+    inline, inline_calls = witnesses(MAXPLUS)
+    generic, generic_calls = witnesses(GENERIC_MAXPLUS)
+    assert (inline_calls, generic_calls > 0) == (0, True)  # each side takes its own path
+    assert repr(inline) == repr(generic)  # a NaN is not equal to itself
+    assert not any(inline[:800])  # a shift is a derivation on the carrier
+    fired = {w[3:] for w in inline[800:-2] if w is not None}
+    assert fired == {(float, float), (int, float), (float, int)}
+    (_, _, tie, _, tie_type), (_, _, nan, _, _) = inline[-2:]
+    assert (tie, tie_type) == (2**53 + 6, int) and nan != nan
