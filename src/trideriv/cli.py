@@ -24,8 +24,10 @@ from .derivations import (
     delta_k,
     enumerate_family_derivations,
     enumerate_interval_derivations,
+    family_zeroing,
     first_failures,
     format_zero_set,
+    map_zeroing,
     parse_pattern,
     parse_zero_set,
     theorem2_predicate,
@@ -144,14 +146,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # --- verify ----------------------------------------------------------------------
 
-def _failures(maps, args: argparse.Namespace, semiring: Semiring):
-    """Each map's first failure as (where, check-name, witness), else None:
-    from :func:`first_failures` (where ``trial=t seed=S``, replayed alone by
-    ``--seed S+t --trials 1``), or with ``--exhaustive``
-    from the boolean sweep (where names the pair's enumeration indices)."""
-    if not args.exhaustive:
-        found = first_failures(maps, args.n, semiring, args.trials, args.seed)
-        return [None if f is None else (f"trial={f[0]} seed={args.seed}", *f[1:]) for f in found]
+def _seeded_failures(zeroing, count: int, args: argparse.Namespace, semiring: Semiring):
+    """Each of ``count`` maps' first failure as (where, check-name, witness),
+    else None, from :func:`first_failures`: where ``trial=t seed=S`` replays
+    alone by ``--seed S+t --trials 1``."""
+    found = first_failures(zeroing, count, args.n, semiring, args.trials, args.seed)
+    return [None if f is None else (f"trial={f[0]} seed={args.seed}", *f[1:]) for f in found]
+
+
+def _exhaustive_failures(maps):
+    """As :func:`_seeded_failures`, from the ``--exhaustive`` boolean sweep of ``maps``."""
     found = [exhaustive_leibniz_witness(fn) for fn in maps]
     return [
         None if f is None
@@ -161,12 +165,14 @@ def _failures(maps, args: argparse.Namespace, semiring: Semiring):
 
 
 def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
-    """One line per family mask, in :func:`enumerate_family_derivations`'
-    order.  The masks are checked; each line's ``zero_set=`` field comes
-    from :func:`_family_zero_set_texts`, and the lines are written one
-    block per list of those texts."""
-    masks = enumerate_family_derivations(args.n)
-    found = iter(_failures(masks, args, semiring))
+    """One line per family zero set, in :func:`enumerate_family_derivations`'
+    order, checked from :func:`family_zeroing` with no mask built (only
+    ``--exhaustive``, n <= 6, sweeps the masks).  The ``zero_set=`` fields come
+    from :func:`_family_zero_set_texts`, written one block per list of texts."""
+    if args.exhaustive:
+        found = iter(_exhaustive_failures(enumerate_family_derivations(args.n)))
+    else:
+        found = iter(_seeded_failures(family_zeroing(args.n), 1 << args.n, args, semiring))
     fields = f"n={args.n} semiring={semiring.name} zero_set="
     failures = 0
     for texts in _family_zero_set_texts(args.n):
@@ -189,7 +195,11 @@ def _verify_theorem2(args: argparse.Namespace, semiring: Semiring) -> int:
     # A FAIL line replays alone: it names its witness's trial, or the trials that missed one.
     missed = "exhaustive" if args.exhaustive else f"trials={args.trials} seed={args.seed}"
     failures = 0
-    for (k, m), failure in zip(pairs, _failures(patterns, args, semiring)):
+    if args.exhaustive:
+        found = _exhaustive_failures(patterns)
+    else:
+        found = _seeded_failures(map_zeroing(patterns, n), len(patterns), args, semiring)
+    for (k, m), failure in zip(pairs, found):
         expected = theorem2_predicate(n, k, m)
         empirical = failure is None
         line = (
@@ -256,8 +266,8 @@ def _verify_hereditary(args: argparse.Namespace, semiring: Semiring) -> int:
 
 
 def verify_work(kind: str, n: int, trials: int) -> int:
-    """maps x trials x n^3 of a seeded ``verify`` run: leibniz checks 2^n masks,
-    theorem2 n^2 compositions, decompose and hereditary one map."""
+    """maps x trials x n^3 of a seeded ``verify`` run: leibniz counts the 2^n
+    family zero sets, theorem2 n^2 compositions, decompose and hereditary one map."""
     maps = 1 << n if kind == "leibniz" else n * n if kind == "theorem2" else 1
     return maps * trials * n**3
 

@@ -73,7 +73,7 @@ from .matrices import (
     random_matrix,
     triangle_size,
 )
-from .semirings import Semiring, _Frozen, _is_index, _ranked, seeded_trials
+from .semirings import Semiring, _Frozen, _is_index, _ranked, _read_index, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -288,32 +288,39 @@ def pointwise_sum(*maps: MatrixMap) -> MatrixMap:
 
 # --- the seeded trial runner -------------------------------------------------------
 
-def _zeroing(maps: list, n: int) -> list[int]:
-    """Per cell, row-major: the bitset of the indices of the maps that zero it.
-
-    A mask zeroes (r, c) iff its zero set holds every index of r..c, so the
-    masks that zero (r, c) are D_r & ... & D_c, with D_t the bitset of the
-    masks whose zero set holds t: one running AND per cell, and no mask's
-    cells are built.  Any other :class:`ZeroPattern` sets its bits offset by offset.
-    """
+def map_zeroing(maps: list, n: int) -> list[int]:
+    """Per cell, row-major: the bitset of the indices of ``maps`` that zero
+    it, set offset by offset from each map's ``_zeroed``.  A map that is not
+    a mask map raises TypeError, and one of another order MatrixMismatchError."""
     width = len(maps) // 8 + 1
-    held = [bytearray(width) for _ in range(n + 1)]  # D_t at index t
     cells = [bytearray(width) for _ in range(triangle_size(n))]
     for index, fn in enumerate(maps):
         _check_mask_map(fn, "trial runner")
         ensure_same_dimension(fn.n, n)
         byte, bit = index >> 3, 1 << (index & 7)
-        if isinstance(fn, MaskDerivation):
-            for t in fn.zero_set:
-                held[t][byte] |= bit
-        else:
-            for t in fn._zeroed:
-                cells[t][byte] |= bit
-    held_bits = [int.from_bytes(d, "little") for d in held]
+        for t in fn._zeroed:
+            cells[t][byte] |= bit
+    return [int.from_bytes(cell, "little") for cell in cells]
+
+
+def family_zeroing(n: int) -> list[int]:
+    """``map_zeroing(enumerate_family_derivations(n), n)``, with no mask built.
+
+    Mask m holds index t iff bit t - 1 of m is set, so D_t, the bitset of
+    the masks holding t, is h clear bits then h set ones, h = 2^(t - 1),
+    repeated across the 2^n masks.  A mask zeroes (r, c) iff it holds every
+    index of r..c, so cell (r, c) is D_r & ... & D_c: one running AND per cell.
+    """
+    ensure_positive_dimension(n)
+    everyone = (1 << (1 << n)) - 1
+    held = [0]  # D_t at index t
+    for t in range(1, n + 1):
+        h = 1 << (t - 1)
+        held.append((((1 << h) - 1) << h) * (everyone // ((1 << 2 * h) - 1)))
     zeroing, run = [], 0
-    for (r, c), extra in zip(iter_positions(n), cells):
-        run = held_bits[c] if r == c else run & held_bits[c]
-        zeroing.append(run | int.from_bytes(extra, "little"))
+    for r, c in iter_positions(n):
+        run = held[c] if r == c else run & held[c]
+        zeroing.append(run)
     return zeroing
 
 
@@ -377,15 +384,16 @@ def _fold_programs(zeroing: list[int], n: int, count: int) -> list[tuple[tuple, 
     return programs
 
 
-def first_failures(maps, n, semiring, trials, seed):
-    """Each map's first failing (trial, check-name, witness), else None.
+def first_failures(zeroing, count, n, semiring, trials, seed):
+    """Each of ``count`` mask maps' first failing (trial, check-name,
+    witness), else None, read from ``zeroing``: per cell, row-major, the
+    bitset of the maps that zero it (:func:`map_zeroing` of a list of
+    mask maps, or :func:`family_zeroing` for the 2^n family masks).
 
-    Trial t draws (A, B) from :func:`seeded_trials` once for all mask
-    maps (any other map raises TypeError), so A + B is computed once per
-    trial; each map still unfailed is checked for Leibniz, then
-    linearity.  Stops early once every map has failed.
+    Trial t draws (A, B) from :func:`seeded_trials` once for all the maps,
+    so A + B is computed once per trial; each map still unfailed is checked
+    for Leibniz, then linearity.  Stops early once every map has failed.
 
-    Each cell holds the bitset of the maps that zero it (:func:`_zeroing`).
     A map's Leibniz verdict at cell (i, j) depends on the map only through
     the cells it zeroes in the row segment (i, i..j) and the column segment
     (i..j, j): f(AB)'s cell is zero or AB's by (i, j) itself, f(A)B's cell
@@ -399,7 +407,7 @@ def first_failures(maps, n, semiring, trials, seed):
     runs a cell's steps into one list of values and computes one verdict
     per group with a member still live; a differing group fails all its
     live members at that cell, which is the first difference the full
-    matrices would show.  No map is applied, and f(A), f(B) and AB are
+    matrices would show.  No map is seen, and f(A), f(B) and AB are
     never built.  The programs are not rebuilt as maps fail, so a trial
     still folds the prefixes only failed maps share; that is exact as
     long as the carrier's functions are pure.  Linearity needs two facts
@@ -416,13 +424,12 @@ def first_failures(maps, n, semiring, trials, seed):
     are mapped back to the drawn ones through a key -> value dict built
     only when a map fails.
     """
-    zeroing = _zeroing(maps, n)
-    programs = _fold_programs(zeroing, n, len(maps))
+    programs = _fold_programs(zeroing, n, count)
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     add, mul = semiring.add, semiring.mul
-    failures = [None] * len(maps)
-    unfailed = (1 << len(maps)) - 1
+    failures = [None] * count
+    unfailed = (1 << count) - 1
     for trial, rng in seeded_trials(trials, seed):
         if not unfailed:
             break
@@ -643,10 +650,7 @@ def parse_zero_set(text: str, n: int) -> frozenset:
         return frozenset()
     indices = set()
     for token in text.split(","):
-        try:
-            i = int(token)
-        except ValueError:
-            raise ValueError(f"bad zero-set index {token!r}") from None
+        i = _read_index(token, "zero-set index", token)
         if not 1 <= i <= n:
             raise ValueError(f"zero-set index {i} outside 1..{n}")
         indices.add(i)
@@ -662,14 +666,11 @@ def parse_pattern(text: str, n: int) -> ZeroPattern:
     text = text.strip()
     if not text:
         return ZeroPattern(n, frozenset())
-    positions = set()
+    positions, what = set(), "pattern position"
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ValueError(f"bad pattern position {chunk!r} (expected i,j)")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad pattern position {chunk!r}") from None
-        positions.add((i, j))
+            raise ValueError(f"bad {what} {chunk!r} (expected i,j)")
+        i, j = parts
+        positions.add((_read_index(i, what, chunk), _read_index(j, what, chunk)))
     return ZeroPattern(n, frozenset(positions))

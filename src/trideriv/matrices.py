@@ -12,7 +12,7 @@ import random
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
 
-from .semirings import Semiring, _Frozen, _is_index, format_element, get_semiring
+from .semirings import Semiring, _Frozen, _is_index, _read_index, format_element, get_semiring
 
 
 class TriangularityError(ValueError):
@@ -250,13 +250,7 @@ def parse_matrix(text: str) -> UTMatrix:
         or not head[2].startswith("semiring=")
     ):
         raise ValueError(f"bad header {lines[0]!r}")
-    dim = head[1][2:]
-    try:
-        if not (dim.isascii() and dim.isdigit()):  # int() also reads +2, 0_2, Unicode digits
-            raise ValueError
-        n = int(dim)
-    except ValueError:
-        raise ValueError(f"bad dimension {head[1]!r}") from None
+    n = _read_index(head[1][2:], "dimension", head[1])
     if n < 1:
         raise ValueError(f"bad dimension n={n}")
     semiring = get_semiring(head[2][len("semiring="):])

@@ -42,6 +42,19 @@ def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_index(text: str, what: str, shown: str) -> int:
+    """``text`` as an index, else ValueError ``bad {what} {shown!r}``: the package's
+    one index text rule, ASCII digits with whitespace allowed around them
+    (``int()`` alone also reads ``+1``, ``1_0`` and other scripts' digits)."""
+    digits = text.strip()
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        return int(digits)  # int() also refuses past sys.get_int_max_str_digits()
+    except ValueError:
+        raise ValueError(f"bad {what} {shown!r}") from None
+
+
 class _Frozen:
     """Base of the package's immutable value classes.
 

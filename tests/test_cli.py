@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import io
 import math
 import random
 import tracemalloc
@@ -40,7 +41,7 @@ from trideriv.cli import (
     main,
     verify_work,
 )
-from trideriv.derivations import Witness, _fold_programs, _zeroing, first_failures
+from trideriv.derivations import Witness, _fold_programs, first_failures, map_zeroing
 from trideriv.semirings import Semiring, _ranked
 
 MAXPLUS_3X3 = (
@@ -198,6 +199,15 @@ def test_apply_out_of_range_mask(capsys, matrix_file):
     code, _, err = run(capsys, "apply", "--matrix", matrix_file, "--delta-k", "7")
     assert code == 2
     assert "outside" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--zero-set=+1,\u0662"], ["--zero-set=1_0"], ["--pattern", "1,1_0"]]
+)
+def test_apply_reads_indices_as_ascii_digits(capsys, matrix_file, argv):
+    code, out, err = run(capsys, "apply", "--matrix", matrix_file, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad ")
 
 
 def test_apply_shift_on_non_maxplus(capsys, tmp_path):
@@ -392,6 +402,25 @@ def test_verify_leibniz_exhaustive_boolean(capsys):
     assert len(out.splitlines()) == 4
 
 
+class MasksBuilt(Exception):
+    pass
+
+
+def test_only_an_exhaustive_leibniz_run_builds_the_family_masks(capsys, monkeypatch):
+    """A seeded run reads the family from ``family_zeroing``; the exhaustive
+    sweep needs the masks themselves."""
+
+    def refuse(n):
+        raise MasksBuilt
+
+    monkeypatch.setattr(cli, "enumerate_family_derivations", refuse)
+    code, out, _ = run(capsys, "verify", "leibniz", "--n", "4", "--semiring", "boolean",
+                       "--trials", "3")
+    assert code == 0 and len(out.splitlines()) == 16
+    with pytest.raises(MasksBuilt):
+        main(["verify", "leibniz", "--n", "4", "--semiring", "boolean", "--exhaustive"])
+
+
 def test_exhaustive_fail_line_replays_from_its_pair(capsys, monkeypatch):
     """An exhaustive FAIL line names its pair by enumeration index: rebuilding
     the pair from that line alone gives the printed witness."""
@@ -561,7 +590,7 @@ def test_trial_runner_matches_per_map_loop(name, n):
     maps = runner_maps(n)
     for seed in (0, 631):
         expected = [reference_first_failure(f, n, semiring, 12, seed) for f in maps]
-        got = first_failures(maps, n, semiring, 12, seed)
+        got = first_failures(map_zeroing(maps, n), len(maps), n, semiring, 12, seed)
         assert got == expected
         # Witness compares with ==, which lets Fraction(8) stand for 8.
         assert witness_types(got) == witness_types(expected)
@@ -577,7 +606,7 @@ def test_trial_runner_matches_per_map_loop_on_theorem2_at_n_10(name):
     n = 10
     maps = [delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)]
     expected = [reference_first_failure(f, n, semiring, 4, 3) for f in maps]
-    got = first_failures(maps, n, semiring, 4, 3)
+    got = first_failures(map_zeroing(maps, n), len(maps), n, semiring, 4, 3)
     assert got == expected
     assert witness_types(got) == witness_types(expected)
 
@@ -601,7 +630,7 @@ def test_trial_runner_never_applies_a_map(monkeypatch, name, n):
 
     monkeypatch.setattr(MaskDerivation, "__call__", refuse)
     monkeypatch.setattr(ZeroPattern, "__call__", refuse)
-    got = first_failures(maps, n, semiring, 12, 0)
+    got = first_failures(map_zeroing(maps, n), len(maps), n, semiring, 12, 0)
     assert got == expected
     assert witness_types(got) == witness_types(expected)
 
@@ -628,8 +657,8 @@ def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
     assert _ranked(twin, (Fraction(1, 4),)) is None
     maps = runner_maps(n)
     for seed in (0, 631):
-        got = first_failures(maps, n, ranked, 12, seed)
-        expected = first_failures(maps, n, twin, 12, seed)
+        got = first_failures(map_zeroing(maps, n), len(maps), n, ranked, 12, seed)
+        expected = first_failures(map_zeroing(maps, n), len(maps), n, twin, 12, seed)
         assert got == expected
         assert witness_types(got) == witness_types(expected)
 
@@ -648,7 +677,7 @@ def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():
             sample=lambda rng: rng.randint(2, 3),
         )
         maps = [delta_k(1, 1), delta_k(1, 0)]  # keep the cell, zero it
-        got = first_failures(maps, 1, poison, 12, 0)
+        got = first_failures(map_zeroing(maps, 1), len(maps), 1, poison, 12, 0)
         expected = [reference_first_failure(f, 1, poison, 12, 0) for f in maps]
         assert got[1] is None is expected[1]
         (trial, check, witness), (trial0, check0, witness0) = got[0], expected[0]
@@ -660,7 +689,7 @@ def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():
 def test_trial_runner_witness_from_one_fold_side(n):
     semiring = get_semiring("maxplus")
     maps = one_side_maps(n)
-    failures = first_failures(maps, n, semiring, 20, 5)
+    failures = first_failures(map_zeroing(maps, n), len(maps), n, semiring, 20, 5)
     positions = list(iter_positions(n))
     sides = []
     for fn, (trial, check, witness) in zip(maps, failures):
@@ -675,8 +704,9 @@ def test_trial_runner_witness_from_one_fold_side(n):
 
 @pytest.mark.parametrize("fn", [lambda m: m, strip_diagonal(3).__call__, "not a map"])
 def test_trial_runner_rejects_non_mask_maps(fn):
+    maps = [delta_k(3, 1), fn]
     with pytest.raises(TypeError, match="trial runner needs a mask map"):
-        first_failures([delta_k(3, 1), fn], 3, get_semiring("maxplus"), 1, 0)
+        first_failures(map_zeroing(maps, 3), len(maps), 3, get_semiring("maxplus"), 1, 0)
 
 
 def segment_maps():
@@ -695,7 +725,7 @@ def test_trial_runner_groups_name_the_zeroed_operands():
     checked = 0
     for n, maps in by_n.items():
         size = n * (n + 1) // 2
-        programs = _fold_programs(_zeroing(maps, n), n, len(maps))
+        programs = _fold_programs(map_zeroing(maps, n), n, len(maps))
         for (i, j), (steps, groups) in zip(iter_positions(n), programs):
             group_of = {}
             for group in groups:  # the groups partition the maps
@@ -732,7 +762,7 @@ def test_trial_runner_groups_name_the_zeroed_operands():
 
 
 def test_trial_runner_without_maps():
-    assert first_failures([], 3, get_semiring("maxplus"), 5, 0) == []
+    assert first_failures(map_zeroing([], 3), 0, 3, get_semiring("maxplus"), 5, 0) == []
 
 
 
@@ -879,6 +909,34 @@ def test_verify_leibniz_past_the_pinned_digests_prints_every_subset_in_order(cap
         for k in range(1 << 13)
     ]
     assert out.splitlines() == expected
+
+
+def test_verify_leibniz_at_the_work_cap_writes_the_pinned_bytes():
+    """n = 17, the largest n the work cap admits with one trial: 2^17 PASS
+    lines, pinned by the digest the per-mask runner printed."""
+    sink = HashingSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["verify", "leibniz", "--n", "17", "--semiring", "boolean",
+                     "--trials", "1", "--seed", "0"])
+    assert code == 0
+    assert sink.lines == 1 << 17
+    assert sink.sha256.hexdigest() == (
+        "2d0934773ff5db0a96cf78931cfa18eee1abe223b44d851d64a28d88836e9978"
+    )
+
+
+def test_verify_leibniz_builds_no_mask_per_zero_set():
+    """At n = 14 the traced peak is about 6 MiB; building the 2^14 masks made it 18 MiB."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "leibniz", "--n", "14", "--semiring", "boolean",
+                         "--trials", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.getvalue().count("\nPASS ") == (1 << 14) - 1
+    assert peak < 9 << 20
 
 
 def test_verify_leibniz_family_cap(capsys):

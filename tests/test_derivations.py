@@ -2,6 +2,7 @@
 and the rewriting into delta/d terms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,13 @@ from trideriv import (
     theorem2_predicate,
     triangle_size,
 )
-from trideriv.derivations import _fold_programs, _zeroing, first_difference, first_failures
+from trideriv.derivations import (
+    _fold_programs,
+    family_zeroing,
+    first_difference,
+    first_failures,
+    map_zeroing,
+)
 from trideriv.matrices import _mul_plan, _offset
 
 INSTANCES = [BOOLEAN, MAXPLUS, MINPLUS, FUZZY]
@@ -442,10 +449,16 @@ def test_linearity_of_masks_and_patterns():
 
 # --- the trial runner's set-up -------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_trial_runner_zeroing_from_diagonal_bitsets(n):
-    # Masks go through running ANDs of diagonal bitsets, patterns offset by
-    # offset; in a mixed list both must give each cell the maps zeroing it.
+    # The family masks' cells from running ANDs of the closed-form diagonal
+    # bitsets, against the masks' own offsets.
+    assert family_zeroing(n) == map_zeroing(enumerate_family_derivations(n), n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trial_runner_zeroing_from_each_maps_offsets(n):
+    # In a mixed list of masks and patterns, each cell holds the maps zeroing it.
     patterns = [delta_k(n, k).compose(d_m(n, m)) for k in range(n + 1) for m in range(n + 1)]
     maps = [x for pair in zip(enumerate_family_derivations(n), patterns) for x in pair]
     zeroed = [  # a mask kills (r, c) iff all of r..c is in its zero set
@@ -453,15 +466,16 @@ def test_trial_runner_zeroing_from_diagonal_bitsets(n):
         if isinstance(fn, MaskDerivation) else fn.positions
         for fn in maps
     ]
-    assert _zeroing(maps, n) == [
+    assert map_zeroing(maps, n) == [
         sum(1 << index for index, cells in enumerate(zeroed) if position in cells)
         for position in iter_positions(n)
     ]
 
 
 def test_trial_runner_checks_each_masks_dimension():
+    maps = [delta_k(3, 1), MaskDerivation(2, {1})]
     with pytest.raises(MatrixMismatchError, match="^dimension mismatch: 2 vs 3$"):
-        first_failures([delta_k(3, 1), MaskDerivation(2, {1})], 3, MAXPLUS, 1, 0)
+        first_failures(map_zeroing(maps, 3), len(maps), 3, MAXPLUS, 1, 0)
 
 
 def program_chain(steps, node):
@@ -496,7 +510,7 @@ def test_fold_program_nodes_are_product_cells_with_keyed_operands_zeroed(n):
     a, b = tuple(range(1, size + 1)), tuple(range(size + 1, 2 * size + 1))
     ops, zero_at = a + b + (carrier.zero,), 2 * size
     maps = list(segment_patterns(n))
-    programs = _fold_programs(_zeroing(maps, n), n, len(maps))
+    programs = _fold_programs(map_zeroing(maps, n), n, len(maps))
     checked = 0
     for (i, j), (steps, _), pairs in zip(iter_positions(n), programs, _mul_plan(n)):
         vals = [carrier.zero]
@@ -817,6 +831,27 @@ def test_pattern_syntax():
 def test_pattern_syntax_rejects_a_non_integer_coordinate():
     with pytest.raises(ValueError, match=r"^bad pattern position '1,x'$"):
         parse_pattern("1,x", 3)
+
+
+# int() also reads these: a '_' between digits, a sign, a non-ASCII digit.
+@pytest.mark.parametrize(
+    "text,token",
+    [("1_0", "1_0"), ("+1", "+1"), ("\u0662", "\u0662"), ("2,1_0", "1_0"), ("+1,\u0662", "+1")],
+)
+def test_zero_set_indices_are_ascii_digits(text, token):
+    with pytest.raises(ValueError, match=re.escape(f"bad zero-set index {token!r}")):
+        parse_zero_set(text, 12)
+
+
+@pytest.mark.parametrize("text", ["1,1_0", "+1,2", "1,\u0662", "1,1;2,+2"])
+def test_pattern_coordinates_are_ascii_digits(text):
+    with pytest.raises(ValueError, match=r"^bad pattern position "):
+        parse_pattern(text, 12)
+
+
+def test_index_texts_allow_whitespace_around_the_digits():
+    assert parse_zero_set(" 2 , 3 ", 4) == frozenset({2, 3})
+    assert parse_pattern(" 1 , 2 ; 2,2 ", 3) == ZeroPattern(3, {(1, 2), (2, 2)})
 
 
 @settings(max_examples=100, deadline=None)
