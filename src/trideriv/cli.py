@@ -27,10 +27,10 @@ from .derivations import (
     family_zeroing,
     first_failures,
     format_zero_set,
-    map_zeroing,
     parse_pattern,
     parse_zero_set,
     theorem2_predicate,
+    theorem2_zeroing,
 )
 from .matrices import format_matrix, parse_matrix, random_matrix
 from .oracle import (
@@ -189,34 +189,32 @@ def _verify_leibniz(args: argparse.Namespace, semiring: Semiring) -> int:
 
 
 def _verify_theorem2(args: argparse.Namespace, semiring: Semiring) -> int:
+    """One line per delta_k·d_m, k then m = 1..n; only ``--exhaustive`` builds patterns."""
     n = args.n
     pairs = [(k, m) for k in range(1, n + 1) for m in range(1, n + 1)]
-    patterns = [delta_k(n, k).compose(d_m(n, m)) for k, m in pairs]
     # A FAIL line replays alone: it names its witness's trial, or the trials that missed one.
     missed = "exhaustive" if args.exhaustive else f"trials={args.trials} seed={args.seed}"
-    failures = 0
     if args.exhaustive:
-        found = _exhaustive_failures(patterns)
+        found = _exhaustive_failures([delta_k(n, k).compose(d_m(n, m)) for k, m in pairs])
     else:
-        found = _seeded_failures(map_zeroing(patterns, n), len(patterns), args, semiring)
+        found = _seeded_failures(theorem2_zeroing(n), n * n, args, semiring)
+    lines, failures = [], 0
     for (k, m), failure in zip(pairs, found):
         expected = theorem2_predicate(n, k, m)
         empirical = failure is None
-        line = (
-            f"theorem2 n={n} k={k} m={m} "
-            f"expected={'derivation' if expected else 'witness'} "
-            f"empirical={'derivation' if empirical else 'witness'}"
-        )
+        line = (f"theorem2 n={n} k={k} m={m} expected={'derivation' if expected else 'witness'} "
+                f"empirical={'derivation' if empirical else 'witness'}")
         if empirical == expected:
-            print(f"PASS {line}")
+            lines.append(f"PASS {line}\n")
             continue
         if failure is None:
             detail = missed
         else:
             where, check, witness = failure
             detail = f"{where} check={check} {_witness_fields(witness)}"
-        print(f"FAIL {line} semiring={semiring.name} {detail}")
+        lines.append(f"FAIL {line} semiring={semiring.name} {detail}\n")
         failures += 1
+    sys.stdout.write("".join(lines))
     return 1 if failures else 0
 
 

@@ -60,6 +60,7 @@ terms keep (:meth:`DecompositionExpr.acts_as`).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property, lru_cache, reduce
 
@@ -73,7 +74,7 @@ from .matrices import (
     random_matrix,
     triangle_size,
 )
-from .semirings import Semiring, _Frozen, _is_index, _ranked, _read_index, seeded_trials
+from .semirings import Semiring, _Frozen, _is_index, _max, _min, _ranked, _read_index, seeded_trials
 
 MatrixMap = Callable[[UTMatrix], UTMatrix]
 
@@ -290,8 +291,9 @@ def pointwise_sum(*maps: MatrixMap) -> MatrixMap:
 
 def map_zeroing(maps: list, n: int) -> list[int]:
     """Per cell, row-major: the bitset of the indices of ``maps`` that zero
-    it, set offset by offset from each map's ``_zeroed``.  A map that is not
-    a mask map raises TypeError, and one of another order MatrixMismatchError."""
+    it, set offset by offset from each map's ``_zeroed`` (:func:`family_zeroing`
+    and :func:`theorem2_zeroing` build it for their lists with no map).  A map
+    that is not a mask map raises TypeError, one of another order MatrixMismatchError."""
     width = len(maps) // 8 + 1
     cells = [bytearray(width) for _ in range(triangle_size(n))]
     for index, fn in enumerate(maps):
@@ -322,6 +324,15 @@ def family_zeroing(n: int) -> list[int]:
         run = held[c] if r == c else run & held[c]
         zeroing.append(run)
     return zeroing
+
+
+def theorem2_zeroing(n: int) -> list[int]:
+    """``map_zeroing`` of ``delta_k(n, k).compose(d_m(n, m))``, k then m = 1..n, with
+    no pattern built: map (k - 1)·n + m - 1 zeroes (r, c) iff r > k or c <= n - m, so
+    (r, c) ORs the low (r - 1)·n bits (k < r) and the low n - c bits of each k's block."""
+    ensure_positive_dimension(n)
+    first_bits = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit (k - 1)·n for each k
+    return [(1 << (r - 1) * n) - 1 | ((1 << n - c) - 1) * first_bits for r, c in iter_positions(n)]
 
 
 def _members(bits: int) -> Iterator[int]:
@@ -384,15 +395,38 @@ def _fold_programs(zeroing: list[int], n: int, count: int) -> list[tuple[tuple, 
     return programs
 
 
+# first_failures' step loop per shipped (add, mul) pair, each call as its function's expression.
+def _steps_max_plus(steps, ops, vals):
+    for parent, x, y in steps:
+        u, v = vals[parent], ops[x] + ops[y]
+        vals.append(v if v > u else u)
+
+
+def _steps_min_plus(steps, ops, vals):
+    for parent, x, y in steps:
+        u, v = vals[parent], ops[x] + ops[y]
+        vals.append(v if v < u else u)
+
+
+def _steps_max_min(steps, ops, vals):
+    for parent, x, y in steps:
+        u, p, q = vals[parent], ops[x], ops[y]
+        v = q if q < p else p
+        vals.append(v if v > u else u)
+
+
+_STEP_LOOPS = ((_max, operator.add, _steps_max_plus), (_min, operator.add, _steps_min_plus),
+               (_max, _min, _steps_max_min))
+
+
 def first_failures(zeroing, count, n, semiring, trials, seed):
     """Each of ``count`` mask maps' first failing (trial, check-name,
     witness), else None, read from ``zeroing``: per cell, row-major, the
-    bitset of the maps that zero it (:func:`map_zeroing` of a list of
-    mask maps, or :func:`family_zeroing` for the 2^n family masks).
+    bitset of the maps that zero it (:func:`map_zeroing` of a list of mask
+    maps, :func:`family_zeroing` or :func:`theorem2_zeroing`).
 
-    Trial t draws (A, B) from :func:`seeded_trials` once for all the maps,
-    so A + B is computed once per trial; each map still unfailed is checked
-    for Leibniz, then linearity.  Stops early once every map has failed.
+    Trial t draws (A, B) from :func:`seeded_trials` once for all the maps;
+    each map still unfailed is checked for Leibniz, then linearity, until all fail.
 
     A map's Leibniz verdict at cell (i, j) depends on the map only through
     the cells it zeroes in the row segment (i, i..j) and the column segment
@@ -406,18 +440,20 @@ def first_failures(zeroing, count, n, semiring, trials, seed):
     trial makes one operand tuple, walks the cells in row-major order,
     runs a cell's steps into one list of values and computes one verdict
     per group with a member still live; a differing group fails all its
-    live members at that cell, which is the first difference the full
-    matrices would show.  No map is seen, and f(A), f(B) and AB are
-    never built.  The programs are not rebuilt as maps fail, so a trial
-    still folds the prefixes only failed maps share; that is exact as
-    long as the carrier's functions are pure.  Linearity needs two facts
-    per trial: the cells where add(a, b) is not equal to itself, which
-    fail the maps keeping them (f(A + B) and f(A) + f(B) both hold that
-    one call's value there), and whether add(zero, zero) differs from
+    live members at that cell, the first difference the full matrices
+    would show.  No map is seen, and f(A), f(B) and AB are never built.
+    A trial still folds the prefixes only failed maps share, which is
+    exact while the carrier's functions are pure.  Linearity needs two
+    facts per trial: the cells where add(a, b) is not equal to itself,
+    which fail the maps keeping them (f(A + B) and f(A) + f(B) both hold
+    that one call's value there), and whether add(zero, zero) differs from
     zero, which fails the maps zeroing them.  Every compared value is
     computed by the same carrier calls on the same operand objects as
     f(AB), f(A)B + Af(B), f(A + B) and f(A) + f(B) would be, so every
-    verdict and witness equals theirs, with no semiring axiom assumed.
+    verdict and witness equals theirs, with no semiring axiom assumed.  The
+    steps of a shipped (add, mul) pair, matched by identity, write each call
+    as its function's expression (``_STEP_LOOPS``); other carriers run the
+    generic loop, the reference.
 
     Over a max/min carrier each trial runs on int keys of its drawn
     entries (:func:`~trideriv.semirings._ranked`), and a witness's values
@@ -428,6 +464,7 @@ def first_failures(zeroing, count, n, semiring, trials, seed):
     plan, positions = _mul_plan(n), tuple(iter_positions(n))
     size = len(plan)
     add, mul = semiring.add, semiring.mul
+    steps_of = next((loop for f, g, loop in _STEP_LOOPS if add is f and mul is g), None)
     failures = [None] * count
     unfailed = (1 << count) - 1
     for trial, rng in seeded_trials(trials, seed):
@@ -451,8 +488,11 @@ def first_failures(zeroing, count, n, semiring, trials, seed):
         live = unfailed
         for position, (steps, groups), pairs in zip(positions, programs, plan):
             vals = [zero]
-            for parent, x, y in steps:
-                vals.append(add(vals[parent], mul(ops[x], ops[y])))
+            if steps_of is not None:
+                steps_of(steps, ops, vals)
+            else:  # the reference: the carrier's own calls
+                for parent, x, y in steps:
+                    vals.append(add(vals[parent], mul(ops[x], ops[y])))
             ab_cell = vals[len(pairs)]
             for left, right, own, members in groups:
                 hit = members & live

@@ -32,7 +32,7 @@ from trideriv import (
     random_matrix,
     strip_diagonal,
 )
-from trideriv import cli, oracle, shifts
+from trideriv import cli, derivations, oracle, shifts
 from trideriv.cli import (
     INTERVAL_ENUMERATION_LIMIT,
     TRIALS_LIMIT,
@@ -421,6 +421,23 @@ def test_only_an_exhaustive_leibniz_run_builds_the_family_masks(capsys, monkeypa
         main(["verify", "leibniz", "--n", "4", "--semiring", "boolean", "--exhaustive"])
 
 
+def test_only_an_exhaustive_theorem2_run_builds_the_patterns(capsys, monkeypatch):
+    """A seeded run reads the compositions from ``theorem2_zeroing``; the
+    exhaustive sweep needs the patterns themselves."""
+
+    def refuse(n, index):
+        raise MasksBuilt
+
+    monkeypatch.setattr(cli, "delta_k", refuse)
+    monkeypatch.setattr(cli, "d_m", refuse)
+    code, out, _ = run(capsys, "verify", "theorem2", "--n", "4", "--semiring", "boolean",
+                       "--trials", "30")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 16 and all(line.startswith("PASS ") for line in lines)
+    with pytest.raises(MasksBuilt):
+        main(["verify", "theorem2", "--n", "4", "--semiring", "boolean", "--exhaustive"])
+
+
 def test_exhaustive_fail_line_replays_from_its_pair(capsys, monkeypatch):
     """An exhaustive FAIL line names its pair by enumeration index: rebuilding
     the pair from that line alone gives the printed witness."""
@@ -661,6 +678,73 @@ def test_trial_runner_on_ranks_matches_unranked_twin(ranked, n):
         expected = first_failures(map_zeroing(maps, n), len(maps), n, twin, 12, seed)
         assert got == expected
         assert witness_types(got) == witness_types(expected)
+
+
+def int_or_fraction(rng, low, high):
+    value = rng.randint(low, high)
+    return Fraction(value) if rng.random() < 0.5 else value
+
+
+# The carriers whose (add, mul) pair takes a written-out step loop: the shipped
+# four, fuzzy with its zero an int, max-plus with its zero moved to its one, and
+# three that draw equal ints and Fractions, so that which side a tie keeps
+# decides a value's type (fuzzy then runs unranked).
+WRITTEN_OUT = {
+    "maxplus": get_semiring("maxplus"),
+    "minplus": get_semiring("minplus"),
+    "fuzzy": FUZZY,
+    "boolean": get_semiring("boolean"),
+    "int-zero-fuzzy": INT_ZERO_FUZZY,
+    "zero-absorbs-nothing": LAW_BREAKERS["zero-absorbs-nothing"],
+    "mixed-types-maxplus": get_semiring("maxplus")._replace(
+        sample=lambda rng: int_or_fraction(rng, -2, 2)
+    ),
+    "mixed-types-minplus": get_semiring("minplus")._replace(
+        sample=lambda rng: int_or_fraction(rng, -2, 2)
+    ),
+    "mixed-types-fuzzy": FUZZY._replace(sample=lambda rng: int_or_fraction(rng, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name", sorted(WRITTEN_OUT))
+def test_trial_runner_written_out_steps_match_the_generic_loop(monkeypatch, name, n):
+    semiring = WRITTEN_OUT[name]
+    maps = runner_maps(n)
+    zeroing = map_zeroing(maps, n)
+    seeds = (0, 631)
+    written = [first_failures(zeroing, len(maps), n, semiring, 12, seed) for seed in seeds]
+    monkeypatch.setattr(derivations, "_STEP_LOOPS", ())  # every carrier takes the generic loop
+    for seed, got in zip(seeds, written):
+        expected = first_failures(zeroing, len(maps), n, semiring, 12, seed)
+        assert got == expected
+        assert witness_types(got) == witness_types(expected)
+
+
+def test_trial_runner_picks_its_step_loop_by_the_carriers_functions(monkeypatch):
+    taken = []
+
+    def spy(loop):
+        def steps(*args):
+            taken.append(loop.__name__)
+            loop(*args)
+        return steps
+
+    loops = tuple((add, mul, spy(loop)) for add, mul, loop in derivations._STEP_LOOPS)
+    monkeypatch.setattr(derivations, "_STEP_LOOPS", loops)
+    maps = runner_maps(3)
+    for semiring, loop in [
+        (get_semiring("maxplus"), "_steps_max_plus"),
+        (get_semiring("minplus"), "_steps_min_plus"),
+        (FUZZY, "_steps_max_min"),
+        (get_semiring("boolean"), "_steps_max_min"),
+        (INT_ZERO_FUZZY, "_steps_max_min"),
+        (NATURALS, None),  # lambdas: the generic loop
+    ]:
+        taken.clear()
+        got = first_failures(map_zeroing(maps, 3), len(maps), 3, semiring, 2, 0)
+        assert set(taken) == ({loop} if loop else set())
+        assert got == [reference_first_failure(f, 3, semiring, 2, 0) for f in maps]
 
 
 def test_trial_runner_fails_linearity_where_a_sum_is_not_equal_to_itself():

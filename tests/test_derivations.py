@@ -49,6 +49,7 @@ from trideriv.derivations import (
     first_difference,
     first_failures,
     map_zeroing,
+    theorem2_zeroing,
 )
 from trideriv.matrices import _mul_plan, _offset
 
@@ -454,6 +455,14 @@ def test_trial_runner_zeroing_from_diagonal_bitsets(n):
     # The family masks' cells from running ANDs of the closed-form diagonal
     # bitsets, against the masks' own offsets.
     assert family_zeroing(n) == map_zeroing(enumerate_family_derivations(n), n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_trial_runner_zeroing_of_the_theorem2_compositions(n):
+    # The compositions' cells from the closed-form row and column bitsets, in
+    # verify theorem2's (k, m) order, against the patterns' own offsets.
+    maps = [delta_k(n, k).compose(d_m(n, m)) for k in range(1, n + 1) for m in range(1, n + 1)]
+    assert theorem2_zeroing(n) == map_zeroing(maps, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -905,10 +914,13 @@ def test_every_dimension_check_reports_alike(site):
         strip_diagonal,
         iter_positions,  # at the call, not at the first next()
         triangle_size,
+        family_zeroing,
+        theorem2_zeroing,
     ],
     ids=[
         "matrix", "mask", "pattern", "intervals", "families", "oracle",
         "random-matrix", "decomposition", "strip-diagonal", "positions", "triangle-size",
+        "family-zeroing", "theorem2-zeroing",
     ],
 )
 def test_every_dimension_positivity_check_reports_alike(build, n):
